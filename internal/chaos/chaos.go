@@ -8,23 +8,23 @@
 // exactly that boundary, reproducibly: the same plan and seed always
 // yield the identical fault event sequence.
 //
-// A Plan is declarative; Apply schedules its events onto a simulator
-// against a built topology. A "link" is a full-duplex pair: topology
-// builders append the two directional transmitters of every link
-// adjacently to Network.Txs, so link k owns Txs[2k] and Txs[2k+1].
+// A Plan is declarative; ApplyResolved resolves it against a built
+// topology and posts its events onto the simulators owning the targets.
+// A "link" is a full-duplex pair: topology builders append the two
+// directional transmitters of every link adjacently to Network.Txs, so
+// link k owns Txs[2k] and Txs[2k+1].
 package chaos
 
 import (
 	"fmt"
 
-	"tlt/internal/packet"
 	"tlt/internal/sim"
 	"tlt/internal/stats"
 	"tlt/internal/topo"
 )
 
 // RandomTarget selects a random link/switch/host per occurrence (drawn
-// from the plan's seeded RNG at event-fire time, so still deterministic).
+// from the plan's seeded RNG at apply time, so still deterministic).
 const RandomTarget = -1
 
 // AllTargets applies the fault to every link/switch at once.
@@ -118,7 +118,8 @@ type PauseStorm struct {
 // Plan is a declarative fault schedule. The zero value injects nothing.
 type Plan struct {
 	// Seed salts every chaos RNG; it combines with the run seed passed
-	// to Apply so replications see different (but reproducible) picks.
+	// to ApplyResolved so replications see different (but reproducible)
+	// picks.
 	Seed int64
 
 	Flaps   []LinkFlap
@@ -139,18 +140,15 @@ func (p *Plan) Empty() bool {
 // Engine is an applied plan: it owns the scheduled fault events and the
 // fault counters of one run.
 type Engine struct {
-	s   *sim.Sim
 	net *topo.Network
 	rng *sim.RNG
-	ctr stats.FaultCounters
 
-	// Resolved-mode occurrence accounting (see resolved.go). Legacy
-	// Apply counts directly into ctr at fire time; the resolved path
-	// cannot, because occurrences fire on whichever shard owns the
-	// target. Instead every occurrence gets a slot, the firing event
-	// (exactly one writer, on one shard) marks it, and Counters folds
-	// the marked slots in after the run joins. The slices are fully
-	// built during ApplyResolved; the run only writes elements.
+	// Occurrence accounting. Occurrences fire on whichever shard owns
+	// the target, so they cannot share a counter: every occurrence gets
+	// a slot, the firing event (exactly one writer, on one shard) marks
+	// it, and Counters folds the marked slots in after the run joins.
+	// The slices are fully built during ApplyResolved; the run only
+	// writes elements.
 	slotKind    []uint8
 	slotFired   []bool
 	stormFrames []int64
@@ -232,282 +230,10 @@ func (p *Plan) Validate(net *topo.Network) error {
 	return nil
 }
 
-// Apply validates the plan against net and schedules its events on s.
-// runSeed is the experiment replication seed; the same (plan, runSeed)
-// pair always produces the identical fault sequence.
-func (p *Plan) Apply(s *sim.Sim, net *topo.Network, runSeed int64) (*Engine, error) {
-	e := &Engine{
-		s: s, net: net,
-		rng: sim.NewRNG(p.Seed*0x9e3779b9 + runSeed + 0xc4a05),
-	}
-	if p.Empty() {
-		return e, nil
-	}
-	if err := p.Validate(net); err != nil {
-		return nil, err
-	}
-	for _, f := range p.Flaps {
-		e.scheduleFlap(f)
-	}
-	for _, b := range p.Bursty {
-		e.scheduleBursty(b)
-	}
-	for _, sh := range p.Shrinks {
-		e.scheduleShrink(sh)
-	}
-	for _, fr := range p.Freezes {
-		e.scheduleFreeze(fr)
-	}
-	for _, f := range p.SwFails {
-		e.scheduleSwitchFail(f)
-	}
-	for _, f := range p.PtFails {
-		e.schedulePortFail(f)
-	}
-	for _, st := range p.Storms {
-		e.scheduleStorm(st)
-	}
-	return e, nil
-}
-
-func (e *Engine) pickLink(idx int) int {
-	n := NumLinks(e.net)
-	if n == 0 {
-		return -1
-	}
-	if idx == RandomTarget {
-		return e.rng.Intn(n)
-	}
-	if idx < 0 || idx >= n {
-		panic(fmt.Sprintf("chaos: link %d out of range [0, %d)", idx, n))
-	}
-	return idx
-}
-
-// scheduleFlap installs a lazily self-rescheduling flap chain: only one
-// pending event per fault stream, so unbounded repeats never bloat the
-// heap and never outlive the run horizon.
-func (e *Engine) scheduleFlap(f LinkFlap) {
-	occurrences := 0
-	var fire func()
-	fire = func() {
-		if f.Until > 0 && e.s.Now() >= f.Until {
-			return
-		}
-		link := e.pickLink(f.Link)
-		if link < 0 {
-			return
-		}
-		a, b := e.net.Txs[2*link], e.net.Txs[2*link+1]
-		a.SetLinkDown()
-		b.SetLinkDown()
-		e.ctr.LinkFlaps++
-		e.s.After(f.Down, func() {
-			a.SetLinkUp()
-			b.SetLinkUp()
-		})
-		occurrences++
-		if f.Every > 0 && (f.Count == 0 || occurrences < f.Count) {
-			e.s.After(f.Every, fire)
-		}
-	}
-	e.s.At(f.At, fire)
-}
-
-func (e *Engine) scheduleBursty(b BurstyLoss) {
-	var links []int
-	if b.Link == AllTargets {
-		for i := 0; i < NumLinks(e.net); i++ {
-			links = append(links, i)
-		}
-	} else {
-		links = []int{e.pickLink(b.Link)}
-	}
-	install := func() {
-		for _, l := range links {
-			// Each direction gets its own derived RNG so the drop
-			// sequence on one direction is independent of traffic on
-			// the other, yet fully reproducible.
-			e.net.Txs[2*l].InjectGilbertElliott(b.PGoodBad, b.PBadGood, b.LossGood, b.LossBad,
-				sim.NewRNG(e.rng.Int63()))
-			e.net.Txs[2*l+1].InjectGilbertElliott(b.PGoodBad, b.PBadGood, b.LossGood, b.LossBad,
-				sim.NewRNG(e.rng.Int63()))
-		}
-	}
-	remove := func() {
-		for _, l := range links {
-			e.net.Txs[2*l].InjectGilbertElliott(0, 0, 0, 0, nil)
-			e.net.Txs[2*l+1].InjectGilbertElliott(0, 0, 0, 0, nil)
-		}
-	}
-	e.s.At(b.Start, install)
-	if b.Stop > b.Start {
-		e.s.At(b.Stop, remove)
-	}
-}
-
-func (e *Engine) scheduleShrink(sh BufferShrink) {
-	frac := sh.Frac
-	if frac <= 0 || frac >= 1 {
-		panic(fmt.Sprintf("chaos: shrink frac %v outside (0, 1)", frac))
-	}
-	var sws []int
-	if sh.Switch == AllTargets {
-		for i := range e.net.Switches {
-			sws = append(sws, i)
-		}
-	} else {
-		if sh.Switch < 0 || sh.Switch >= len(e.net.Switches) {
-			panic(fmt.Sprintf("chaos: switch %d out of range [0, %d)", sh.Switch, len(e.net.Switches)))
-		}
-		sws = []int{sh.Switch}
-	}
-	occurrences := 0
-	var fire func()
-	fire = func() {
-		for _, i := range sws {
-			// Route the shrink through the switch's BufferPolicy: a
-			// policy with its own capacity notion (tiny-buffer) shrinks
-			// proportionally, and legacy and resolved mode agree.
-			e.net.Switches[i].ShrinkBuffer(frac)
-		}
-		e.ctr.BufferShrinks++
-		e.s.After(sh.Duration, func() {
-			for _, i := range sws {
-				e.net.Switches[i].ShrinkBuffer(0) // restore
-			}
-		})
-		occurrences++
-		if sh.Every > 0 && (sh.Count == 0 || occurrences < sh.Count) {
-			e.s.After(sh.Every, fire)
-		}
-	}
-	e.s.At(sh.At, fire)
-}
-
-func (e *Engine) scheduleFreeze(fr NICFreeze) {
-	occurrences := 0
-	var fire func()
-	fire = func() {
-		idx := fr.Host
-		if idx == RandomTarget {
-			idx = e.rng.Intn(len(e.net.Hosts))
-		}
-		if idx < 0 || idx >= len(e.net.Hosts) {
-			panic(fmt.Sprintf("chaos: host %d out of range [0, %d)", idx, len(e.net.Hosts)))
-		}
-		tx := e.net.Hosts[idx].NICTx()
-		tx.Freeze()
-		e.ctr.NICFreezes++
-		e.s.After(fr.Duration, tx.Unfreeze)
-		occurrences++
-		if fr.Every > 0 && (fr.Count == 0 || occurrences < fr.Count) {
-			e.s.After(fr.Every, fire)
-		}
-	}
-	e.s.At(fr.At, fire)
-}
-
-// scheduleSwitchFail installs a fail(/reboot) chain for one switch,
-// with the control-plane reroute trailing both transitions by the
-// reconvergence delay.
-func (e *Engine) scheduleSwitchFail(f SwitchFail) {
-	occurrences := 0
-	var fire func()
-	fire = func() {
-		idx := f.Switch
-		if idx == RandomTarget {
-			idx = e.rng.Intn(len(e.net.Switches))
-		}
-		sw := e.net.Switches[idx]
-		if !sw.Failed() {
-			sw.Fail()
-			e.ctr.SwitchFails++
-			if f.Reroute > 0 {
-				e.s.After(f.Reroute, func() {
-					e.net.SetSwitchFailed(idx, true)
-					e.net.Reroute()
-				})
-			}
-			if f.Duration > 0 {
-				e.s.After(f.Duration, func() {
-					sw.Reboot()
-					if f.Reroute > 0 {
-						e.s.After(f.Reroute, func() {
-							e.net.SetSwitchFailed(idx, false)
-							e.net.Reroute()
-						})
-					}
-				})
-			}
-		}
-		occurrences++
-		if f.Every > 0 && (f.Count == 0 || occurrences < f.Count) {
-			e.s.After(f.Every, fire)
-		}
-	}
-	e.s.At(f.At, fire)
-}
-
-// schedulePortFail wedges one direction of a link.
-func (e *Engine) schedulePortFail(f PortFail) {
-	e.s.At(f.At, func() {
-		link := e.pickLink(f.Link)
-		if link < 0 {
-			return
-		}
-		tx := e.net.Txs[2*link+f.Dir]
-		tx.SetLinkDown()
-		e.ctr.PortFails++
-		if f.Duration > 0 {
-			e.s.After(f.Duration, tx.SetLinkUp)
-		}
-	})
-}
-
-// scheduleStorm drives one pause storm: a self-rescheduling emitter
-// injects a PAUSE frame toward the host's switch every Refresh until
-// the window closes, then a single RESUME models the quanta expiring
-// with the wedge.
-func (e *Engine) scheduleStorm(st PauseStorm) {
-	refresh := st.Refresh
-	if refresh <= 0 {
-		refresh = 2 * sim.Microsecond
-	}
-	e.s.At(st.At, func() {
-		idx := st.Host
-		if idx == RandomTarget {
-			idx = e.rng.Intn(len(e.net.Hosts))
-		}
-		h := e.net.Hosts[idx]
-		end := e.s.Now() + st.Duration
-		e.ctr.PauseStorms++
-		var emit func()
-		emit = func() {
-			pf := h.NewPacket()
-			pf.Type = packet.Pause
-			pf.Src = h.ID()
-			h.NICTx().DeliverControl(pf)
-			e.ctr.StormFrames++
-			if e.s.Now()+refresh < end {
-				e.s.After(refresh, emit)
-				return
-			}
-			e.s.After(refresh, func() {
-				rf := h.NewPacket()
-				rf.Type = packet.Resume
-				rf.Src = h.ID()
-				h.NICTx().DeliverControl(rf)
-			})
-		}
-		emit()
-	})
-}
-
 // Counters returns the engine's fault counters, folding in the per-wire
 // drop counts accumulated so far. Call after the run completes.
 func (e *Engine) Counters() stats.FaultCounters {
-	c := e.ctr
+	var c stats.FaultCounters
 	for i, fired := range e.slotFired {
 		if !fired {
 			continue

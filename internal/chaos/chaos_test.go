@@ -14,6 +14,10 @@ import (
 
 const us = sim.Time(1000)
 
+// horizon is the run horizon every test resolves its plan against and
+// runs to; all test traffic and faults end well inside it.
+const horizon = 10 * sim.Millisecond
+
 // rxCount counts packet arrivals for one flow.
 type rxCount struct {
 	n    int
@@ -27,8 +31,8 @@ func (r *rxCount) Handle(pkt *packet.Packet) {
 }
 
 // starRun builds a 4-host star, streams pkts green data packets from
-// host 0 to host 1 at the given spacing, applies plan, and runs to
-// completion. Returns deliveries and the engine counters.
+// host 0 to host 1 at the given spacing, applies plan, and runs to the
+// horizon. Returns deliveries and the engine counters.
 func starRun(t *testing.T, plan *Plan, runSeed int64, pkts int, spacing sim.Time) (*rxCount, stats.FaultCounters, *topo.Network) {
 	t.Helper()
 	s := sim.New()
@@ -49,11 +53,11 @@ func starRun(t *testing.T, plan *Plan, runSeed int64, pkts int, spacing sim.Time
 			})
 		})
 	}
-	eng, err := plan.Apply(s, net, runSeed)
+	eng, err := plan.ApplyResolved(net, runSeed, horizon)
 	if err != nil {
-		t.Fatalf("Apply: %v", err)
+		t.Fatalf("ApplyResolved: %v", err)
 	}
-	s.RunAll()
+	s.Run(horizon)
 	return rx, eng.Counters(), net
 }
 
@@ -189,8 +193,8 @@ func TestShrinkRestores(t *testing.T) {
 		Hosts: 2, LinkRateBps: 40e9, LinkDelay: us,
 		Switch: fabric.SwitchConfig{BufferBytes: 100_000, Alpha: 1},
 	})
-	if _, err := plan.Apply(s, net, 1); err != nil {
-		t.Fatalf("Apply: %v", err)
+	if _, err := plan.ApplyResolved(net, 1, horizon); err != nil {
+		t.Fatalf("ApplyResolved: %v", err)
 	}
 	sw := net.Switches[0]
 	s.At(30*us, func() {
@@ -198,7 +202,7 @@ func TestShrinkRestores(t *testing.T) {
 			t.Errorf("mid-shrink BufferLimit = %d, want 10000", got)
 		}
 	})
-	s.RunAll()
+	s.Run(horizon)
 	if got := sw.BufferLimit(); got != 100_000 {
 		t.Errorf("post-shrink BufferLimit = %d, want restored 100000", got)
 	}
@@ -206,39 +210,29 @@ func TestShrinkRestores(t *testing.T) {
 
 // TestShrinkRoutesThroughPolicy: the shrink fault mutates the switch's
 // BufferPolicy, so a policy with its own capacity notion (tiny: 1/10 of
-// the physical buffer) shrinks proportionally — and the legacy engine
-// and the resolved engine agree on the resulting limits.
+// the physical buffer) shrinks proportionally.
 func TestShrinkRoutesThroughPolicy(t *testing.T) {
 	plan := &Plan{Shrinks: []BufferShrink{{Switch: 0, At: 10 * us, Duration: 50 * us, Frac: 0.1}}}
-	for _, resolved := range []bool{false, true} {
-		s := sim.New()
-		net := topo.Star(s, topo.StarConfig{
-			Hosts: 2, LinkRateBps: 40e9, LinkDelay: us,
-			Switch: fabric.SwitchConfig{BufferBytes: 100_000, Alpha: 1, MMU: "tiny"},
-		})
-		var err error
-		if resolved {
-			_, err = plan.ApplyResolved(net, 1, 200*us)
-		} else {
-			_, err = plan.Apply(s, net, 1)
+	s := sim.New()
+	net := topo.Star(s, topo.StarConfig{
+		Hosts: 2, LinkRateBps: 40e9, LinkDelay: us,
+		Switch: fabric.SwitchConfig{BufferBytes: 100_000, Alpha: 1, MMU: "tiny"},
+	})
+	if _, err := plan.ApplyResolved(net, 1, horizon); err != nil {
+		t.Fatalf("ApplyResolved: %v", err)
+	}
+	sw := net.Switches[0]
+	if got := sw.BufferLimit(); got != 10_000 {
+		t.Fatalf("tiny BufferLimit = %d, want 10000", got)
+	}
+	s.At(30*us, func() {
+		if got := sw.BufferLimit(); got != 1_000 {
+			t.Errorf("mid-shrink tiny BufferLimit = %d, want 1000 (0.1 × tiny capacity)", got)
 		}
-		if err != nil {
-			t.Fatalf("resolved=%v: %v", resolved, err)
-		}
-		sw := net.Switches[0]
-		if got := sw.BufferLimit(); got != 10_000 {
-			t.Fatalf("resolved=%v: tiny BufferLimit = %d, want 10000", resolved, got)
-		}
-		s.At(30*us, func() {
-			if got := sw.BufferLimit(); got != 1_000 {
-				t.Errorf("resolved=%v: mid-shrink tiny BufferLimit = %d, want 1000 (0.1 × tiny capacity)",
-					resolved, got)
-			}
-		})
-		s.RunAll()
-		if got := sw.BufferLimit(); got != 10_000 {
-			t.Errorf("resolved=%v: post-shrink tiny BufferLimit = %d, want restored 10000", resolved, got)
-		}
+	})
+	s.Run(horizon)
+	if got := sw.BufferLimit(); got != 10_000 {
+		t.Errorf("post-shrink tiny BufferLimit = %d, want restored 10000", got)
 	}
 }
 
@@ -337,11 +331,11 @@ func TestPauseStormWedgesPort(t *testing.T) {
 	}
 	stormEnd := 300 * us
 	plan := &Plan{Storms: []PauseStorm{{Host: 0, At: 10 * us, Duration: stormEnd - 10*us}}}
-	eng, err := plan.Apply(s, net, 1)
+	eng, err := plan.ApplyResolved(net, 1, horizon)
 	if err != nil {
-		t.Fatalf("Apply: %v", err)
+		t.Fatalf("ApplyResolved: %v", err)
 	}
-	s.RunAll()
+	s.Run(horizon)
 	ctr := eng.Counters()
 	if ctr.PauseStorms != 1 {
 		t.Fatalf("PauseStorms = %d, want 1", ctr.PauseStorms)
@@ -385,11 +379,11 @@ func TestWatchdogFiresOnStorm(t *testing.T) {
 		})
 	}
 	plan := &Plan{Storms: []PauseStorm{{Host: 0, At: 10 * us, Duration: 500 * us}}}
-	eng, err := plan.Apply(s, net, 1)
+	eng, err := plan.ApplyResolved(net, 1, horizon)
 	if err != nil {
-		t.Fatalf("Apply: %v", err)
+		t.Fatalf("ApplyResolved: %v", err)
 	}
-	s.RunAll()
+	s.Run(horizon)
 	sw := net.Switches[0]
 	if sw.Ctr.WatchdogFires == 0 {
 		t.Fatal("watchdog never fired on a continuous pause storm")
@@ -410,8 +404,8 @@ func TestWatchdogFiresOnStorm(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBadTargets: Apply must fail fast with a descriptive
-// error instead of panicking mid-run on an out-of-range target.
+// TestValidateRejectsBadTargets: ApplyResolved must fail fast with a
+// descriptive error instead of panicking on an out-of-range target.
 func TestValidateRejectsBadTargets(t *testing.T) {
 	s := sim.New()
 	net := topo.Star(s, topo.StarConfig{
@@ -429,9 +423,47 @@ func TestValidateRejectsBadTargets(t *testing.T) {
 		{&Plan{Storms: []PauseStorm{{Host: 0}}}, "storm[0]"},
 		{&Plan{Shrinks: []BufferShrink{{Switch: 4, Frac: 0.5, Duration: us}}}, "shrink[0]: switch index 4 out of range"},
 	} {
-		_, err := tc.plan.Apply(s, net, 1)
+		_, err := tc.plan.ApplyResolved(net, 1, horizon)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("Apply(%+v) err = %v, want substring %q", tc.plan, err, tc.wantErr)
+			t.Errorf("ApplyResolved(%+v) err = %v, want substring %q", tc.plan, err, tc.wantErr)
+		}
+	}
+}
+
+// TestChainCapNamesDirective: repeat chains are expanded up front, so an
+// unbounded tight every= against a seconds-long horizon must be refused
+// with an error naming the directive — not materialised — while the same
+// period bounded by count= or until= still applies.
+func TestChainCapNamesDirective(t *testing.T) {
+	s := sim.New()
+	net := topo.Star(s, topo.StarConfig{
+		Hosts: 2, LinkRateBps: 40e9, LinkDelay: us,
+		Switch: fabric.SwitchConfig{BufferBytes: 100_000, Alpha: 1},
+	})
+	const long = 3 * sim.Second
+	ok := LinkFlap{Link: 0, At: 1000 * us, Down: us, Every: 2000 * us}
+	for _, tc := range []struct {
+		plan    *Plan
+		wantErr string
+	}{
+		{&Plan{Flaps: []LinkFlap{ok, {Link: 0, At: 1000 * us, Down: 1, Every: us}}}, "flap[1]"},
+		{&Plan{Shrinks: []BufferShrink{{Switch: 0, At: us, Duration: 1, Frac: 0.5, Every: us}}}, "shrink[0]"},
+		{&Plan{Freezes: []NICFreeze{{Host: 0, At: us, Duration: 1, Every: us}}}, "freeze[0]"},
+		{&Plan{SwFails: []SwitchFail{{Switch: 0, At: us, Duration: 1, Every: us}}}, "swfail[0]"},
+		{&Plan{Flaps: []LinkFlap{{Link: 0, At: us, Down: 1, Every: us, Count: 2 * maxChain}}}, "flap[0]"},
+	} {
+		_, err := tc.plan.ApplyResolved(net, 1, long)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "count=") {
+			t.Errorf("ApplyResolved(%+v) err = %v, want one naming %s and suggesting count=", tc.plan, err, tc.wantErr)
+		}
+	}
+	for _, f := range []LinkFlap{
+		ok, // the documented every=2ms example: 1500 occurrences
+		{Link: 0, At: 1000 * us, Down: 1, Every: us, Count: 5},
+		{Link: 0, At: 1000 * us, Down: 1, Every: us, Until: 1100 * us},
+	} {
+		if _, err := (&Plan{Flaps: []LinkFlap{f}}).ApplyResolved(net, 1, long); err != nil {
+			t.Errorf("ApplyResolved(%+v): %v, want a bounded chain to apply", f, err)
 		}
 	}
 }

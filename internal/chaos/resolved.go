@@ -10,37 +10,39 @@ import (
 	"tlt/internal/topo"
 )
 
-// ApplyResolved is Apply for sharded (grouped) networks. The legacy
-// engine makes decisions lazily — random targets are drawn and chains
-// extended inside event callbacks on the one simulator — which a
-// partitioned run cannot reproduce: a callback runs on whichever shard
-// owns its target, and an RNG shared across shards would make draw
-// order depend on the partition. The resolved engine instead commits
-// every decision at apply time, single-threaded:
+// maxChain caps how many occurrences one repeat chain may expand to.
+// Every occurrence costs a few scheduled closures up front, so a tight
+// every= against a seconds-long horizon would exhaust memory before the
+// run starts; ApplyResolved refuses such a chain instead.
+const maxChain = 1 << 20
+
+// ApplyResolved validates the plan against net and posts its events,
+// committing every decision here, single-threaded, so the fault sequence
+// is a pure function of (plan, runSeed) at any shard count:
 //
 //   - all RNG draws happen here, in directive order (Flaps, Bursty,
-//     Shrinks, Freezes, SwFails, PtFails, Storms), so picks are a pure
-//     function of (plan, runSeed) regardless of shard count;
+//     Shrinks, Freezes, SwFails, PtFails, Storms);
 //   - repeat chains are expanded statically up to horizon (the run
-//     never executes past it, so truncation is invisible);
+//     never executes past it, so truncation is invisible), and a chain
+//     longer than maxChain is an error naming its directive;
 //   - each effect is posted to the shard owning the mutated state: a
 //     link outage splits into a source half (stop transmitting) and an
 //     arrival half (black-hole the wire) on their respective shards;
-//   - the switch-failure "already failed" guard is replayed on a
-//     static control-plane timeline, and reroutes become per-switch
-//     route installs carrying an immutable failed-set snapshot.
+//   - a switch failure is a no-op while its target is already down; that
+//     guard is replayed on a static control-plane timeline, and reroutes
+//     become per-switch route installs carrying an immutable failed-set
+//     snapshot.
 //
 // Occurrence counters use the engine's slot table: the firing event
 // marks its slot, and Counters sums marks after the run joins, so only
-// occurrences that actually executed before the run ended are counted —
-// matching the legacy at-fire-time increments.
+// occurrences that actually executed before the run ended are counted.
 //
-// net must have been built with shard metadata (HostShard/SwitchShard
-// and per-Tx shards); horizon bounds chain expansion and must equal the
-// run's horizon.
+// horizon bounds chain expansion and must equal the run's horizon.
+// Topologies built without shard metadata (Star, dumbbell) resolve
+// everything onto shard 0.
 func (p *Plan) ApplyResolved(net *topo.Network, runSeed int64, horizon sim.Time) (*Engine, error) {
 	e := &Engine{
-		s: net.ShardSim(0), net: net,
+		net: net,
 		rng: sim.NewRNG(p.Seed*0x9e3779b9 + runSeed + 0xc4a05),
 	}
 	if p.Empty() {
@@ -49,19 +51,27 @@ func (p *Plan) ApplyResolved(net *topo.Network, runSeed int64, horizon sim.Time)
 	if err := p.Validate(net); err != nil {
 		return nil, err
 	}
-	for _, f := range p.Flaps {
-		e.resolveFlap(f, horizon)
+	for i, f := range p.Flaps {
+		if err := e.resolveFlap(i, f, horizon); err != nil {
+			return nil, err
+		}
 	}
 	for _, b := range p.Bursty {
 		e.resolveBursty(b)
 	}
-	for _, sh := range p.Shrinks {
-		e.resolveShrink(sh, horizon)
+	for i, sh := range p.Shrinks {
+		if err := e.resolveShrink(i, sh, horizon); err != nil {
+			return nil, err
+		}
 	}
-	for _, fr := range p.Freezes {
-		e.resolveFreeze(fr, horizon)
+	for i, fr := range p.Freezes {
+		if err := e.resolveFreeze(i, fr, horizon); err != nil {
+			return nil, err
+		}
 	}
-	e.resolveSwitchFails(p.SwFails, horizon)
+	if err := e.resolveSwitchFails(p.SwFails, horizon); err != nil {
+		return nil, err
+	}
 	for _, f := range p.PtFails {
 		e.resolvePortFail(f)
 	}
@@ -113,22 +123,11 @@ func (e *Engine) hostShard(i int) int {
 	return 0
 }
 
-func (e *Engine) pickHost(idx int) int {
+// pick resolves a validated target index over a population of n,
+// drawing RandomTarget from the engine RNG.
+func (e *Engine) pick(idx, n int) int {
 	if idx == RandomTarget {
-		idx = e.rng.Intn(len(e.net.Hosts))
-	}
-	if idx < 0 || idx >= len(e.net.Hosts) {
-		panic(fmt.Sprintf("chaos: host %d out of range [0, %d)", idx, len(e.net.Hosts)))
-	}
-	return idx
-}
-
-func (e *Engine) pickSwitch(idx int) int {
-	if idx == RandomTarget {
-		idx = e.rng.Intn(len(e.net.Switches))
-	}
-	if idx < 0 || idx >= len(e.net.Switches) {
-		panic(fmt.Sprintf("chaos: switch %d out of range [0, %d)", idx, len(e.net.Switches)))
+		return e.rng.Intn(n)
 	}
 	return idx
 }
@@ -161,11 +160,11 @@ func (e *Engine) txOutage(tx *fabric.Tx, t, up sim.Time, slot int) {
 
 // chainTimes expands a repeat chain (first occurrence at, period every,
 // count occurrences, bounded by until and horizon) into explicit start
-// times. The legacy engine checks Until at fire time with >=, so an
-// occurrence starting at or after until is dropped along with the rest
-// of its chain; occurrences past horizon can never execute and are
-// dropped to keep unbounded chains finite.
-func chainTimes(at, every sim.Time, count int, until, horizon sim.Time) []sim.Time {
+// times. An occurrence starting at or after until is dropped along with
+// the rest of its chain; occurrences past horizon can never execute and
+// are dropped to keep unbounded chains finite. directive and i name the
+// chain in the error returned when it still exceeds maxChain.
+func chainTimes(directive string, i int, at, every sim.Time, count int, until, horizon sim.Time) ([]sim.Time, error) {
 	var out []sim.Time
 	t := at
 	for occ := 0; ; occ++ {
@@ -175,6 +174,10 @@ func chainTimes(at, every sim.Time, count int, until, horizon sim.Time) []sim.Ti
 		if t > horizon {
 			break
 		}
+		if len(out) == maxChain {
+			return nil, fmt.Errorf("chaos: %s[%d]: every=%v repeats more than %d times before the run horizon %v; "+
+				"bound it: add count= or until= (until= is flap-only)", directive, i, every, maxChain, horizon)
+		}
 		out = append(out, t)
 		if every > 0 && (count == 0 || occ+1 < count) {
 			t += every
@@ -182,17 +185,19 @@ func chainTimes(at, every sim.Time, count int, until, horizon sim.Time) []sim.Ti
 		}
 		break
 	}
-	return out
+	return out, nil
 }
 
-func (e *Engine) resolveFlap(f LinkFlap, horizon sim.Time) {
-	for _, t := range chainTimes(f.At, f.Every, f.Count, f.Until, horizon) {
-		link := e.pickLink(f.Link)
-		if link < 0 {
-			return
-		}
+func (e *Engine) resolveFlap(i int, f LinkFlap, horizon sim.Time) error {
+	times, err := chainTimes("flap", i, f.At, f.Every, f.Count, f.Until, horizon)
+	if err != nil {
+		return err
+	}
+	for _, t := range times {
+		link := e.pick(f.Link, NumLinks(e.net))
 		e.linkOutage(link, t, t+f.Down, e.newSlot(slotFlap))
 	}
+	return nil
 }
 
 func (e *Engine) resolveBursty(b BurstyLoss) {
@@ -202,13 +207,14 @@ func (e *Engine) resolveBursty(b BurstyLoss) {
 			links = append(links, i)
 		}
 	} else {
-		links = []int{e.pickLink(b.Link)}
+		links = []int{e.pick(b.Link, NumLinks(e.net))}
 	}
 	for _, l := range links {
 		for dir := 0; dir < 2; dir++ {
 			tx := e.net.Txs[2*l+dir]
-			// Per-direction RNGs, drawn here in the legacy order
-			// (direction a then b per link).
+			// Each direction gets its own derived RNG so the drop
+			// sequence on one direction is independent of traffic on
+			// the other, yet fully reproducible.
 			rng := sim.NewRNG(e.rng.Int63())
 			e.post(tx.Shard(), b.Start, func() {
 				tx.InjectGilbertElliott(b.PGoodBad, b.PBadGood, b.LossGood, b.LossBad, rng)
@@ -222,7 +228,7 @@ func (e *Engine) resolveBursty(b BurstyLoss) {
 	}
 }
 
-func (e *Engine) resolveShrink(sh BufferShrink, horizon sim.Time) {
+func (e *Engine) resolveShrink(i int, sh BufferShrink, horizon sim.Time) error {
 	var sws []int
 	if sh.Switch == AllTargets {
 		for i := range e.net.Switches {
@@ -231,15 +237,19 @@ func (e *Engine) resolveShrink(sh BufferShrink, horizon sim.Time) {
 	} else {
 		sws = []int{sh.Switch}
 	}
-	for _, t := range chainTimes(sh.At, sh.Every, sh.Count, 0, horizon) {
+	times, err := chainTimes("shrink", i, sh.At, sh.Every, sh.Count, 0, horizon)
+	if err != nil {
+		return err
+	}
+	for _, t := range times {
 		slot := e.newSlot(slotShrink)
 		for k, i := range sws {
 			sw := e.net.Switches[i]
 			shard := e.switchShard(i)
 			mark := k == 0
-			// Same policy-routed mutation as legacy Apply: the fraction
-			// is resolved here, the policy computes the byte limit from
-			// its own capacity at fire time.
+			// Routed through the switch's BufferPolicy: the fraction is
+			// resolved here, the policy computes the byte limit from
+			// its own capacity notion (tiny-buffer) at fire time.
 			e.post(shard, t, func() {
 				sw.ShrinkBuffer(sh.Frac)
 				if mark {
@@ -249,11 +259,16 @@ func (e *Engine) resolveShrink(sh BufferShrink, horizon sim.Time) {
 			e.post(shard, t+sh.Duration, func() { sw.ShrinkBuffer(0) })
 		}
 	}
+	return nil
 }
 
-func (e *Engine) resolveFreeze(fr NICFreeze, horizon sim.Time) {
-	for _, t := range chainTimes(fr.At, fr.Every, fr.Count, 0, horizon) {
-		idx := e.pickHost(fr.Host)
+func (e *Engine) resolveFreeze(i int, fr NICFreeze, horizon sim.Time) error {
+	times, err := chainTimes("freeze", i, fr.At, fr.Every, fr.Count, 0, horizon)
+	if err != nil {
+		return err
+	}
+	for _, t := range times {
+		idx := e.pick(fr.Host, len(e.net.Hosts))
 		shard := e.hostShard(idx)
 		tx := e.net.Hosts[idx].NICTx()
 		slot := e.newSlot(slotFreeze)
@@ -263,6 +278,7 @@ func (e *Engine) resolveFreeze(fr NICFreeze, horizon sim.Time) {
 		})
 		e.post(shard, t+fr.Duration, tx.Unfreeze)
 	}
+	return nil
 }
 
 // cpEvent is one control-plane transition: at time t the controller
@@ -274,13 +290,13 @@ type cpEvent struct {
 }
 
 // resolveSwitchFails handles every SwitchFail directive together,
-// because the legacy "if !sw.Failed()" guard couples them: an
-// occurrence is a no-op while its target is already down. Random picks
+// because the already-failed guard couples them: an occurrence is a
+// no-op while its target is already down. Random picks
 // are drawn per directive in order (so the stream matches the overall
 // directive-order convention); then occurrences are replayed in global
 // (time, directive, occurrence) order against a static down/up timeline
 // to decide which ones take effect.
-func (e *Engine) resolveSwitchFails(fails []SwitchFail, horizon sim.Time) {
+func (e *Engine) resolveSwitchFails(fails []SwitchFail, horizon sim.Time) error {
 	type occ struct {
 		t        sim.Time
 		dir, seq int
@@ -289,8 +305,12 @@ func (e *Engine) resolveSwitchFails(fails []SwitchFail, horizon sim.Time) {
 	}
 	var occs []occ
 	for di, f := range fails {
-		for si, t := range chainTimes(f.At, f.Every, f.Count, 0, horizon) {
-			occs = append(occs, occ{t: t, dir: di, seq: si, sw: e.pickSwitch(f.Switch), f: f})
+		times, err := chainTimes("swfail", di, f.At, f.Every, f.Count, 0, horizon)
+		if err != nil {
+			return err
+		}
+		for si, t := range times {
+			occs = append(occs, occ{t: t, dir: di, seq: si, sw: e.pick(f.Switch, len(e.net.Switches)), f: f})
 		}
 	}
 	sort.SliceStable(occs, func(i, j int) bool {
@@ -305,8 +325,8 @@ func (e *Engine) resolveSwitchFails(fails []SwitchFail, horizon sim.Time) {
 
 	// Replay the guard: a switch is down during [t, t+Duration), or
 	// forever when Duration == 0. An occurrence landing exactly at the
-	// reboot instant takes effect (the legacy reboot event carries the
-	// older sequence number, so it runs first).
+	// reboot instant takes effect (the reboot is posted first, so it
+	// carries the older sequence number and runs first).
 	downUntil := make([]sim.Time, len(e.net.Switches))
 	perm := make([]bool, len(e.net.Switches))
 	var cps []cpEvent
@@ -356,13 +376,11 @@ func (e *Engine) resolveSwitchFails(fails []SwitchFail, horizon sim.Time) {
 			})
 		}
 	}
+	return nil
 }
 
 func (e *Engine) resolvePortFail(f PortFail) {
-	link := e.pickLink(f.Link)
-	if link < 0 {
-		return
-	}
+	link := e.pick(f.Link, NumLinks(e.net))
 	tx := e.net.Txs[2*link+f.Dir]
 	up := f.At
 	if f.Duration > 0 {
@@ -376,14 +394,15 @@ func (e *Engine) resolveStorm(st PauseStorm) {
 	if refresh <= 0 {
 		refresh = 2 * sim.Microsecond
 	}
-	idx := e.pickHost(st.Host)
+	idx := e.pick(st.Host, len(e.net.Hosts))
 	h := e.net.Hosts[idx]
 	hsim := e.net.ShardSim(e.hostShard(idx))
 	slot := e.newSlot(slotStorm)
 	frames := len(e.stormFrames)
 	e.stormFrames = append(e.stormFrames, 0)
 	// The whole storm — activation, emit chain, final resume — runs on
-	// the host's shard, so the legacy lazy chain works unchanged.
+	// the host's shard, so a lazy self-rescheduling emitter is safe: one
+	// pending event per storm, however long it lasts.
 	hsim.At(st.At, func() {
 		end := hsim.Now() + st.Duration
 		e.slotFired[slot] = true

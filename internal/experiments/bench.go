@@ -54,13 +54,10 @@ type BenchRecord struct {
 	MMU string `json:"mmu,omitempty"`
 	FC  string `json:"fc,omitempty"`
 
-	// Scheduler-internal counters aggregated over the grid. DeadPops is
-	// the key health metric: cancelled timers that still paid a heap pop
-	// (queue pollution the dead-timer reclamation failed to absorb).
-	DeadPops      uint64 `json:"dead_pops"`
+	// Scheduler-internal counters aggregated over the grid (see
+	// sim.SchedStats).
 	DeadReclaimed uint64 `json:"dead_reclaimed"`
 	Cascades      uint64 `json:"cascades"`
-	Compactions   uint64 `json:"compactions"`
 	HeapMax       int    `json:"heap_max"`
 }
 
@@ -167,10 +164,8 @@ func measureOnce(e Entry, scale Scale) (BenchRecord, *Report) {
 		Packets:          rep.Packets(),
 		HeapAllocBytes:   after.HeapAlloc,
 		PeakHeapBytes:    peakHeap,
-		DeadPops:         sched.DeadPops,
 		DeadReclaimed:    sched.DeadReclaimed,
 		Cascades:         sched.Cascades,
-		Compactions:      sched.Compactions,
 		HeapMax:          sched.HeapMax,
 	}
 	if wall > 0 {

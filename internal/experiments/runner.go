@@ -109,7 +109,7 @@ type Result struct {
 	// so bench records can show partition balance.
 	ShardEvents []uint64
 	// Sched carries the run's scheduler-internal counters (dead-timer
-	// pops and reclamations, cascades, overflow-heap pressure).
+	// reclamations, cascades, far-future pressure).
 	Sched       sim.SchedStats
 	TrafficLast sim.Time // last flow arrival
 	// SetupWall is the host wall-clock spent building the cell — topology,
@@ -175,9 +175,6 @@ func (r *Result) FgP(p float64) float64 { return stats.PercentileSorted(r.sorted
 
 // BgMean returns the mean background FCT in seconds.
 func (r *Result) BgMean() float64 { return stats.Mean(r.sortedFCTs(false)) }
-
-// BgP returns the p-quantile of background FCTs in seconds.
-func (r *Result) BgP(p float64) float64 { return stats.PercentileSorted(r.sortedFCTs(false), p) }
 
 // TimeoutsPer1k returns RTO expirations per thousand flows.
 func (r *Result) TimeoutsPer1k() float64 {
@@ -325,39 +322,9 @@ func Run(rc RunConfig) *Result {
 		rc.Prepare(s, net)
 	}
 
-	// Queue sampling runs one sampler per shard, each reading only its
-	// own switches; the per-shard series merge elementwise-max after the
-	// join. Samplers stop at the group's stop latch, which flips at a
-	// window barrier and is therefore shard-count invariant.
-	var shardSamples [][]float64
+	var queueSeries func() []int64
 	if rc.SampleQueues {
-		shardSamples = make([][]float64, shards)
-		for sh := 0; sh < shards; sh++ {
-			sh := sh
-			ssim := g.Shard(sh)
-			var mine []*fabric.Switch
-			for i, sw := range net.Switches {
-				if net.SwitchShard[i] == sh {
-					mine = append(mine, sw)
-				}
-			}
-			var sample func()
-			sample = func() {
-				maxQ := int64(0)
-				for _, sw := range mine {
-					for p := 0; p < sw.NumPorts(); p++ {
-						if q := sw.QueueBytes(p); q > maxQ {
-							maxQ = q
-						}
-					}
-				}
-				shardSamples[sh] = append(shardSamples[sh], float64(maxQ))
-				if !g.Stopping() {
-					ssim.After(20*sim.Microsecond, sample)
-				}
-			}
-			ssim.After(0, sample)
-		}
+		queueSeries = sampleQueues(g, net, 20*sim.Microsecond)
 	}
 
 	workers := rc.Workers
@@ -370,15 +337,9 @@ func Run(rc RunConfig) *Result {
 	net.FinishPausedClocks()
 
 	var qSamples []float64
-	for _, ss := range shardSamples {
-		for i, v := range ss {
-			if i < len(qSamples) {
-				if v > qSamples[i] {
-					qSamples[i] = v
-				}
-			} else {
-				qSamples = append(qSamples, v)
-			}
+	if queueSeries != nil {
+		for _, q := range queueSeries() {
+			qSamples = append(qSamples, float64(q))
 		}
 	}
 
@@ -434,6 +395,54 @@ func Run(rc RunConfig) *Result {
 		}
 	}
 	return res
+}
+
+// sampleQueues starts one max-queue sampler per shard, each reading only
+// its own switches every tick, and returns the merge to call after the
+// run joins: the per-shard series folded elementwise-max. Samplers stop
+// at the group's stop latch, which flips at a window barrier, so the
+// merged series is shard-count invariant.
+func sampleQueues(g *sim.Group, net *topo.Network, tick sim.Time) func() []int64 {
+	series := make([][]int64, g.Shards())
+	for sh := range series {
+		sh := sh
+		ssim := g.Shard(sh)
+		var mine []*fabric.Switch
+		for i, sw := range net.Switches {
+			if net.SwitchShard[i] == sh {
+				mine = append(mine, sw)
+			}
+		}
+		var sample func()
+		sample = func() {
+			maxQ := int64(0)
+			for _, sw := range mine {
+				for p := 0; p < sw.NumPorts(); p++ {
+					if q := sw.QueueBytes(p); q > maxQ {
+						maxQ = q
+					}
+				}
+			}
+			series[sh] = append(series[sh], maxQ)
+			if !g.Stopping() {
+				ssim.After(tick, sample)
+			}
+		}
+		ssim.After(0, sample)
+	}
+	return func() []int64 {
+		var merged []int64
+		for _, qs := range series {
+			for i, q := range qs {
+				if i == len(merged) {
+					merged = append(merged, q)
+				} else if q > merged[i] {
+					merged[i] = q
+				}
+			}
+		}
+		return merged
+	}
 }
 
 // stallReport is the stall watchdog: it interrogates every sender that

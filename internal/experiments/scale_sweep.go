@@ -57,53 +57,9 @@ type scaleParams struct {
 func scaleGrace(cfg tcp.Config) sim.Time { return 2 * cfg.RTO.Min }
 
 // scaleService builds the cell's service model: a replicated server
-// pool on the first quarter of hosts, Zipf-skewed keys, and the RPC
-// response-size distribution.
-func scaleService(p scaleParams, hosts int, seed int64) *app.Service {
-	servers := hosts / 4
-	return app.NewService(app.ServiceConfig{
-		Hosts:    hosts,
-		Servers:  servers,
-		Keys:     4 * servers,
-		Replicas: 3,
-		Skew:     1.1,
-		Requests: p.Requests,
-		MeanGap:  0, // calibrated below, see scaleSource
-		Fanout:   p.Fanout,
-		Dist:     workload.RPC,
-		Seed:     seed,
-	})
-}
-
-// scaleSource returns the cell's full arrival stream: calibrated
-// open-loop RPC fan-in plus a 5% background elephant stream between
-// random hosts. Deterministic given (params, hosts, rate, seed) — every
-// shard builds its own identical copy.
-func scaleSource(p scaleParams, hosts int, rateBps int64, seed int64) workload.Source {
-	sv := scaleService(p, hosts, seed)
-	// Calibrate the request rate so the *hottest* server's egress
-	// utilization — not the fabric average — hits the target load:
-	// share_max · λ · Fanout · E[size] · 8 = load · rate.
-	mean := workload.RPC.Mean()
-	lam := p.Load * float64(rateBps) / (8 * sv.MaxServerShare() * float64(p.Fanout) * mean)
-	gap := sim.Time(1e9 / lam)
-	if gap < 1 {
-		gap = 1
-	}
-	rpc := rebuildServiceWithGap(p, hosts, seed, gap)
-	bg := workload.NewPoisson(workload.PoissonConfig{
-		Flows:   p.Requests / 20,
-		MeanGap: gap * 20,
-		Hosts:   hosts,
-		Dist:    workload.CacheFollower,
-		Seed:    seed + 500_000,
-	})
-	return workload.MergeSources(rpc.Stream(), bg)
-}
-
-// rebuildServiceWithGap rebuilds the service with the calibrated gap
-// (ServiceConfig is immutable once the Service is constructed).
-func rebuildServiceWithGap(p scaleParams, hosts int, seed int64, gap sim.Time) *app.Service {
+// pool on the first quarter of hosts, Zipf-skewed keys, the RPC
+// response-size distribution, and requests a mean gap apart.
+func scaleService(p scaleParams, hosts int, seed int64, gap sim.Time) *app.Service {
 	servers := hosts / 4
 	return app.NewService(app.ServiceConfig{
 		Hosts:    hosts,
@@ -117,6 +73,34 @@ func rebuildServiceWithGap(p scaleParams, hosts int, seed int64, gap sim.Time) *
 		Dist:     workload.RPC,
 		Seed:     seed,
 	})
+}
+
+// scaleSource returns the cell's full arrival stream: calibrated
+// open-loop RPC fan-in plus a 5% background elephant stream between
+// random hosts. Deterministic given (params, hosts, rate, seed) — every
+// shard builds its own identical copy.
+func scaleSource(p scaleParams, hosts int, rateBps int64, seed int64) workload.Source {
+	// Calibrate the request rate so the *hottest* server's egress
+	// utilization — not the fabric average — hits the target load:
+	// share_max · λ · Fanout · E[size] · 8 = load · rate. The share
+	// comes from a gapless probe build of the service (ServiceConfig is
+	// immutable once the Service is constructed).
+	share := scaleService(p, hosts, seed, 0).MaxServerShare()
+	mean := workload.RPC.Mean()
+	lam := p.Load * float64(rateBps) / (8 * share * float64(p.Fanout) * mean)
+	gap := sim.Time(1e9 / lam)
+	if gap < 1 {
+		gap = 1
+	}
+	rpc := scaleService(p, hosts, seed, gap)
+	bg := workload.NewPoisson(workload.PoissonConfig{
+		Flows:   p.Requests / 20,
+		MeanGap: gap * 20,
+		Hosts:   hosts,
+		Dist:    workload.CacheFollower,
+		Seed:    seed + 500_000,
+	})
+	return workload.MergeSources(rpc.Stream(), bg)
 }
 
 // rcvSlot wraps a streaming-run receiver for quiescence-based reaping:
@@ -373,37 +357,9 @@ func runScale(rc RunConfig, p scaleParams) *Result {
 		w.ssim.At(0, w.stepFn)
 	}
 
-	// Queue sampling: per-shard max-queue series (fixed 100 µs tick),
-	// merged elementwise-max after the join and folded into the merged
-	// stream's histogram — the same shard-invariance recipe as Run's
-	// QSamples, with bounded post-run storage.
-	shardQ := make([][]int64, shards)
-	for sh := 0; sh < shards; sh++ {
-		sh := sh
-		ssim := g.Shard(sh)
-		var mine []*fabric.Switch
-		for i, sw := range net.Switches {
-			if net.SwitchShard[i] == sh {
-				mine = append(mine, sw)
-			}
-		}
-		var sample func()
-		sample = func() {
-			maxQ := int64(0)
-			for _, sw := range mine {
-				for pt := 0; pt < sw.NumPorts(); pt++ {
-					if q := sw.QueueBytes(pt); q > maxQ {
-						maxQ = q
-					}
-				}
-			}
-			shardQ[sh] = append(shardQ[sh], maxQ)
-			if !g.Stopping() {
-				ssim.After(100*sim.Microsecond, sample)
-			}
-		}
-		ssim.After(0, sample)
-	}
+	// Queue sampling on a fixed 100 µs tick, folded into the merged
+	// stream's histogram after the join: bounded post-run storage.
+	queueSeries := sampleQueues(g, net, 100*sim.Microsecond)
 
 	workers := rc.Workers
 	if workers < 1 {
@@ -420,19 +376,7 @@ func runScale(rc RunConfig, p scaleParams) *Result {
 	for _, st := range streams {
 		agg.Merge(st)
 	}
-	var qMax []int64
-	for _, qs := range shardQ {
-		for i, q := range qs {
-			if i < len(qMax) {
-				if q > qMax[i] {
-					qMax[i] = q
-				}
-			} else {
-				qMax = append(qMax, q)
-			}
-		}
-	}
-	for _, q := range qMax {
+	for _, q := range queueSeries() {
 		agg.Queue.Record(q)
 	}
 

@@ -83,7 +83,7 @@ func TestShardedRunAggregates(t *testing.T) {
 		t.Fatalf("ShardEvents sum %d != EventsRun %d", sum, r4.EventsRun)
 	}
 	s1, s4 := r1.Sched, r4.Sched
-	if s1.DeadPops != s4.DeadPops || s1.DeadReclaimed != s4.DeadReclaimed {
+	if s1.DeadReclaimed != s4.DeadReclaimed {
 		t.Fatalf("sched counters diverge: shards=1 %+v, shards=4 %+v", s1, s4)
 	}
 }

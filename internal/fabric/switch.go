@@ -363,8 +363,7 @@ func (sw *Switch) BufferLimit() int64 { return sw.bufLimit }
 // MMU-reconfiguration fault. frac outside (0, 1) restores the full
 // capacity. Routing the shrink through the policy (rather than a raw
 // byte limit) means a shallow-capacity policy like the tiny-buffer
-// regime shrinks proportionally to its own capacity, and legacy and
-// resolved-mode chaos agree by construction.
+// regime shrinks proportionally to its own capacity.
 func (sw *Switch) ShrinkBuffer(frac float64) {
 	sw.policy.Shrink(frac)
 	sw.bufLimit = sw.policy.Capacity()
@@ -441,7 +440,7 @@ func (sw *Switch) NumPorts() int { return len(sw.ports) }
 
 // SetRoute installs the ECMP egress port group for a destination host.
 // Indexes are absolute NodeIDs; on a switch configured with
-// SetRouteTableAt the destination must be at or above the table base.
+// SetRouteTableFlatAt the destination must be at or above the table base.
 func (sw *Switch) SetRoute(dst packet.NodeID, egress []int) {
 	d := int(dst) - sw.routeBase
 	for d >= len(sw.routes) {
@@ -456,31 +455,16 @@ func (sw *Switch) SetRoute(dst packet.NodeID, egress []int) {
 	}
 }
 
-// SetRouteTable installs a whole routing table at once. The slice may
-// be shared between switches with identical forwarding behavior (all
-// cores of a fat-tree, all aggregates of one pod), which collapses the
-// dominant O(switches × hosts) FIB cost of big Clos fabrics to one
-// table per equivalence class. Shared tables must not be mutated
-// afterward via SetRoute/reroute.
-func (sw *Switch) SetRouteTable(table [][]int) {
-	sw.routes, sw.routeBase = table, 0
-	sw.route1 = FlatRoutes(table)
-}
-
-// SetRouteTableAt installs a routing table covering destinations
-// [base, base+len(table)); anything outside falls through to the
-// default route. Fat-tree edge and aggregation switches use it so a
-// table over their local host range costs O(local hosts), not
-// O(all hosts) of nil-prefix padding.
-func (sw *Switch) SetRouteTableAt(base packet.NodeID, table [][]int) {
-	sw.routes, sw.routeBase = table, int(base)
-	sw.route1 = FlatRoutes(table)
-}
-
-// SetRouteTableFlatAt is SetRouteTableAt for callers that precomputed
-// the table's FlatRoutes projection: switches sharing one table (one
-// forwarding-equivalence class) then also share one flat array instead
-// of each deriving an O(hosts) copy.
+// SetRouteTableFlatAt installs a whole routing table covering
+// destinations [base, base+len(table)), with its precomputed FlatRoutes
+// projection; anything outside falls through to the default route.
+// Fat-tree edge and aggregation switches use a base so a table over
+// their local host range costs O(local hosts), not O(all hosts) of
+// nil-prefix padding. Both slices may be shared between switches with
+// identical forwarding behavior (all cores of a fat-tree, all aggregates
+// of one pod), which collapses the dominant O(switches × hosts) FIB cost
+// of big Clos fabrics to one table per equivalence class. Shared tables
+// must not be mutated afterward via SetRoute/reroute.
 func (sw *Switch) SetRouteTableFlatAt(base packet.NodeID, table [][]int, flat []int32) {
 	sw.routes, sw.routeBase = table, int(base)
 	sw.route1 = flat
@@ -720,7 +704,7 @@ func (sw *Switch) pauseRx(port int) {
 		if p.wdEv == nil {
 			p.wdEv = sw.sim.NewKindEvent(kindWatchdogCheck, 0, &wdRef{sw: sw, port: port})
 		}
-		p.wdTimer = sw.sim.ScheduleTimer(p.wdEv, sw.sim.Now()+sw.cfg.WatchdogThreshold)
+		p.wdTimer = sw.sim.Schedule(p.wdEv, sw.sim.Now()+sw.cfg.WatchdogThreshold)
 	}
 }
 
@@ -746,7 +730,7 @@ func (sw *Switch) watchdogCheck(port int) {
 	since := p.tx.PausedSince()
 	if sw.sim.Now()-since < sw.cfg.WatchdogThreshold {
 		p.wdPending = true
-		p.wdTimer = sw.sim.ScheduleTimer(p.wdEv, since+sw.cfg.WatchdogThreshold)
+		p.wdTimer = sw.sim.Schedule(p.wdEv, since+sw.cfg.WatchdogThreshold)
 		return
 	}
 	// Drop-and-unpause: everything queued behind the stuck port is

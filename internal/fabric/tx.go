@@ -432,30 +432,11 @@ func (tx *Tx) InjectGilbertElliott(pGoodBad, pBadGood, lossGood, lossBad float64
 	tx.wire.syncHasLoss()
 }
 
-// SetLinkDown kills this direction of the link: serialization stops
-// after the current frame and every packet in flight on the wire is lost
-// at its would-be arrival instant. Both halves of the link state flip
-// here, so it is only safe when source and destination share a shard
-// (always true outside groups); cross-shard fault injection uses the
-// SetSrcDown / SetArrivalDown halves on their owning shards.
-func (tx *Tx) SetLinkDown() {
-	tx.SetSrcDown(true)
-	tx.SetArrivalDown(true)
-}
-
-// SetLinkUp revives a downed link and restarts transmission.
-func (tx *Tx) SetLinkUp() {
-	if !tx.down {
-		return
-	}
-	tx.SetArrivalDown(false)
-	tx.SetSrcDown(false)
-}
-
 // SetSrcDown flips the source half of the link state: the transmitter
-// and the wire's hand-off check. It is owned by — and must only run on
-// — the shard of the transmitting device. Raising the link restarts
-// transmission.
+// (serialization stops after the current frame) and the wire's hand-off
+// check. It is owned by — and must only run on — the shard of the
+// transmitting device; SetArrivalDown is the other half of an outage.
+// Raising the link restarts transmission.
 func (tx *Tx) SetSrcDown(down bool) {
 	if down {
 		tx.down = true
@@ -509,9 +490,6 @@ func (tx *Tx) Unfreeze() {
 		tx.startNext()
 	}
 }
-
-// Frozen reports the freeze state.
-func (tx *Tx) Frozen() bool { return tx.frozen }
 
 // LinkDown reports whether the link is currently dead.
 func (tx *Tx) LinkDown() bool { return tx.down }

@@ -7,16 +7,17 @@ import (
 
 // Micro-benchmarks for the scheduler hot paths. BenchmarkPostPop is the
 // per-event cost budget the fabric hot path pays (one schedule + one
-// pop); it must report 0 allocs/op — the event node pool and monomorphic
-// fnArg handlers exist precisely so steady state allocates nothing.
+// pop); it must report 0 allocs/op — the event node pool and typed kinds
+// exist precisely so steady state allocates nothing.
+
+var nopKind = NewKind(func(tgt, arg any) {})
 
 func BenchmarkPostPop(b *testing.B) {
 	s := New()
-	fn := func(any) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.PostArg(s.Now()+Time(i%512), fn, nil)
+		s.PostKind(s.Now()+Time(i%512), nopKind, 0, nil)
 		if s.Pending() > 1024 {
 			s.Run(s.Now() + 256)
 		}
@@ -47,8 +48,8 @@ func BenchmarkTimerChurn(b *testing.B) {
 }
 
 // BenchmarkWheelFarTimers schedules past the wheel span so every event
-// lands in the overflow heap and must be promoted across a window
-// boundary before firing — the worst case for the hierarchy.
+// waits in far and enters the wheel across a window boundary before
+// firing — the worst case for the hierarchy.
 func BenchmarkWheelFarTimers(b *testing.B) {
 	s := New()
 	fn := func() {}

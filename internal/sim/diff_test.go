@@ -298,7 +298,7 @@ func (d *diffTgt) fire(id int) {
 // TestTypedDispatchMatchesClosures drives two Sims through identical
 // randomized schedule / cancel / run scripts — one entirely through
 // closures (Post/At), one entirely through typed events (PostKind,
-// NewKindEvent + ScheduleTimer) — and asserts every event fires at the
+// NewKindEvent + Schedule) — and asserts every event fires at the
 // same (time, id) in the same total order. Each schedule call consumes
 // exactly one sequence number on both sides, so identical (time, id)
 // logs prove the typed path preserves (time, seq) order, the property
@@ -333,7 +333,7 @@ func TestTypedDispatchMatchesClosures(t *testing.T) {
 			schedule := func(id int, at Time, cancellable bool) {
 				if cancellable {
 					ct := cls.At(at, mkCls(id))
-					tt := typ.ScheduleTimer(typ.NewKindEvent(diffTestKind, tgt.tgtID, id), at)
+					tt := typ.Schedule(typ.NewKindEvent(diffTestKind, tgt.tgtID, id), at)
 					handles = append(handles, handlePair{ct: ct, tt: tt, id: id})
 				} else {
 					cls.Post(at, mkCls(id))

@@ -5,25 +5,23 @@ import (
 	"sync"
 )
 
-// Typed event dispatch. The two builtin kinds cover the generic
-// closure-based APIs (Post/At store a func() in arg; PostArg stores
-// fn+arg); model packages register additional kinds for their hot event
-// classes (wire arrival, Tx serialization done, transport ticks) so
-// those fire through a static handler shared by every instance instead
-// of a per-object closure. Kind values do not participate in the
-// (time, seq) firing order, so registration order — package init order —
-// cannot affect determinism.
+// Typed event dispatch. The builtin kind covers the closure convenience
+// (Post/At/After store a func() in arg); model packages register
+// additional kinds for their hot event classes (wire arrival, Tx
+// serialization done, transport ticks) so those fire through a static
+// handler shared by every instance instead of a per-object closure. Kind
+// values do not participate in the (time, seq) firing order, so
+// registration order — package init order — cannot affect determinism.
 
 // EventKind identifies how an event's payload is dispatched.
 type EventKind uint8
 
 const (
-	// kindFnArg dispatches ev.fn(ev.arg): the PostArg/NewEvent path.
-	kindFnArg EventKind = iota
 	// kindFunc dispatches ev.arg.(func())(): the Post/At/After path.
 	// Func values are pointer-shaped, so storing one in arg is
-	// allocation-free.
-	kindFunc
+	// allocation-free. Kind 0 stays unregistered, so an event carrying a
+	// zero EventKind panics in dispatch instead of misfiring.
+	kindFunc EventKind = iota + 1
 	// kindDyn is the first dynamically registered kind.
 	kindDyn
 )
@@ -72,26 +70,17 @@ func (s *Sim) PostKind(at Time, k EventKind, tgt uint32, arg any) {
 	s.schedule(ev, at)
 }
 
-// NewKindEvent preallocates a reusable, externally owned typed event.
-// Like NewEvent it is never taken by the node pool and may re-schedule
-// itself from its own handler; unlike a registered target, its arg can
-// hold a short-lived object (a flow's sender) without pinning it in the
-// Sim's target table past the object's life.
+// NewKindEvent preallocates a reusable, externally owned typed event for
+// Schedule. It is never taken by the node pool and may re-schedule itself
+// from its own handler; unlike a registered target, its arg can hold a
+// short-lived object (a flow's sender) without pinning it in the Sim's
+// target table past the object's life.
 func (s *Sim) NewKindEvent(k EventKind, tgt uint32, arg any) *Event {
 	return &Event{where: evExt, kind: k, tgt: tgt, arg: arg}
 }
 
-// ScheduleTimer queues a preallocated event at absolute time at and
-// returns a cancellable handle. It is the allocation-free counterpart of
-// At for callers that re-arm a timer many times: the event is created
-// once (NewEvent/NewKindEvent) and each arm costs only the schedule.
-func (s *Sim) ScheduleTimer(ev *Event, at Time) Timer {
-	s.Schedule(ev, at)
-	return Timer{sim: s, ev: ev, seq: ev.seq}
-}
-
-// dispatch fires one dynamically registered kind: Run inlines the two
-// builtin kinds and lands here for everything else.
+// dispatch fires one dynamically registered kind: Run inlines the
+// builtin kind and lands here for everything else.
 func (s *Sim) dispatch(ev *Event) {
 	var tgt any
 	if ev.tgt != 0 {

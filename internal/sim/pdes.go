@@ -22,13 +22,11 @@ import (
 	"sync/atomic"
 )
 
-// xfer is one cross-shard hand-off: a callback (or typed kind+target
-// pair, for hot paths like wire delivery) to inject into the destination
-// shard at the next window barrier.
+// xfer is one cross-shard hand-off: a typed event to inject into the
+// destination shard at the next window barrier.
 type xfer struct {
 	at   Time
 	key  uint64
-	fn   func(any)
 	arg  any
 	dst  int32
 	tgt  uint32
@@ -36,7 +34,7 @@ type xfer struct {
 }
 
 // Group synchronizes N shard simulators with conservative time windows.
-// Model code running inside a window may call Send (to hand work to
+// Model code running inside a window may call SendKind (to hand work to
 // another shard), RequestStop, and Stopping; everything else on Group
 // is coordinator-only.
 type Group struct {
@@ -97,18 +95,13 @@ func (g *Group) SetWorkers(n int) {
 	g.workers = n
 }
 
-// Send queues a hand-off from shard src to shard dst: fn(arg) will run
-// on dst at absolute time at. The key must be unique among all
-// hand-offs at the same instant (wires use id<<32 | seq); it fixes the
-// injection order so the destination's event sequence is independent of
-// the partition. Send may only be called from code executing on src.
-func (g *Group) Send(src, dst int, at Time, key uint64, fn func(any), arg any) {
-	g.out[src] = append(g.out[src], xfer{at: at, key: key, fn: fn, arg: arg, dst: int32(dst)})
-}
-
-// SendKind queues a typed hand-off: the kind's handler fires on dst at
-// absolute time at with (target, arg), where tgt was registered on the
-// DESTINATION shard's simulator. Ordering semantics match Send.
+// SendKind queues a hand-off from shard src to shard dst: the kind's
+// handler fires on dst at absolute time at with (target, arg), where tgt
+// was registered on the DESTINATION shard's simulator. The key must be
+// unique among all hand-offs at the same instant (wires use
+// id<<32 | seq); it fixes the injection order so the destination's event
+// sequence is independent of the partition. SendKind may only be called
+// from code executing on src.
 func (g *Group) SendKind(src, dst int, at Time, key uint64, k EventKind, tgt uint32, arg any) {
 	g.out[src] = append(g.out[src], xfer{at: at, key: key, kind: k, tgt: tgt, arg: arg, dst: int32(dst)})
 }
@@ -171,14 +164,8 @@ func (g *Group) inject() {
 		sortXfers(p)
 		s := g.shards[0]
 		for j := range p {
-			if p[j].kind != kindFnArg {
-				s.PostKind(p[j].at, p[j].kind, p[j].tgt, p[j].arg)
-			} else {
-				s.PostArg(p[j].at, p[j].fn, p[j].arg)
-			}
-		}
-		for j := range p {
-			p[j].fn, p[j].arg = nil, nil // don't pin pooled packets
+			s.PostKind(p[j].at, p[j].kind, p[j].tgt, p[j].arg)
+			p[j].arg = nil // don't pin pooled packets
 		}
 		g.out[0] = p[:0]
 		return
@@ -190,9 +177,7 @@ func (g *Group) inject() {
 		ob := g.out[si]
 		for j := range ob {
 			g.pend[ob[j].dst] = append(g.pend[ob[j].dst], ob[j])
-		}
-		for j := range ob {
-			ob[j].fn, ob[j].arg = nil, nil // don't pin pooled packets
+			ob[j].arg = nil // don't pin pooled packets
 		}
 		g.out[si] = ob[:0]
 	}
@@ -204,14 +189,8 @@ func (g *Group) inject() {
 		sortXfers(p)
 		s := g.shards[d]
 		for j := range p {
-			if p[j].kind != kindFnArg {
-				s.PostKind(p[j].at, p[j].kind, p[j].tgt, p[j].arg)
-			} else {
-				s.PostArg(p[j].at, p[j].fn, p[j].arg)
-			}
-		}
-		for j := range p {
-			p[j].fn, p[j].arg = nil, nil
+			s.PostKind(p[j].at, p[j].kind, p[j].tgt, p[j].arg)
+			p[j].arg = nil
 		}
 	}
 }

@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// callKind runs its target, a func(any) registered on the destination
+// shard, with the event's arg: the tests' stand-in for a model kind.
+var callKind = NewKind(func(tgt, arg any) { tgt.(func(any))(arg) })
+
 // pingPong builds the same toy model on an n-shard group: two nodes
 // exchanging messages with a cross-node latency equal to the lookahead,
 // each firing a few same-instant local events to exercise intra-window
@@ -18,18 +22,18 @@ func pingPong(n int, rounds int) []string {
 	ashard, bshard := 0, n-1
 	var log []string
 	var key uint64
-	send := func(src, dst int, s *Sim, at Time, label string, fn func(any)) {
+	send := func(src, dst int, at Time, label string, tgt uint32) {
 		key++
-		g.Send(src, dst, at, key, fn, label)
+		g.SendKind(src, dst, at, key, callKind, tgt, label)
 	}
-	var ping, pong func(any)
+	var pingID, pongID uint32
 	left := rounds
-	ping = func(v any) {
+	ping := func(v any) {
 		log = append(log, fmt.Sprintf("%d ping %v", sb.Now(), v))
 		sb.Post(sb.Now()+3, func() { log = append(log, fmt.Sprintf("%d b-local", sb.Now())) })
-		send(bshard, ashard, sb, sb.Now()+la, v.(string)+"'", pong)
+		send(bshard, ashard, sb.Now()+la, v.(string)+"'", pongID)
 	}
-	pong = func(v any) {
+	pong := func(v any) {
 		log = append(log, fmt.Sprintf("%d pong %v", sa.Now(), v))
 		left--
 		if left == 0 {
@@ -37,9 +41,10 @@ func pingPong(n int, rounds int) []string {
 			return
 		}
 		sa.Post(sa.Now()+1, func() { log = append(log, fmt.Sprintf("%d a-local", sa.Now())) })
-		send(ashard, bshard, sa, sa.Now()+la, fmt.Sprintf("r%d", rounds-left), ping)
+		send(ashard, bshard, sa.Now()+la, fmt.Sprintf("r%d", rounds-left), pingID)
 	}
-	sa.Post(0, func() { send(ashard, bshard, sa, la, "r0", ping) })
+	pingID, pongID = sb.RegisterTarget(ping), sa.RegisterTarget(pong)
+	sa.Post(0, func() { send(ashard, bshard, la, "r0", pingID) })
 	g.Run(1 << 40)
 	return log
 }
@@ -62,12 +67,12 @@ func TestGroupShardCountInvariant(t *testing.T) {
 func TestGroupInjectionKeyOrder(t *testing.T) {
 	g := NewGroup(2, 10)
 	var log []int
-	rec := func(v any) { log = append(log, v.(int)) }
+	rec := g.Shard(1).RegisterTarget(func(v any) { log = append(log, v.(int)) })
 	// Shard 0 sends keys out of order at the same arrival instant.
 	g.Shard(0).Post(0, func() {
-		g.Send(0, 1, 10, 7, rec, 7)
-		g.Send(0, 1, 10, 3, rec, 3)
-		g.Send(0, 1, 10, 5, rec, 5)
+		g.SendKind(0, 1, 10, 7, callKind, rec, 7)
+		g.SendKind(0, 1, 10, 3, callKind, rec, 3)
+		g.SendKind(0, 1, 10, 5, callKind, rec, 5)
 	})
 	g.Run(1 << 20)
 	if want := []int{3, 5, 7}; !reflect.DeepEqual(log, want) {
@@ -130,19 +135,20 @@ func TestGroupWorkersDeterministic(t *testing.T) {
 		g.SetWorkers(workers)
 		logs := make([][]string, 4) // per-shard logs: no cross-worker writes
 		keys := make([]uint64, 4)   // per-shard key counters, ditto
+		ids := make([]uint32, 4)    // shard i's bounce, registered on shard i
 		for i := 0; i < 4; i++ {
 			i := i
 			s := g.Shard(i)
-			var bounce func(any)
-			bounce = func(v any) {
+			ids[i] = s.RegisterTarget(func(v any) {
 				hop := v.(int)
 				logs[i] = append(logs[i], fmt.Sprintf("s%d t%d hop%d", i, s.Now(), hop))
 				if hop < 20 {
 					keys[i]++
-					g.Send(i, (i+1)%4, s.Now()+la, keys[i]<<8|uint64(i), bounce, hop+1)
+					next := (i + 1) % 4
+					g.SendKind(i, next, s.Now()+la, keys[i]<<8|uint64(i), callKind, ids[next], hop+1)
 				}
-			}
-			s.PostArg(Time(i), bounce, 0)
+			})
+			s.PostKind(Time(i), callKind, ids[i], 0)
 		}
 		g.Run(1 << 30)
 		var all []string

@@ -4,16 +4,18 @@
 // instant fire in FIFO order of scheduling, which keeps runs fully
 // deterministic for a given seed and call sequence.
 //
-// The scheduler is a hierarchical timing wheel (wheel.go) backed by a
-// 4-ary overflow heap for far-out timers: the hot path (packet
-// serialization and propagation events) schedules and pops in O(1) from
-// pooled intrusive nodes, which matters when runs process tens of
-// millions of events. Cancelled timers are reclaimed immediately when
-// wheel-resident and compacted away when heap-resident, so dead events
-// do not pollute the queue.
+// The scheduler is a hierarchical timing wheel (wheel.go): the hot path
+// (packet serialization and propagation events) schedules and pops in
+// O(1) from pooled intrusive nodes, which matters when runs process tens
+// of millions of events. Timers beyond the wheel's 2^32 ns span wait in a
+// plain seq-ordered slice. Cancelled timers are reclaimed at once, so
+// dead events never pollute the queue.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Time is a simulated point in time, in nanoseconds since the start of the
 // simulation.
@@ -62,9 +64,8 @@ type Timer struct {
 
 // Stop cancels the timer. It is safe to call on a zero, already-fired, or
 // already-stopped timer. It reports whether the call prevented the event
-// from firing. Wheel-resident timers are unlinked and reclaimed in O(1);
-// overflow-heap timers become tombstones that are compacted once they
-// outnumber live far-out events.
+// from firing. Either way the node is reclaimed at once: a wheel-resident
+// timer is unlinked in O(1), a far-future one is cut out of the far slice.
 func (t Timer) Stop() bool {
 	ev := t.ev
 	if ev == nil || ev.seq != t.seq {
@@ -74,18 +75,17 @@ func (t Timer) Stop() bool {
 	switch ev.state() {
 	case evWheel:
 		s.unlink(ev)
-		s.live--
-		s.Sched.DeadReclaimed++
-		s.release(ev)
-		return true
-	case evHeap:
-		ev.setState(evDead)
-		s.live--
-		s.heapDead++
-		s.maybeCompact()
-		return true
+	case evFar:
+		// Ordered delete: far stays in seq order.
+		i := slices.Index(s.far, ev)
+		s.far = slices.Delete(s.far, i, i+1)
+	default:
+		return false
 	}
-	return false
+	s.live--
+	s.Sched.DeadReclaimed++
+	s.release(ev)
+	return true
 }
 
 // Pending reports whether the timer is still scheduled to fire.
@@ -96,28 +96,21 @@ func (t Timer) Pending() bool {
 // SchedStats exposes scheduler-internal counters for performance
 // accounting and regression tracking (surfaced via -bench-out).
 type SchedStats struct {
-	// DeadPops counts cancelled events that still paid a heap pop
-	// (tombstones that fired before compaction could reclaim them).
-	DeadPops uint64
-	// DeadReclaimed counts cancelled events reclaimed without a pop:
-	// O(1) wheel unlinks plus heap compaction removals.
+	// DeadReclaimed counts cancelled events, each reclaimed by its Stop.
 	DeadReclaimed uint64
 	// Cascades counts events re-binned when the cursor entered their
 	// higher-level slot.
 	Cascades uint64
-	// Compactions counts overflow-heap tombstone sweeps.
-	Compactions uint64
-	// HeapMax is the overflow heap's high-water mark.
+	// HeapMax is the high-water mark of the far-future holder: events
+	// waiting beyond the wheel's span.
 	HeapMax int
 }
 
 // Add accumulates o into s (HeapMax takes the maximum), for aggregating
 // per-run scheduler counters across a grid.
 func (s *SchedStats) Add(o *SchedStats) {
-	s.DeadPops += o.DeadPops
 	s.DeadReclaimed += o.DeadReclaimed
 	s.Cascades += o.Cascades
-	s.Compactions += o.Compactions
 	if o.HeapMax > s.HeapMax {
 		s.HeapMax = o.HeapMax
 	}
@@ -141,8 +134,8 @@ type Sim struct {
 	bitmap     [wheelLevels][wheelSlots / 64]uint64
 	wheelCount int
 
-	heap     []heapItem
-	heapDead int
+	// far holds the events beyond the wheel's span, in seq order.
+	far []*Event
 
 	live int // scheduled, non-cancelled events
 
@@ -185,16 +178,16 @@ func (s *Sim) alloc() *Event {
 // release returns a finished event to the pool (or just idles an external
 // one), clearing captured references so they do not leak past the fire.
 // External events keep their payload binding by design (it is their
-// owner's, installed once at NewEvent/NewKindEvent); pooled events must
-// drop every reference and reset kind/tgt so a recycled node cannot pin
-// app objects or dispatch through a stale kind.
+// owner's, installed once at NewKindEvent); pooled events must drop
+// every reference and reset kind/tgt so a recycled node cannot pin app
+// objects or dispatch through a stale kind.
 func (s *Sim) release(ev *Event) {
 	if ev.isExt() {
 		ev.setState(evFree)
 		return
 	}
 	ev.where = evFree
-	ev.fn, ev.arg = nil, nil
+	ev.arg = nil
 	ev.kind, ev.tgt = 0, 0
 	ev.prev = nil
 	ev.next = s.free
@@ -224,15 +217,6 @@ func (s *Sim) Post(at Time, fn func()) {
 	s.schedule(ev, at)
 }
 
-// PostArg schedules fn(arg) at absolute time at with no cancellation
-// handle and no closure allocation.
-func (s *Sim) PostArg(at Time, fn func(any), arg any) {
-	ev := s.alloc()
-	ev.fn = fn
-	ev.arg = arg
-	s.schedule(ev, at)
-}
-
 // At schedules fn to run at the absolute time at and returns a
 // cancellable handle.
 func (s *Sim) At(at Time, fn func()) Timer {
@@ -248,22 +232,17 @@ func (s *Sim) After(d Time, fn func()) Timer {
 	return s.At(s.now+d, fn)
 }
 
-// NewEvent preallocates a reusable, externally owned event bound to fn
-// and arg. Schedule queues it; it may be re-scheduled from inside its own
-// handler (self-rescheduling), and it is never taken by the node pool, so
-// per-packet hot paths built on it allocate nothing and box nothing.
-func (s *Sim) NewEvent(fn func(any), arg any) *Event {
-	return &Event{where: evExt, fn: fn, arg: arg}
-}
-
-// Schedule queues a preallocated event at absolute time at. Scheduling an
-// event that is already queued panics: an external event represents one
-// slot of pending work by design.
-func (s *Sim) Schedule(ev *Event, at Time) {
+// Schedule queues a preallocated event (NewKindEvent) at absolute time at
+// and returns a cancellable handle: the allocation-free counterpart of At
+// for callers that re-arm a timer many times. Scheduling an event that is
+// already queued panics: an external event represents one slot of pending
+// work by design.
+func (s *Sim) Schedule(ev *Event, at Time) Timer {
 	if ev.Scheduled() {
 		panic(fmt.Sprintf("sim: event already scheduled (at %v)", ev.at))
 	}
 	s.schedule(ev, at)
+	return Timer{sim: s, ev: ev, seq: ev.seq}
 }
 
 // Stop halts the run loop after the current event completes.
@@ -311,12 +290,9 @@ func (s *Sim) Run(until Time) Time {
 			ev.setState(evRun)
 			s.live--
 			s.Processed++
-			switch ev.kind {
-			case kindFnArg:
-				ev.fn(ev.arg)
-			case kindFunc:
+			if ev.kind == kindFunc {
 				ev.arg.(func())()
-			default:
+			} else {
 				s.dispatch(ev)
 			}
 			if ev.state() == evRun {

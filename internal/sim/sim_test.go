@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -167,7 +168,7 @@ func TestStopSameInstantEvent(t *testing.T) {
 
 func TestHeapPopOrderProperty(t *testing.T) {
 	// Property: random bursts of same-timestamp events pop in (time,
-	// insertion) order — the 4-ary heap must preserve FIFO inside every
+	// insertion) order — the scheduler must preserve FIFO inside every
 	// burst, not just global time order.
 	type burst struct {
 		At    uint16
@@ -268,15 +269,126 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	s.RunAll()
 }
 
-func TestPostArg(t *testing.T) {
+// logKind appends its int arg to the []int its target points at.
+var logKind = NewKind(func(tgt, arg any) {
+	log := tgt.(*[]int)
+	*log = append(*log, arg.(int))
+})
+
+func TestPostKind(t *testing.T) {
 	s := New()
 	var got []int
-	fn := func(a any) { got = append(got, a.(int)) }
-	s.PostArg(5, fn, 42)
-	s.PostArg(3, fn, 7)
+	id := s.RegisterTarget(&got)
+	s.PostKind(5, logKind, id, 42)
+	s.PostKind(3, logKind, id, 7)
 	s.RunAll()
 	if len(got) != 2 || got[0] != 7 || got[1] != 42 {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestFarTimerStopReclaimsAtOnce: a timer beyond the wheel's span waits in
+// far; Stop must cut it out there and then — no tombstone left to pop —
+// and leave the other far timers firing in (time, seq) order.
+func TestFarTimerStopReclaimsAtOnce(t *testing.T) {
+	s := New()
+	var got []int
+	far := Time(wheelSpan) + 500
+	var tms []Timer
+	for i := 0; i < 5; i++ {
+		i := i
+		// Later ids fire earlier, except 3 and 4 which share an instant.
+		at := far + Time(10*(4-i))
+		if i == 4 {
+			at = far + 10
+		}
+		tms = append(tms, s.At(at, func() { got = append(got, i) }))
+	}
+	if s.Sched.HeapMax != 5 || s.Pending() != 5 {
+		t.Fatalf("HeapMax=%d Pending=%d, want 5 far-resident timers", s.Sched.HeapMax, s.Pending())
+	}
+	if !tms[2].Stop() {
+		t.Fatal("Stop on a far-resident timer reported failure")
+	}
+	if tms[2].Pending() || s.Pending() != 4 {
+		t.Fatalf("after Stop: timer pending=%v, Pending()=%d, want false and 4", tms[2].Pending(), s.Pending())
+	}
+	if s.Sched.DeadReclaimed != 1 || len(s.far) != 4 {
+		t.Fatalf("DeadReclaimed=%d len(far)=%d, want 1 and 4", s.Sched.DeadReclaimed, len(s.far))
+	}
+	if tms[2].Stop() {
+		t.Fatal("second Stop reported success")
+	}
+	s.RunAll()
+	if want := []int{3, 4, 1, 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if s.Pending() != 0 || len(s.far) != 0 {
+		t.Fatalf("Pending()=%d len(far)=%d after drain", s.Pending(), len(s.far))
+	}
+}
+
+// rearmKind logs its id and, the first time id 0 fires, re-arms its own
+// external event past the wheel span between two same-instant peers.
+var rearmKind EventKind
+
+func init() {
+	rearmKind = NewKind(func(tgt, arg any) { tgt.(*rearmTgt).fire(arg.(int)) })
+}
+
+type rearmTgt struct {
+	s     *Sim
+	id    uint32
+	ext   *Event
+	at    Time
+	log   []int
+	times []Time
+}
+
+func (r *rearmTgt) fire(id int) {
+	r.log = append(r.log, id)
+	r.times = append(r.times, r.s.Now())
+	switch {
+	case id == 0 && r.s.Now() < r.at:
+		r.s.PostKind(r.at, rearmKind, r.id, 1)
+		r.s.Schedule(r.ext, r.at)
+		r.s.PostKind(r.at, rearmKind, r.id, 2)
+	case id == 1:
+		// Scheduled at the instant itself, after window entry: straight
+		// into level 0, behind everything that came in from far.
+		r.s.PostKind(r.at, rearmKind, r.id, 3)
+	}
+}
+
+// TestKindEventRearmAcrossWheelSpan: an external typed event re-armed from
+// its own handler across the 2^32 ns boundary waits in far, enters the
+// wheel with its window, and fires exactly once there, in seq order among
+// the peers sharing its instant.
+func TestKindEventRearmAcrossWheelSpan(t *testing.T) {
+	s := New()
+	r := &rearmTgt{s: s, at: Time(wheelSpan) + 12345}
+	r.id = s.RegisterTarget(r)
+	r.ext = s.NewKindEvent(rearmKind, r.id, 0)
+	tm := s.Schedule(r.ext, 1000)
+	if !tm.Pending() {
+		t.Fatal("Schedule returned a non-pending handle")
+	}
+	s.Run(2000)
+	if tm.Pending() || !r.ext.Scheduled() || s.Sched.HeapMax != 3 {
+		t.Fatalf("after first fire: stale handle pending=%v, re-armed=%v, HeapMax=%d (want false, true, 3)",
+			tm.Pending(), r.ext.Scheduled(), s.Sched.HeapMax)
+	}
+	s.RunAll()
+	if want := []int{0, 1, 0, 2, 3}; !reflect.DeepEqual(r.log, want) {
+		t.Fatalf("fired %v, want %v", r.log, want)
+	}
+	for i, at := range r.times[1:] {
+		if at != r.at {
+			t.Fatalf("firing %d at %v, want %v", i+1, at, r.at)
+		}
+	}
+	if s.Pending() != 0 || r.ext.Scheduled() {
+		t.Fatalf("Pending()=%d, ext scheduled=%v after drain", s.Pending(), r.ext.Scheduled())
 	}
 }
 
@@ -287,8 +399,8 @@ var poisonKind = NewKind(func(tgt, arg any) { tgt.(*poisonTgt).hits++ })
 type poisonTgt struct{ hits int }
 
 // TestReleasePoisonsPooledEvents is the pool-poison canary: after a
-// pooled event fires, release must clear every payload reference
-// (fn, arg) and reset kind/tgt, or a recycled node would pin app
+// pooled event fires, release must clear the payload reference (arg)
+// and reset kind/tgt, or a recycled node would pin app
 // objects — fatal at million-flow scale — and could dispatch through a
 // stale kind. External (caller-owned) events keep their binding by
 // design and must NOT be pushed onto the pool.
@@ -298,13 +410,12 @@ func TestReleasePoisonsPooledEvents(t *testing.T) {
 	tgtID := s.RegisterTarget(tgt)
 	fired := 0
 	s.Post(1, func() { fired++ })
-	s.PostArg(2, func(a any) { fired += a.(int) }, 1)
 	s.PostKind(3, poisonKind, tgtID, 7)
 	ext := s.NewKindEvent(poisonKind, tgtID, 9)
 	s.Schedule(ext, 4)
 	s.RunAll()
-	if fired != 2 || tgt.hits != 2 {
-		t.Fatalf("fired=%d hits=%d, want 2 and 2", fired, tgt.hits)
+	if fired != 1 || tgt.hits != 2 {
+		t.Fatalf("fired=%d hits=%d, want 1 and 2", fired, tgt.hits)
 	}
 	n := 0
 	for ev := s.free; ev != nil; ev = ev.next {
@@ -312,8 +423,8 @@ func TestReleasePoisonsPooledEvents(t *testing.T) {
 		if ev == ext {
 			t.Fatal("external event leaked onto the pool free list")
 		}
-		if ev.fn != nil || ev.arg != nil {
-			t.Fatalf("pooled event %d retains payload: fn set=%v arg=%v", n, ev.fn != nil, ev.arg)
+		if ev.arg != nil {
+			t.Fatalf("pooled event %d retains payload: arg=%v", n, ev.arg)
 		}
 		if ev.kind != 0 || ev.tgt != 0 {
 			t.Fatalf("pooled event %d retains dispatch state: kind=%d tgt=%d", n, ev.kind, ev.tgt)
@@ -325,8 +436,8 @@ func TestReleasePoisonsPooledEvents(t *testing.T) {
 			t.Fatalf("pooled event %d has where=%#x, want evFree", n, ev.where)
 		}
 	}
-	if n < 3 {
-		t.Fatalf("free list has %d events, expected the 3 fired pooled events back", n)
+	if n < 2 {
+		t.Fatalf("free list has %d events, expected the 2 fired pooled events back", n)
 	}
 	// The external event idles released-but-bound: re-armable, payload
 	// intact, ext flag preserved.

@@ -7,18 +7,20 @@ import "math/bits"
 // at is placed at the lowest level whose slot index differs from the
 // cursor's — equivalently, by the highest byte in which at and the cursor
 // disagree — so every event within ~4.29 s (2^32 ns) of the cursor lives
-// in the wheel and is scheduled and popped in O(1). Events farther out go
-// to a 4-ary overflow heap and are promoted into the wheel in batches
-// when the cursor crosses a 2^32 ns window boundary.
+// in the wheel and is scheduled and popped in O(1). Events farther out
+// wait in Sim.far, a slice in seq order, and move into the wheel when the
+// cursor enters their 2^32 ns window. No run in the bench set reaches
+// past the span, so far is the dumbest holder that is correct: append,
+// linear scan, ordered delete.
 //
 // Ordering guarantee: a level-0 slot is 1 ns wide, so every event in it
 // shares the same timestamp, and slot lists are appended in scheduling
 // order (ascending seq). Cascades (re-binning a higher-level slot when
-// the cursor enters it) walk the list in order and append, so they are
-// stable, and the XOR placement rule guarantees that two events for the
-// same instant are always in the same list while they wait. The firing
-// order is therefore exactly (time, seq) — byte-identical to the flat
-// heap this replaced.
+// the cursor enters it) and window entry (enterWindow) walk their list in
+// order and append, so they are stable, and the XOR placement rule
+// guarantees that two events for the same instant are always in the same
+// list while they wait. The firing order is therefore exactly (time, seq)
+// — byte-identical to the flat heap this replaced.
 
 const (
 	wheelBits   = 8
@@ -26,33 +28,30 @@ const (
 	wheelLevels = 4
 	slotMask    = wheelSlots - 1
 	// wheelSpan is the horizon covered by the wheel relative to the
-	// cursor: 2^32 ns. Events at or beyond it overflow to the heap.
+	// cursor: 2^32 ns. Events in a later 2^32 ns window wait in far.
 	wheelSpan = uint64(1) << (wheelBits * wheelLevels)
 )
 
-// Event states. Free events are pooled (or, for external events, idle);
-// dead events are cancelled overflow-heap entries awaiting reclamation.
+// Event states. Free events are pooled (or, for external events, idle).
 // The state lives in the low bits of Event.where; the high bit marks an
-// externally owned event (NewEvent/NewKindEvent) that is never returned
-// to the node pool.
+// externally owned event (NewKindEvent) that is never returned to the
+// node pool.
 const (
 	evFree uint8 = iota
 	evWheel
-	evHeap
+	evFar
 	evRun
-	evDead
 
 	evStateMask uint8 = 0x0f
 	evExt       uint8 = 0x80
 )
 
 // Event is one schedulable entry: an intrusive doubly-linked node when it
-// lives in a wheel slot, a leaf when it lives in the overflow heap.
-// Events are pooled by the Sim; fabric code preallocates self-rescheduling
-// events with NewEvent so the packet hot path allocates nothing.
+// lives in a wheel slot, a plain element when it waits in Sim.far.
+// Events are pooled by the Sim; model code preallocates re-armable events
+// with NewKindEvent so timer hot paths allocate nothing.
 //
-// The layout is exactly one cache line (64 bytes): payload is either
-// fn+arg (kindFnArg), a func() boxed in arg (kindFunc), or a typed
+// The payload is either a func() boxed in arg (kindFunc) or a typed
 // kind+tgt+arg triple dispatched through the kind table.
 type Event struct {
 	at  Time
@@ -60,7 +59,6 @@ type Event struct {
 
 	next, prev *Event
 
-	fn  func(any)
 	arg any
 
 	tgt   uint32
@@ -77,26 +75,11 @@ func (e *Event) isExt() bool       { return e.where&evExt != 0 }
 // Scheduled reports whether the event is currently queued to fire.
 func (e *Event) Scheduled() bool {
 	st := e.where & evStateMask
-	return st == evWheel || st == evHeap
+	return st == evWheel || st == evFar
 }
 
 // evList is one wheel slot: a FIFO of events in scheduling (seq) order.
 type evList struct{ head, tail *Event }
-
-// heapItem is one overflow-heap entry. The hot comparisons touch only
-// the 24-byte item, not the event.
-type heapItem struct {
-	at  Time
-	seq uint64
-	ev  *Event
-}
-
-func (a *heapItem) before(b *heapItem) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
 
 // --- wheel slot bitmaps ---------------------------------------------------
 
@@ -123,7 +106,7 @@ func (s *Sim) nextBit(l, from int) int {
 // --- placement ------------------------------------------------------------
 
 // place bins a live event by the highest byte in which its time differs
-// from the cursor, or pushes it to the overflow heap when out of range.
+// from the cursor, or appends it to far when out of the wheel's range.
 func (s *Sim) place(ev *Event) {
 	d := uint64(ev.at ^ s.wcur)
 	var l int
@@ -137,7 +120,11 @@ func (s *Sim) place(ev *Event) {
 	case d < wheelSpan:
 		l = 3
 	default:
-		s.heapPush(ev)
+		ev.setState(evFar)
+		s.far = append(s.far, ev)
+		if n := len(s.far); n > s.Sched.HeapMax {
+			s.Sched.HeapMax = n
+		}
 		return
 	}
 	slot := int(uint64(ev.at)>>(uint(l)*wheelBits)) & slotMask
@@ -223,23 +210,23 @@ func (s *Sim) peek() (Time, bool) {
 		}
 		panic("sim: wheel count out of sync")
 	}
-	for len(s.heap) > 0 {
-		if s.heap[0].ev.state() == evDead {
-			it := s.heapPop()
-			s.Sched.DeadPops++
-			s.heapDead--
-			s.release(it.ev)
-			continue
-		}
-		return s.heap[0].at, true
+	// The wheel is empty: the earliest far event, if any, is next.
+	if len(s.far) == 0 {
+		return 0, false
 	}
-	return 0, false
+	min := s.far[0].at
+	for _, ev := range s.far[1:] {
+		if ev.at < min {
+			min = ev.at
+		}
+	}
+	return min, true
 }
 
 // advanceTo commits the cursor to t, the time of the next event to run:
-// it promotes the overflow heap when crossing a wheel-span boundary and
-// cascades the higher-level slots t lives under. Must only be called
-// with t ≥ wcur and t equal to a pending event's time.
+// it pulls far events in when crossing a wheel-span boundary and cascades
+// the higher-level slots t lives under. Must only be called with t ≥ wcur
+// and t equal to a pending event's time.
 func (s *Sim) advanceTo(t Time) {
 	d := uint64(t ^ s.wcur)
 	s.wcur = t
@@ -247,8 +234,8 @@ func (s *Sim) advanceTo(t Time) {
 		return
 	}
 	if d >= wheelSpan {
-		// The wheel is empty (t came from the heap); enter t's window.
-		s.promoteHeap()
+		// The wheel is empty (t came from far); enter t's window.
+		s.enterWindow()
 	}
 	if d >= 1<<(3*wheelBits) {
 		s.cascade(3, int(uint64(t)>>(3*wheelBits))&slotMask)
@@ -259,111 +246,20 @@ func (s *Sim) advanceTo(t Time) {
 	s.cascade(1, int(uint64(t)>>wheelBits)&slotMask)
 }
 
-// promoteHeap moves every overflow-heap event in the cursor's 2^32 ns
-// window into the wheel. Pops come out in (time, seq) order and placement
-// appends, so promotion is stable.
-func (s *Sim) promoteHeap() {
+// enterWindow moves every far event of the cursor's 2^32 ns window into
+// the wheel. far is in seq order and placement appends, so the move is
+// stable; place sends none of them back to far, because each shares the
+// cursor's window.
+func (s *Sim) enterWindow() {
 	win := uint64(s.wcur) >> (wheelBits * wheelLevels)
-	for len(s.heap) > 0 {
-		top := &s.heap[0]
-		if top.ev.state() == evDead {
-			it := s.heapPop()
-			s.Sched.DeadPops++
-			s.heapDead--
-			s.release(it.ev)
-			continue
+	keep := s.far[:0]
+	for _, ev := range s.far {
+		if uint64(ev.at)>>(wheelBits*wheelLevels) == win {
+			s.place(ev)
+		} else {
+			keep = append(keep, ev)
 		}
-		if uint64(top.at)>>(wheelBits*wheelLevels) != win {
-			break
-		}
-		it := s.heapPop()
-		s.place(it.ev)
 	}
+	clear(s.far[len(keep):])
+	s.far = keep
 }
-
-// --- overflow heap --------------------------------------------------------
-
-func (s *Sim) heapPush(ev *Event) {
-	ev.setState(evHeap)
-	h := append(s.heap, heapItem{at: ev.at, seq: ev.seq, ev: ev})
-	s.heap = h
-	if n := len(h); n > s.Sched.HeapMax {
-		s.Sched.HeapMax = n
-	}
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !h[i].before(&h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (s *Sim) heapPop() heapItem {
-	h := s.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = heapItem{}
-	s.heap = h[:last]
-	s.siftDown(0)
-	return top
-}
-
-func (s *Sim) siftDown(i int) {
-	h := s.heap
-	for {
-		first := 4*i + 1
-		if first >= len(h) {
-			break
-		}
-		m := first
-		end := first + 4
-		if end > len(h) {
-			end = len(h)
-		}
-		for c := first + 1; c < end; c++ {
-			if h[c].before(&h[m]) {
-				m = c
-			}
-		}
-		if !h[m].before(&h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// maybeCompact reclaims cancelled overflow-heap entries once tombstones
-// dominate: it filters the live items and re-heapifies in O(n), so churny
-// far-out timers cannot pollute the heap indefinitely.
-func (s *Sim) maybeCompact() {
-	if s.heapDead < compactMinDead || s.heapDead*2 < len(s.heap) {
-		return
-	}
-	live := s.heap[:0]
-	for _, it := range s.heap {
-		if it.ev.state() == evDead {
-			s.Sched.DeadReclaimed++
-			s.release(it.ev)
-			continue
-		}
-		live = append(live, it)
-	}
-	for i := len(live); i < len(s.heap); i++ {
-		s.heap[i] = heapItem{}
-	}
-	s.heap = live
-	s.heapDead = 0
-	for i := (len(live) - 2) / 4; i >= 0; i-- {
-		s.siftDown(i)
-	}
-	s.Sched.Compactions++
-}
-
-// compactMinDead is the tombstone floor below which compaction is not
-// worth the O(n) pass.
-const compactMinDead = 64

@@ -47,10 +47,3 @@ func (c *FaultCounters) Add(o *FaultCounters) {
 func (c *FaultCounters) TotalInjected() int64 {
 	return c.DownDrops + c.BurstyDrops + c.RandomDrops
 }
-
-// Any reports whether any fault activity was recorded.
-func (c *FaultCounters) Any() bool {
-	return c.LinkFlaps > 0 || c.NICFreezes > 0 || c.BufferShrinks > 0 ||
-		c.SwitchFails > 0 || c.PortFails > 0 || c.PauseStorms > 0 ||
-		c.TotalInjected() > 0
-}

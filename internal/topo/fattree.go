@@ -37,7 +37,7 @@ func FatTreeHosts(k int) int { return k * k * k / 4 }
 // Memory note: FIB state is kept sub-O(switches × hosts) by sharing
 // routing structure — every core switch shares one table, the
 // aggregation switches of a pod share one table, edge and aggregation
-// tables are offset-indexed (SetRouteTableAt) so they hold only their
+// tables are offset-indexed (SetRouteTableFlatAt) so they hold only their
 // local host range with no dense nil prefix, and all "go up" decisions
 // use a per-switch default ECMP route over the uplinks. There is no failure-aware
 // reroute for this topology (Reroute no-ops); the failure experiments

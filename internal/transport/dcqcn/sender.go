@@ -207,7 +207,7 @@ func (s *Sender) schedule() {
 	if s.sendEv == nil {
 		s.sendEv = s.s.NewKindEvent(kindSendOne, 0, s)
 	}
-	s.sendTimer = s.s.ScheduleTimer(s.sendEv, at)
+	s.sendTimer = s.s.Schedule(s.sendEv, at)
 }
 
 func (s *Sender) sendOne() {
@@ -422,13 +422,13 @@ func (s *Sender) startRateTimers() {
 		if s.rpEv == nil {
 			s.rpEv = s.s.NewKindEvent(kindRPTick, 0, s)
 		}
-		s.rpTimer = s.s.ScheduleTimer(s.rpEv, s.s.Now()+s.cfg.RPTimer)
+		s.rpTimer = s.s.Schedule(s.rpEv, s.s.Now()+s.cfg.RPTimer)
 	}
 	if !s.alphaTimer.Pending() {
 		if s.alphaEv == nil {
 			s.alphaEv = s.s.NewKindEvent(kindAlphaTick, 0, s)
 		}
-		s.alphaTimer = s.s.ScheduleTimer(s.alphaEv, s.s.Now()+s.cfg.AlphaTimer)
+		s.alphaTimer = s.s.Schedule(s.alphaEv, s.s.Now()+s.cfg.AlphaTimer)
 	}
 }
 
@@ -438,7 +438,7 @@ func (s *Sender) rpTick() {
 	}
 	s.increase()
 	if s.rate < float64(s.cfg.LineRateBps)*0.999 {
-		s.rpTimer = s.s.ScheduleTimer(s.rpEv, s.s.Now()+s.cfg.RPTimer)
+		s.rpTimer = s.s.Schedule(s.rpEv, s.s.Now()+s.cfg.RPTimer)
 	}
 }
 
@@ -448,7 +448,7 @@ func (s *Sender) alphaTick() {
 	}
 	s.alpha *= 1 - s.cfg.G
 	if s.alpha > 1e-4 {
-		s.alphaTimer = s.s.ScheduleTimer(s.alphaEv, s.s.Now()+s.cfg.AlphaTimer)
+		s.alphaTimer = s.s.Schedule(s.alphaEv, s.s.Now()+s.cfg.AlphaTimer)
 	}
 }
 

@@ -712,7 +712,7 @@ func (s *Sender) armRTO() {
 		if s.rtoEv == nil {
 			s.rtoEv = s.s.NewKindEvent(kindRTOTick, 0, s)
 		}
-		s.rtoTimer = s.s.ScheduleTimer(s.rtoEv, s.rtoDeadline)
+		s.rtoTimer = s.s.Schedule(s.rtoEv, s.rtoDeadline)
 	}
 }
 
@@ -723,7 +723,7 @@ func (s *Sender) rtoTick() {
 	}
 	if now := s.s.Now(); now < s.rtoDeadline {
 		s.rtoPending = true
-		s.rtoTimer = s.s.ScheduleTimer(s.rtoEv, s.rtoDeadline)
+		s.rtoTimer = s.s.Schedule(s.rtoEv, s.rtoDeadline)
 		return
 	}
 	s.onRTO()
@@ -744,7 +744,7 @@ func (s *Sender) armTLP() {
 		if s.tlpEv == nil {
 			s.tlpEv = s.s.NewKindEvent(kindTLPTick, 0, s)
 		}
-		s.tlpTimer = s.s.ScheduleTimer(s.tlpEv, s.tlpDeadline)
+		s.tlpTimer = s.s.Schedule(s.tlpEv, s.tlpDeadline)
 	}
 }
 
@@ -755,7 +755,7 @@ func (s *Sender) tlpTick() {
 	}
 	if now := s.s.Now(); now < s.tlpDeadline {
 		s.tlpPending = true
-		s.tlpTimer = s.s.ScheduleTimer(s.tlpEv, s.tlpDeadline)
+		s.tlpTimer = s.s.Schedule(s.tlpEv, s.tlpDeadline)
 		return
 	}
 	s.onTLP()
