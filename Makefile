@@ -13,7 +13,7 @@ PGO := cmd/tltsim/default.pgo
 PGO_META := cmd/tltsim/default.pgo.meta
 PGO_MAX_AGE := 3
 
-.PHONY: all build test bench pgo pgo-check
+.PHONY: all build test bench benchmark pgo pgo-check
 
 all: build
 
@@ -26,17 +26,25 @@ test:
 bench:
 	$(GO) test -bench='BenchmarkFig5|BenchmarkChaosRecovery' -benchtime=1x -benchmem -run '^$$' .
 
+# The repository benchmark (BENCHMARK.json, bench/README.md): all four
+# workloads, end-to-end metrics and the per-layer ledger.
+benchmark:
+	bash bench/run.sh -workload all
+
 # Capture CPU profiles from the two smoke workloads CI gates on, merge
 # them into the committed default.pgo, and stamp the staleness sidecar.
 # Commit both files after running this. (Iterating is fine: the capture
 # runs already benefit from the previous profile; Go PGO is stable
 # under that feedback.)
+# The two captures go to a mktemp -d directory (honours TMPDIR), removed
+# on the way out, so the recipe needs no writable /tmp.
 pgo:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; set -x; \
 	$(GO) run ./cmd/tltsim -exp fig5 -bg 60 -seeds 1 -points 2 -procs 1 \
-		-cpuprofile /tmp/pgo-fig5.pb.gz
+		-cpuprofile "$$dir/fig5.pb.gz"; \
 	$(GO) run ./cmd/tltsim -exp scale-sweep -bg 25000 -points 1 -seeds 1 -procs 1 -shards 4 \
-		-cpuprofile /tmp/pgo-scale.pb.gz
-	$(GO) tool pprof -proto /tmp/pgo-fig5.pb.gz /tmp/pgo-scale.pb.gz > $(PGO)
+		-cpuprofile "$$dir/scale.pb.gz"; \
+	$(GO) tool pprof -proto "$$dir/fig5.pb.gz" "$$dir/scale.pb.gz" > $(PGO)
 	echo "changes_lines=$$(wc -l < CHANGES.md)" > $(PGO_META)
 	@echo "wrote $(PGO) + $(PGO_META); commit both"
 

@@ -103,31 +103,89 @@ func scaleSource(p scaleParams, hosts int, rateBps int64, seed int64) workload.S
 	return workload.MergeSources(rpc.Stream(), bg)
 }
 
-// rcvSlot wraps a streaming-run receiver for quiescence-based reaping:
-// Handle timestamps every arriving packet, and the reap timer only
-// retires the demux slot once the flow has been quiet for the grace
-// period (a retransmit of a lost final ACK re-arms it).
+// Endpoint state is recycled, not allocated per flow: each walker keeps
+// free lists of sender slabs, receiver slabs and demux slots, so a cell
+// allocates O(peak live flows) endpoints however many flows it issues.
+// A slab goes back on its list from inside the endpoint's own completion
+// callback, where its timers are already stopped and nothing touches it
+// again, and is only ever taken off by a later step event. Packets of
+// the flow it carried before miss the demux map (the old flow ID is
+// unregistered), and stale sim.Timer handles are generation-checked.
+
+// sndSlab is the sender half of one flow: the endpoint, the flow
+// descriptor and record it points at, and its completion callback bound
+// once so re-arming a slab allocates nothing.
+type sndSlab struct {
+	w      *scaleWalker
+	snd    *tcp.Sender
+	flow   transport.Flow
+	rec    stats.FlowRecord
+	doneFn func()
+}
+
+// done is the sender-side completion: everything is ACKed and the tick
+// events are stopped. Fold the sender-owned counters and recycle.
+func (sl *sndSlab) done() {
+	w := sl.w
+	w.stream.Class(sl.flow.FG).FoldSender(&sl.rec)
+	w.net.Hosts[sl.flow.Src].Unregister(sl.flow.ID)
+	w.freeSnd = append(w.freeSnd, sl)
+}
+
+// rcvSlab is the receiver half of one flow while data is still arriving.
+// It returns to the free list on full delivery; the slot it served
+// lingers on without it.
+type rcvSlab struct {
+	rcv  *tcp.Receiver
+	flow transport.Flow
+	slot *rcvSlot
+}
+
+// deliver is the receiver's OnDeliver. On full delivery it folds the
+// flow, detaches from the slot (which re-ACKs on its own from here) and
+// recycles the slab; the receiver calls it last in Handle, so nothing
+// touches the slab afterwards.
+func (rb *rcvSlab) deliver(total int64) {
+	if total < rb.flow.Size {
+		return
+	}
+	slot := rb.slot
+	w := slot.w
+	now := w.ssim.Now()
+	w.stream.Class(rb.flow.FG).FoldDone(now-rb.flow.Start, rb.flow.Size)
+	w.stream.Epochs.AddDone(now, rb.flow.Size)
+	slot.rcv, rb.slot = nil, nil
+	w.freeRcv = append(w.freeRcv, rb)
+	w.ssim.PostKind(now+w.grace, kindReap, 0, slot)
+	if w.rem.Add(-1) == 0 {
+		w.g.RequestStop()
+	}
+}
+
+// rcvSlot is a streaming-run receiver's demux entry, kept for
+// quiescence-based reaping: Handle timestamps every arriving packet, and
+// the reap timer only retires the slot once the flow has been quiet for
+// the grace period (a retransmit of a lost final ACK re-arms it).
 //
-// Once the flow has fully delivered, the heavyweight tcp.Receiver (cfg
-// copy, range set, TLT window state, flow struct) is released and rcv
+// Once the flow has fully delivered, the heavyweight receiver slab (cfg
+// copy, range set, TLT window state, flow struct) is recycled and rcv
 // set to nil; any data packet that arrives during the grace window —
 // a retransmit of the final segment whose ACK was lost — gets its
 // cumulative ACK synthesized from the few words kept here. Completion-
 // rate × grace lingering slots are the dominant steady-state heap of a
 // compressed million-flow run, so their size matters.
 type rcvSlot struct {
-	ssim   *sim.Sim
+	w      *scaleWalker
 	host   *fabric.Host
-	rcv    *tcp.Receiver // nil once fully delivered
+	rcv    *tcp.Receiver // its slab's receiver; nil once fully delivered
 	lastRx sim.Time
 	peer   packet.NodeID // sender, the synthesized ACK's destination
 	id     packet.FlowID
 	size   int64
-	tc     uint8
 }
 
 func (rs *rcvSlot) Handle(p *packet.Packet) {
-	rs.lastRx = rs.ssim.Now()
+	rs.lastRx = rs.w.ssim.Now()
 	if rs.rcv != nil {
 		rs.rcv.Handle(p)
 		return
@@ -138,10 +196,31 @@ func (rs *rcvSlot) Handle(p *packet.Packet) {
 	ack := rs.host.NewPacket()
 	ack.Flow, ack.Dst = rs.id, rs.peer
 	ack.Type = packet.Ack
-	ack.TC = rs.tc
+	ack.TC = rs.w.cfg.TrafficClass
 	ack.Ack = rs.size
 	ack.ECE = p.CE
 	rs.host.Send(ack)
+}
+
+// kindReap fires a slot's reap check as a typed event: a slot outlives
+// its flow by the grace period, so at steady state slots are the one
+// per-flow object left, and a bound method value would double their count.
+var kindReap sim.EventKind
+
+func init() {
+	kindReap = sim.NewKind(func(_, arg any) { arg.(*rcvSlot).reap() })
+}
+
+// reap retires the slot once it has been quiet for the grace period,
+// or re-arms itself at the end of the current quiet window.
+func (rs *rcvSlot) reap() {
+	w := rs.w
+	if quiet := w.ssim.Now() - rs.lastRx; quiet >= w.grace {
+		rs.host.Unregister(rs.id)
+		w.freeSlot = append(w.freeSlot, rs)
+		return
+	}
+	w.ssim.PostKind(rs.lastRx+w.grace, kindReap, 0, rs)
 }
 
 // scaleWalker is one shard's view of a streaming run.
@@ -159,24 +238,10 @@ type scaleWalker struct {
 	stream *stats.Stream
 	rem    *atomic.Int64
 	stepFn func()
-	// record free list: O(peak live) FlowRecords per shard instead of
-	// one per flow.
-	free []*stats.FlowRecord
-}
 
-func (w *scaleWalker) getRecord(fl *transport.Flow) *stats.FlowRecord {
-	if n := len(w.free); n > 0 {
-		fr := w.free[n-1]
-		w.free = w.free[:n-1]
-		fr.Flow = fl
-		return fr
-	}
-	return &stats.FlowRecord{Flow: fl}
-}
-
-func (w *scaleWalker) putRecord(fr *stats.FlowRecord) {
-	fr.Reset()
-	w.free = append(w.free, fr)
+	freeSnd  []*sndSlab
+	freeRcv  []*rcvSlab
+	freeSlot []*rcvSlot
 }
 
 // step processes every arrival due now that this shard owns, then
@@ -197,14 +262,18 @@ func (w *scaleWalker) step() {
 				return
 			}
 		} else if mine {
-			id := packet.FlowID(scaleFlowBase + w.seq)
+			fl := transport.Flow{
+				ID:  packet.FlowID(scaleFlowBase + w.seq),
+				Src: packet.NodeID(a.Src), Dst: packet.NodeID(a.Dst),
+				Size: a.Size, Start: a.At, FG: a.FG,
+			}
 			// Receiver half first: it must exist before the first
 			// data packet, which is at least two link delays away.
 			if rShard == w.shard {
-				w.spawnReceiver(a, id)
+				w.spawnReceiver(fl)
 			}
 			if sShard == w.shard {
-				w.spawnSender(a, id)
+				w.spawnSender(fl)
 			}
 		}
 		w.seq++
@@ -212,68 +281,57 @@ func (w *scaleWalker) step() {
 	}
 }
 
-func (w *scaleWalker) spawnSender(a workload.Arrival, id packet.FlowID) {
-	fl := &transport.Flow{
-		ID: id, Src: packet.NodeID(a.Src), Dst: packet.NodeID(a.Dst),
-		Size: a.Size, Start: a.At, FG: a.FG,
+// pop takes the most recently freed slab off a free list, or returns nil.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
 	}
-	host := w.net.Hosts[a.Src]
-	fr := w.getRecord(fl)
-	cs := w.stream.Class(a.FG)
-	cs.Issued++
-	w.stream.Epochs.AddIssued(a.At)
-	var snd *tcp.Sender
-	snd = tcp.NewSender(w.ssim, host, fl, w.cfg, fr, nil, func() {
-		// Sender-side completion: everything ACKed, no more timers
-		// will fire (rtoTick/tlpTick early-return once done). Fold
-		// the sender-owned counters and recycle immediately.
-		cs.FoldSender(fr)
-		host.Unregister(id)
-		w.putRecord(fr)
-		_ = snd
-	})
-	host.Register(id, snd)
-	snd.Write(fl.Size)
-	snd.Close()
+	v := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return v
 }
 
-func (w *scaleWalker) spawnReceiver(a workload.Arrival, id packet.FlowID) {
-	fl := &transport.Flow{
-		ID: id, Src: packet.NodeID(a.Src), Dst: packet.NodeID(a.Dst),
-		Size: a.Size, Start: a.At, FG: a.FG,
+func (w *scaleWalker) spawnSender(fl transport.Flow) {
+	sl := pop(&w.freeSnd)
+	if sl == nil {
+		sl = &sndSlab{w: w}
+		sl.doneFn = sl.done
 	}
-	host := w.net.Hosts[a.Dst]
-	slot := &rcvSlot{
-		ssim: w.ssim, host: host, id: id,
-		peer: fl.Src, size: fl.Size, tc: w.cfg.TrafficClass,
-		rcv: tcp.NewReceiver(w.ssim, host, fl, w.cfg),
+	sl.flow = fl
+	sl.rec = stats.FlowRecord{Flow: &sl.flow}
+	w.stream.Class(fl.FG).Issued++
+	w.stream.Epochs.AddIssued(fl.Start)
+	host := w.net.Hosts[fl.Src]
+	if sl.snd == nil {
+		sl.snd = tcp.NewSender(w.ssim, host, &sl.flow, w.cfg, &sl.rec, nil, sl.doneFn)
+	} else {
+		sl.snd.Reset(host, &sl.flow, &sl.rec, sl.doneFn)
 	}
-	var reap func()
-	reap = func() {
-		if quiet := w.ssim.Now() - slot.lastRx; quiet >= w.grace {
-			host.Unregister(id)
-			return
-		}
-		w.ssim.At(slot.lastRx+w.grace, reap)
+	host.Register(fl.ID, sl.snd)
+	sl.snd.Write(fl.Size)
+	sl.snd.Close()
+}
+
+func (w *scaleWalker) spawnReceiver(fl transport.Flow) {
+	host := w.net.Hosts[fl.Dst]
+	rb := pop(&w.freeRcv)
+	if rb == nil {
+		rb = &rcvSlab{flow: fl}
+		rb.rcv = tcp.NewReceiver(w.ssim, host, &rb.flow, w.cfg)
+		rb.rcv.OnDeliver = rb.deliver
+	} else {
+		rb.flow = fl
+		rb.rcv.Reset(host, &rb.flow)
 	}
-	slot.rcv.OnDeliver = func(total int64) {
-		if slot.rcv == nil || total < fl.Size {
-			return
-		}
-		now := w.ssim.Now()
-		cs := w.stream.Class(a.FG)
-		cs.FoldDone(now-fl.Start, fl.Size)
-		w.stream.Epochs.AddDone(now, fl.Size)
-		// Drop the receiver: the lingering slot re-ACKs on its own.
-		// OnDeliver cannot fire again after this (the receiver is the
-		// only caller and it is being released from this frame).
-		slot.rcv = nil
-		w.ssim.At(now+w.grace, reap)
-		if w.rem.Add(-1) == 0 {
-			w.g.RequestStop()
-		}
+	slot := pop(&w.freeSlot)
+	if slot == nil {
+		slot = &rcvSlot{w: w}
 	}
-	host.Register(id, slot)
+	slot.host, slot.rcv, slot.lastRx = host, rb.rcv, 0
+	slot.peer, slot.id, slot.size = fl.Src, fl.ID, fl.Size
+	rb.slot = slot
+	host.Register(fl.ID, slot)
 }
 
 // runScale executes one scale-sweep cell. It parallels Run but swaps

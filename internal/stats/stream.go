@@ -183,9 +183,3 @@ func mergeClass(dst, src *ClassStream) {
 	dst.ClockBytes += src.ClockBytes
 	dst.ClockSends += src.ClockSends
 }
-
-// Reset re-initializes a FlowRecord for reuse from a free list, so
-// streaming runs recycle records instead of growing the arena O(flows).
-func (r *FlowRecord) Reset() {
-	*r = FlowRecord{}
-}

@@ -20,8 +20,20 @@ func (s *RangeSet) Len() int { return len(s.r) }
 // Empty reports whether the set covers nothing.
 func (s *RangeSet) Empty() bool { return len(s.r) == 0 }
 
-// Reset removes all intervals.
-func (s *RangeSet) Reset() { s.r = s.r[:0] }
+// maxKeptBlocks bounds the backing array Reset keeps: a set that spilled
+// past it (a badly reordered flow) hands the array back to the collector
+// instead of carrying it into every later use of a recycled endpoint.
+const maxKeptBlocks = 32
+
+// Reset removes all intervals, keeping the backing array for reuse unless
+// it grew past maxKeptBlocks.
+func (s *RangeSet) Reset() {
+	if cap(s.r) > maxKeptBlocks {
+		s.r = nil
+		return
+	}
+	s.r = s.r[:0]
+}
 
 // Blocks returns up to max intervals, highest first (the order SACK
 // options report most-recent data). max <= 0 returns all, lowest first.

@@ -151,7 +151,7 @@ func TestRecoveryHalvesWindow(t *testing.T) {
 		t.Fatal("flow incomplete")
 	}
 	if !dropped {
-		t.Skip("loss never triggered")
+		t.Fatal("loss never triggered")
 	}
 	if rec.Flows[0].FastRecov != 1 {
 		t.Fatalf("fast recovery episodes = %d, want 1", rec.Flows[0].FastRecov)

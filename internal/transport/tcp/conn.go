@@ -45,18 +45,19 @@ func StartFlow(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Conf
 			}
 		}
 	}
-	c.Sender.OnAbort = func() {
-		if rec.Aborted {
-			return
-		}
-		recorder.FlowAborted(rec, src.Sim().Now())
-		if onDone != nil {
-			onDone(rec)
+	// A sender only gives up under a retry cap; without one the abort
+	// wiring would be a dead closure per flow.
+	if cfg.RTO.MaxRetries > 0 {
+		c.Sender.OnAbort = func() {
+			if rec.Aborted {
+				return
+			}
+			recorder.FlowAborted(rec, src.Sim().Now())
+			if onDone != nil {
+				onDone(rec)
+			}
 		}
 	}
-	src.Sim().At(flow.Start, func() {
-		c.Sender.Write(flow.Size)
-		c.Sender.Close()
-	})
+	src.Sim().PostKind(flow.Start, kindFlowStart, 0, c.Sender)
 	return c
 }

@@ -76,7 +76,7 @@ func TestIncrementalDeployment(t *testing.T) {
 	// legacy class is unaffected by TLT's presence. Legacy drops, if
 	// any, come from the shared dynamic threshold like before.
 	if ctr.DropRedColor == 0 {
-		t.Skip("scenario did not exercise color dropping")
+		t.Fatal("scenario did not exercise color dropping")
 	}
 	if ctr.DropGreen != 0 {
 		t.Fatalf("important packets dropped: %d", ctr.DropGreen)

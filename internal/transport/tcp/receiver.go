@@ -21,7 +21,7 @@ type Receiver struct {
 	rcvNxt   int64
 	received transport.RangeSet // out-of-order ranges above rcvNxt
 
-	tlt *core.WindowReceiver
+	tlt core.WindowReceiver
 
 	// OnDeliver is invoked whenever in-order delivery progresses, with
 	// the total in-order bytes now available to the application.
@@ -30,9 +30,23 @@ type Receiver struct {
 
 // NewReceiver constructs a receiver on host for flow.
 func NewReceiver(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config) *Receiver {
-	return &Receiver{
-		s: host.Sim(), host: host, flow: flow, cfg: cfg,
-		tlt: core.NewWindowReceiver(cfg.TLT),
+	r := &Receiver{cfg: cfg}
+	r.Reset(host, flow)
+	return r
+}
+
+// Reset initialises the receiver for flow on host: reassembly and TLT
+// state start from zero, while cfg, OnDeliver and the range set's backing
+// array carry over. It is the only place receiver state is initialised.
+// A receiver cannot tell an abandoned flow from a live one (the sender
+// may have aborted), so unlike Sender.Reset there is no mid-flow check.
+func (r *Receiver) Reset(host *fabric.Host, flow *transport.Flow) {
+	r.received.Reset()
+	*r = Receiver{
+		s: host.Sim(), host: host, flow: flow, cfg: r.cfg,
+		received:  r.received,
+		tlt:       *core.NewWindowReceiver(r.cfg.TLT),
+		OnDeliver: r.OnDeliver,
 	}
 }
 

@@ -14,12 +14,17 @@ import (
 // Typed event kinds: the RTO and TLP lazy-deadline ticks fire through
 // static handlers on preallocated per-sender events, so re-arming a
 // timer never allocates (the old method-value At path boxed a closure
-// per arm).
-var kindRTOTick, kindTLPTick sim.EventKind
+// per arm). StartFlow's one-shot start rides the same mechanism.
+var kindRTOTick, kindTLPTick, kindFlowStart sim.EventKind
 
 func init() {
 	kindRTOTick = sim.NewKind(func(_, arg any) { arg.(*Sender).rtoTick() })
 	kindTLPTick = sim.NewKind(func(_, arg any) { arg.(*Sender).tlpTick() })
+	kindFlowStart = sim.NewKind(func(_, arg any) {
+		s := arg.(*Sender)
+		s.Write(s.flow.Size)
+		s.Close()
+	})
 }
 
 // segment is one MSS-aligned unit of the send scoreboard.
@@ -76,21 +81,21 @@ type Sender struct {
 	// Timers. Deadlines are lazy: re-arming only moves the deadline
 	// field; the scheduled event re-checks and re-schedules itself,
 	// which keeps the event heap small under per-ACK restarts.
-	rtoEst      *transport.RTOEstimator
+	rtoEst      transport.RTOEstimator
 	rtoDeadline sim.Time // 0 = disarmed
 	rtoPending  bool
 	rtoTimer    sim.Timer
-	rtoEv       *sim.Event // preallocated tick event (lazily created)
+	rtoEv       *sim.Event // tick event, created at first arm and kept across Reset
 	backoff     uint
 	retries     int // consecutive RTO rounds without forward progress
 
 	tlpDeadline sim.Time
 	tlpPending  bool
 	tlpTimer    sim.Timer
-	tlpEv       *sim.Event // preallocated tick event (lazily created)
+	tlpEv       *sim.Event // tick event, created at first arm and kept across Reset
 	tlpFired    bool       // one probe per episode
 
-	tlt *core.WindowSender
+	tlt core.WindowSender
 
 	done    bool
 	aborted bool
@@ -101,19 +106,35 @@ type Sender struct {
 	OnAbort func()
 }
 
+// maxKeptSegs bounds the scoreboard backing a finished sender keeps for
+// its next flow (about 10 kB). Without it one elephant's 64 Ki-segment
+// array would sit in a streaming run's free list until the run ends.
+const maxKeptSegs = 256
+
 // NewSender constructs a sender on host for flow. It does not register
 // with the host nor start transmitting; see NewConnection.
 func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config,
 	rec *stats.FlowRecord, recorder *stats.Recorder, onDone func()) *Sender {
-	cfg.TLT.Flow = flow.ID
-	snd := &Sender{
-		s: host.Sim(), host: host, flow: flow, cfg: cfg,
-		rec: rec, recorder: recorder, onDone: onDone,
-		cwnd:     float64(cfg.InitWindowSegs * cfg.MSS),
-		ssthresh: cfg.MaxCwndBytes,
-		rtoEst:   transport.NewRTOEstimator(cfg.RTO),
-		tlt:      core.NewWindowSender(cfg.TLT),
+	snd := &Sender{cfg: cfg, recorder: recorder}
+	snd.Reset(host, flow, rec, onDone)
+	return snd
+}
+
+// Reset initialises the sender for flow on host: every piece of per-flow
+// state starts from zero, while cfg, recorder, OnAbort, the tick events
+// and the scoreboard backing array carry over. It is the only place
+// sender state is initialised, so a recycled sender cannot differ from
+// a fresh one. Resetting a sender that is mid-flow, or whose tick events
+// are still queued, is a caller bug and panics.
+func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, rec *stats.FlowRecord, onDone func()) {
+	if s.appLimit > 0 && !s.done {
+		panic(fmt.Sprintf("tcp: Reset of sender mid-flow (%d of %d bytes acked)", s.sndUna, s.appLimit))
 	}
+	if (s.rtoEv != nil && s.rtoEv.Scheduled()) || (s.tlpEv != nil && s.tlpEv.Scheduled()) {
+		panic("tcp: Reset of sender with a tick event still scheduled")
+	}
+	cfg := s.cfg
+	cfg.TLT.Flow = flow.ID
 	// Size the scoreboard up front when the flow length is known:
 	// growing it by geometric append copies the whole array log(n) times,
 	// which the memory profile shows as the single largest source of
@@ -122,19 +143,28 @@ func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config,
 	// — a flat slack dominates the sender's footprint on million-flow
 	// churn runs where most flows are 1-3 segments. App-driven flows
 	// (Size 0) and outliers past the cap still grow on demand.
+	segs := s.segs[:0]
 	if flow.Size > 0 {
 		nsegs := (flow.Size + int64(cfg.MSS) - 1) / int64(cfg.MSS)
-		slack := nsegs / 4
-		if slack < 8 {
-			slack = 8
+		nsegs = min(nsegs+max(8, nsegs/4), 1<<16)
+		if int64(cap(segs)) < nsegs {
+			segs = make([]segment, 0, nsegs)
 		}
-		nsegs += slack
-		if nsegs > 1<<16 {
-			nsegs = 1 << 16
-		}
-		snd.segs = make([]segment, 0, nsegs)
 	}
-	return snd
+	// The estimator and the TLT machine live in the sender by value; their
+	// constructors inline, so the dereferences allocate nothing.
+	*s = Sender{
+		s: host.Sim(), host: host, flow: flow, cfg: cfg,
+		rec: rec, recorder: s.recorder, onDone: onDone,
+		segs:     segs,
+		cwnd:     float64(cfg.InitWindowSegs * cfg.MSS),
+		ssthresh: cfg.MaxCwndBytes,
+		rtoEst:   *transport.NewRTOEstimator(cfg.RTO),
+		rtoEv:    s.rtoEv,
+		tlpEv:    s.tlpEv,
+		tlt:      *core.NewWindowSender(cfg.TLT),
+		OnAbort:  s.OnAbort,
+	}
 }
 
 // Write appends n bytes to the stream and kicks transmission.
@@ -832,25 +862,30 @@ func (s *Sender) complete() {
 	if s.done {
 		return
 	}
-	s.done = true
-	s.rtoDeadline = 0
-	s.tlpDeadline = 0
-	s.stopTimers()
+	s.retire()
 	if s.onDone != nil {
 		s.onDone()
 	}
 }
 
-// stopTimers cancels any pending tick events. The ticks would be no-ops
-// once done, but a cancelled event is reclaimed by the scheduler right
-// away, while a parked one pins the whole Sender in memory until its
-// deadline passes — on churn workloads that window (RTOmin and up) can
-// exceed the entire run, turning "done" senders into O(flows) live heap.
-func (s *Sender) stopTimers() {
+// retire ends the flow: it cancels any pending tick events and lets go of
+// an outsized scoreboard. The ticks would be no-ops once done, but a
+// cancelled event is reclaimed by the scheduler right away, while a
+// parked one pins the whole Sender in memory until its deadline passes —
+// on churn workloads that window (RTOmin and up) can exceed the entire
+// run, turning "done" senders into O(flows) live heap — and would make
+// the sender unfit for Reset. Nothing reads the scoreboard after done.
+func (s *Sender) retire() {
+	s.done = true
+	s.rtoDeadline = 0
+	s.tlpDeadline = 0
 	s.rtoTimer.Stop()
 	s.tlpTimer.Stop()
 	s.rtoPending = false
 	s.tlpPending = false
+	if cap(s.segs) > maxKeptSegs {
+		s.segs, s.head = nil, 0
+	}
 }
 
 // abort terminates the flow after MaxRetries consecutive timeouts: the
@@ -861,11 +896,8 @@ func (s *Sender) abort() {
 	if s.done {
 		return
 	}
-	s.done = true
 	s.aborted = true
-	s.rtoDeadline = 0
-	s.tlpDeadline = 0
-	s.stopTimers()
+	s.retire()
 	s.tlt.Reset()
 	if s.OnAbort != nil {
 		s.OnAbort()

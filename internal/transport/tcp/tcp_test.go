@@ -162,7 +162,7 @@ func TestRetransmissionAfterLossWithoutTimeout(t *testing.T) {
 	s.Run(sim.Second)
 	ctr := n.Counters()
 	if ctr.DropRedColor == 0 {
-		t.Skip("no red drops induced; scenario too gentle")
+		t.Fatal("no red drops induced; scenario too gentle")
 	}
 	if got := rec.TimeoutsAll(); got != 0 {
 		t.Fatalf("timeouts with TLT: %d", got)
