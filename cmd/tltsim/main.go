@@ -93,6 +93,14 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if err := checkFlags(*format, *procs, *benchRep); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if *auditFlag && nShards > 1 {
+		// On stderr, so reports stay byte-identical at any -shards.
+		fmt.Fprintf(os.Stderr, "note: -audit reads the whole fabric from one event loop; every cell runs on 1 shard, not %d\n", nShards)
+	}
 	experiments.SetHarness(plan, *auditFlag)
 	experiments.SetProcs(*procs)
 	experiments.SetShards(nShards)
@@ -195,6 +203,25 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d bench records to %s\n", len(benchRecs), *benchOut)
 	}
+}
+
+// checkFlags rejects flag values that cannot be honoured: rendering some
+// other format, or running on some other worker count, than the one asked
+// for would be a silent default. The error names the flag and what it
+// accepts.
+func checkFlags(format string, procs, benchRepeat int) error {
+	switch format {
+	case "table", "csv", "json":
+	default:
+		return fmt.Errorf("-format: want table, csv or json, got %q", format)
+	}
+	if procs < 1 {
+		return fmt.Errorf("-procs: want a positive integer, got %d", procs)
+	}
+	if benchRepeat < 1 {
+		return fmt.Errorf("-bench-repeat: want a positive integer, got %d", benchRepeat)
+	}
+	return nil
 }
 
 // writeProfile dumps one named pprof profile at exit. The allocs profile

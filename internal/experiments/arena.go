@@ -1,0 +1,268 @@
+package experiments
+
+import (
+	"tlt/internal/fabric"
+	"tlt/internal/packet"
+	"tlt/internal/sim"
+	"tlt/internal/stats"
+	"tlt/internal/topo"
+	"tlt/internal/transport"
+	"tlt/internal/transport/tcp"
+)
+
+// An arena is the memory a grid worker slot carries from one cell to the
+// next. A figure is hundreds of cells on the same fabric, and each cell's
+// warm-up — packets, event nodes, NIC and switch queues, demux tables,
+// TCP endpoints and their scoreboards — grows to much the same size, so
+// a slot pays that growth once instead of once per cell. The arena is
+// the slot's token in RunGrid's semaphore: holding it is both the right
+// to run and the memory to run in, and it changes goroutines only
+// through that channel. A cell run outside a grid gets a private arena
+// (RunConfig.arena), so every driver has the one code path.
+//
+// Nothing a cell computes may depend on what ran on its slot before.
+// Every layer therefore returns its memory zeroed (Pool.Put, the
+// Release methods of sim, fabric and the slabs here) and re-initialises
+// what it takes (tcp's Reset methods), and TestArenaIsolation holds the
+// drivers to it.
+//
+// What an arena keeps is what its last cell used, no more: whatever a
+// cell was offered and did not touch — spare packets and event chunks,
+// buffers of devices it did not have or never filled a quarter of,
+// endpoints below each free list's low-water mark — is dropped when the
+// cell releases. A small cell after a large one therefore shrinks the
+// slot, and nothing ratchets up over a long grid; the price is that the
+// large cell's growth is paid again if one follows.
+type arena struct {
+	shards []*shardMem // by shard index
+
+	// lent lists the TCP endpoint pairs startTCP has handed to the
+	// current cell; release takes back the finished ones.
+	lent []lentConn
+}
+
+// shardMem is the part of an arena that belongs to one shard of the
+// running cell. Between the barriers of a sharded run only the goroutine
+// driving that shard touches it.
+type shardMem struct {
+	sched  sim.Mem          // event-node chunks, mailbox buffers
+	pkts   []*packet.Packet // free packets, zeroed
+	fabric fabric.Mem       // host and switch-queue buffers
+
+	// Finished TCP endpoints and demux slots. The streaming runner pushes
+	// and pops them while it runs; the other drivers take at set-up and
+	// return at release. Every driver's senders share boards while they
+	// run: a scoreboard belongs to a flow in flight, not to an endpoint.
+	snd    freeList[sndSlab]
+	rcv    freeList[rcvSlab]
+	slot   freeList[rcvSlot]
+	boards tcp.Scoreboards
+}
+
+// freeList is a stack of parked slabs that remembers how short it has
+// been since its last trim: the slabs below that mark were not needed.
+type freeList[T any] struct {
+	free []*T
+	low  int
+}
+
+// pop takes the most recently pushed slab; nil when the list is empty.
+func (l *freeList[T]) pop() *T {
+	n := len(l.free) - 1
+	if n < 0 {
+		return nil
+	}
+	l.low = min(l.low, n)
+	v := l.free[n]
+	l.free[n] = nil
+	l.free = l.free[:n]
+	return v
+}
+
+func (l *freeList[T]) push(v *T) { l.free = append(l.free, v) }
+
+// trim drops the slabs nobody popped since the last trim.
+func (l *freeList[T]) trim() {
+	n := copy(l.free, l.free[l.low:])
+	clear(l.free[n:])
+	l.free, l.low = l.free[:n], n
+}
+
+// lentConn is one flow's endpoints on loan to a materialized-schedule
+// driver, with the shards whose lists they go back to.
+type lentConn struct {
+	snd            *sndSlab
+	rcv            *rcvSlab
+	sShard, rShard int
+}
+
+// newSlots returns a semaphore of n worker slots, each holding its arena.
+func newSlots(n int) chan *arena {
+	sem := make(chan *arena, n)
+	for i := 0; i < n; i++ {
+		sem <- new(arena)
+	}
+	return sem
+}
+
+// arena returns the memory of the grid slot the cell runs on, or a
+// private one for a cell run directly.
+func (rc RunConfig) arena() *arena {
+	if rc.mem != nil {
+		return rc.mem
+	}
+	return new(arena)
+}
+
+// shardOf reads a device's shard from a Network's HostShard/SwitchShard,
+// which the single-simulator builders leave nil.
+func shardOf(shards []int, i int) int {
+	if shards == nil {
+		return 0
+	}
+	return shards[i]
+}
+
+// attach hands a newly built network the slot's memory, shard by shard
+// (a network has one packet pool per shard): scheduler memory to its
+// simulators, free packets to its pools, buffers to its hosts and switch
+// queues. Devices adopt in build order; release returns in reverse (see
+// fabric.Mem).
+func (a *arena) attach(net *topo.Network) {
+	clear(a.lent) // a cell that panicked never released
+	a.lent = a.lent[:0]
+	n := len(net.Pools)
+	for len(a.shards) < n {
+		a.shards = append(a.shards, new(shardMem))
+	}
+	clear(a.shards[n:]) // shards this cell does not have
+	a.shards = a.shards[:n]
+
+	if g := net.Group; g != nil {
+		for i := 0; i < g.Shards(); i++ {
+			g.Adopt(i, &a.shards[i].sched)
+		}
+	} else {
+		net.Sim.Adopt(&a.shards[0].sched)
+	}
+	for i, p := range net.Pools {
+		m := a.shards[i]
+		p.Adopt(m.pkts)
+		m.pkts = nil
+	}
+	for i, h := range net.Hosts {
+		h.Adopt(&a.shards[shardOf(net.HostShard, i)].fabric)
+	}
+	for i, sw := range net.Switches {
+		sw.Adopt(&a.shards[shardOf(net.SwitchShard, i)].fabric)
+	}
+	for _, m := range a.shards {
+		m.fabric = fabric.Mem{} // buffers of devices this cell does not have
+	}
+}
+
+// release takes the memory back once the cell's Result is assembled. The
+// network and its simulators are dead afterwards. Of the endpoints on
+// loan only those whose flow completed return: an unfinished or aborted
+// flow's state is dropped with the network.
+func (a *arena) release(net *topo.Network) {
+	for _, l := range a.lent {
+		if l.snd.snd.Done() && !l.snd.snd.Aborted() {
+			a.shards[l.sShard].snd.push(l.snd)
+			a.shards[l.rShard].rcv.push(l.rcv)
+		}
+	}
+	clear(a.lent)
+	a.lent = a.lent[:0]
+	for i := len(net.Switches) - 1; i >= 0; i-- {
+		net.Switches[i].Release(&a.shards[shardOf(net.SwitchShard, i)].fabric)
+	}
+	for i := len(net.Hosts) - 1; i >= 0; i-- {
+		net.Hosts[i].Release(&a.shards[shardOf(net.HostShard, i)].fabric)
+	}
+	for i, p := range net.Pools {
+		a.shards[i].pkts = p.Release()
+	}
+	if g := net.Group; g != nil {
+		for i := 0; i < g.Shards(); i++ {
+			g.Release(i, &a.shards[i].sched)
+		}
+	} else {
+		net.Sim.Release(&a.shards[0].sched)
+	}
+	// Parked endpoints must not pin the network, recorder and flows of
+	// the cell they last served.
+	a.trimEndpoints()
+	for _, m := range a.shards {
+		for _, sl := range m.snd.free {
+			sl.park()
+		}
+		for _, rb := range m.rcv.free {
+			rb.park()
+		}
+		for _, rs := range m.slot.free {
+			*rs = rcvSlot{}
+		}
+	}
+}
+
+// trimEndpoints drops the endpoints and demux slots no flow has taken
+// since the last trim — and, when no sender is on loan to take one, the
+// scoreboards. release ends with it; Run also calls it as soon as its
+// flows are set up, when what is left on the lists can no longer be
+// taken, so a RoCE cell does not sit on the TCP endpoints and scoreboards
+// of the cell before it for its whole run.
+func (a *arena) trimEndpoints() {
+	for _, m := range a.shards {
+		m.snd.trim()
+		m.rcv.trim()
+		m.slot.trim()
+		if len(a.lent) == 0 { // release has emptied it; Run has not if the cell has TCP flows
+			m.boards.Trim()
+		}
+	}
+}
+
+// startTCP is tcp.StartFlow on the slot's recycled endpoints: the sender
+// comes from the source host's shard, the receiver from the
+// destination's. f.Src and f.Dst index net.Hosts.
+func (a *arena) startTCP(net *topo.Network, f *transport.Flow, cfg tcp.Config,
+	rec *stats.Recorder, onDone func(*stats.FlowRecord)) *tcp.Sender {
+	l := lentConn{sShard: shardOf(net.HostShard, int(f.Src)), rShard: shardOf(net.HostShard, int(f.Dst))}
+	l.snd, l.rcv = a.shards[l.sShard].sender(), a.shards[l.rShard].receiver()
+	a.lent = append(a.lent, l)
+	tcp.StartFlowOn(tcp.Conn{Sender: &l.snd.snd, Receiver: &l.rcv.rcv},
+		net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
+	return &l.snd.snd
+}
+
+// sender returns a finished sender slab, or a new one. Its callback is
+// bound once, so re-arming a slab allocates nothing.
+func (m *shardMem) sender() *sndSlab {
+	sl := m.snd.pop()
+	if sl == nil {
+		sl = new(sndSlab)
+		sl.doneFn = sl.done
+		sl.snd.ShareScoreboards(&m.boards)
+	}
+	return sl
+}
+
+// receiver returns a finished receiver slab, or a new one.
+func (m *shardMem) receiver() *rcvSlab {
+	rb := m.rcv.pop()
+	if rb == nil {
+		rb = new(rcvSlab)
+		rb.deliverFn = rb.deliver
+	}
+	return rb
+}
+
+// demuxSlot returns a reaped demux slot, or a new one.
+func (m *shardMem) demuxSlot() *rcvSlot {
+	rs := m.slot.pop()
+	if rs == nil {
+		rs = new(rcvSlot)
+	}
+	return rs
+}

@@ -38,7 +38,7 @@ func Dumbbell(scale Scale) *Report {
 			// rc.Variant (not the captured v) carries the session -mmu/-fc
 			// overrides folded in by RunGrid.
 			Custom: func(rc RunConfig) *Result {
-				return runDumbbell(rc.Variant, fgFlows, rc.Seed)
+				return runDumbbell(rc, fgFlows)
 			},
 		}
 		sw.add0(rc, scale.Seeds, func(rs []*Result) {
@@ -77,8 +77,10 @@ type dumbbellResult struct {
 	drops        int64
 }
 
-func runDumbbell(v Variant, fgFlows int, seed int64) *Result {
+func runDumbbell(rc RunConfig, fgFlows int) *Result {
+	v, seed := rc.Variant, rc.Seed
 	tlt := v.TLT
+	ar := rc.arena()
 	s := sim.New()
 	swc := fabric.SwitchConfig{
 		// Netberg Aurora 420 / Trident II: 12 MB shared buffer.
@@ -107,11 +109,13 @@ func runDumbbell(v Variant, fgFlows int, seed int64) *Result {
 		Switch:       swc,
 		SeedSalt:     seed,
 	})
+	ar.attach(n)
 	rec := stats.NewRecorder()
 	cfg := tcp.DCTCPConfig()
 	cfg.TLT = core.Config{Enabled: tlt}
 
-	// Background: host 6 (left) streams to host 8 (right) continuously.
+	// Background: host 6 (left) streams to host 8 (right) continuously. It
+	// never finishes, so its endpoints are not the arena's.
 	bgFlow := &transport.Flow{ID: 1, Src: 6, Dst: 8, Size: 1 << 40}
 	bgRec := rec.NewFlowRecord(bgFlow)
 	bg := tcp.NewConn(s, n.Hosts[6], n.Hosts[8], bgFlow, cfg, bgRec, rec)
@@ -123,15 +127,14 @@ func runDumbbell(v Variant, fgFlows int, seed int64) *Result {
 	start := 2 * sim.Millisecond
 	id := packet.FlowID(2)
 	for i := 0; i < fgFlows; i++ {
-		src := n.Hosts[i%6]
 		wave := sim.Time(i/60) * 2 * sim.Millisecond
 		f := &transport.Flow{
-			ID: id, Src: src.ID(), Dst: 7,
+			ID: id, Src: packet.NodeID(i % 6), Dst: 7,
 			Size: 32 * 1024, Start: start + wave + sim.Time(seed*31+int64(i%6))*100*sim.Nanosecond,
 			FG: true,
 		}
 		id++
-		tcp.StartFlow(s, src, n.Hosts[7], f, cfg, rec, nil)
+		ar.startTCP(n, f, cfg, rec, nil)
 	}
 
 	// Measure background goodput over the contention window only (from
@@ -150,11 +153,13 @@ func runDumbbell(v Variant, fgFlows int, seed int64) *Result {
 		pausedTotal += tx.PausedTotal
 	}
 	ctr := n.Counters()
-	return &Result{Rec: rec, EventsRun: s.Processed, Sched: s.Sched, App: &dumbbellResult{
+	res := &Result{Rec: rec, EventsRun: s.Processed, Sched: s.Sched, App: &dumbbellResult{
 		pausedTime:   pausedTotal,
 		bgGoodputBps: float64(bgDuring) * 8 / window.Seconds(),
 		fgP99:        stats.Percentile(rec.Select(true), 0.99),
 		timeouts:     rec.TimeoutsAll(),
 		drops:        ctr.TotalDrops() - ctr.DropRedColor, // non-proactive drops
 	}}
+	ar.release(n)
+	return res
 }

@@ -10,15 +10,15 @@ import (
 	"tlt/internal/stats"
 	"tlt/internal/topo"
 	"tlt/internal/transport"
-	"tlt/internal/transport/tcp"
 )
 
 // testbedStar builds the 10-node testbed model (§6): a Tomahawk-class
 // switch whose dynamic allocation lets a single busy port absorb up to
 // ~1.8 MB, color threshold 270 kB (~BDP), ECN at 200 kB. The audit flag
 // comes from the cell's RunConfig (resolved by RunGrid), never from
-// global state, so concurrent cells stay independent.
-func testbedStar(v Variant, hosts int, auditOn bool) (*sim.Sim, *topo.Network) {
+// global state, so concurrent cells stay independent. The network runs in
+// ar's memory; the caller releases it once its Result is assembled.
+func testbedStar(ar *arena, v Variant, hosts int, auditOn bool) (*sim.Sim, *topo.Network) {
 	s := sim.New()
 	swc := v.switchConfig()
 	swc.BufferBytes = 3_600_000
@@ -31,7 +31,9 @@ func testbedStar(v Variant, hosts int, auditOn bool) (*sim.Sim, *topo.Network) {
 		LinkDelay:   2 * sim.Microsecond,
 		Switch:      swc,
 	})
+	ar.attach(n)
 	if auditOn {
+		n.Pool.EnableAudit()
 		a := audit.New(s)
 		for _, sw := range n.Switches {
 			a.AttachSwitch(sw)
@@ -78,7 +80,8 @@ func Fig12(scale Scale) *Report {
 				// Build from rc.Variant, not the captured v: RunGrid folds
 				// the session -mmu/-fc overrides into rc.Variant only.
 				Custom: func(rc RunConfig) *Result {
-					s, n := testbedStar(rc.Variant, 10, rc.Audit)
+					ar := rc.arena()
+					s, n := testbedStar(ar, rc.Variant, 10, rc.Audit)
 					rec := stats.NewRecorder()
 					cl := app.NewCacheCluster(s, n.Hosts, rc.Variant.tcpConfig(), rec, 1)
 					rts := cl.RunSetBurst(reqs, sim.Time(rc.Seed)*sim.Microsecond)
@@ -89,6 +92,7 @@ func Fig12(scale Scale) *Report {
 						res.Notef("%s flows=%d seed=%d: only %d/%d requests completed", v.Name(), reqs, rc.Seed, len(xs), reqs)
 					}
 					res.App = xs
+					ar.release(n)
 					return res
 				},
 			}
@@ -138,18 +142,21 @@ func Fig13(scale Scale) *Report {
 			Label:   v.Name() + " fig13",
 			Variant: v,
 			Custom: func(rc RunConfig) *Result {
-				s, n := testbedStar(rc.Variant, 10, rc.Audit)
+				ar := rc.arena()
+				s, n := testbedStar(ar, rc.Variant, 10, rc.Audit)
 				rec := stats.NewRecorder()
 				// hosts[0]=client (unused), 1..8 web servers, 9=redis; the
 				// bg sender is the client host to keep servers clean.
 				cl := app.NewCacheCluster(s, n.Hosts, rc.Variant.tcpConfig(), rec, 1)
 				mr := cl.RunMixed(152, n.Hosts[0], 8_000_000, 0)
 				s.Run(5 * sim.Second)
-				return &Result{Rec: rec, EventsRun: s.Processed, Sched: s.Sched, App: mixedCell{
+				res := &Result{Rec: rec, EventsRun: s.Processed, Sched: s.Sched, App: mixedCell{
 					p99:        stats.Percentile(durSecs(mr.FgRTs), 0.99),
 					goodput:    mr.BgGoodput * 8 / 1e9,
 					bgComplete: mr.BgComplete,
 				}}
+				ar.release(n)
+				return res
 			},
 		}
 		sw.add0(rc, scale.Seeds, func(rs []*Result) {
@@ -231,35 +238,31 @@ type incastResult struct {
 	timeouts int
 }
 
-// incastCell wraps runIncastStar as a grid cell; the variant, seed and audit flag
-// arrive through the resolved RunConfig.
+// incastCell is the grid cell behind Fig. 14: flowsN synchronized 32 kB
+// flows from 8 servers to one client on the testbed star. The variant,
+// seed and audit flag arrive through the resolved RunConfig.
 func incastCell(flowsN int) func(rc RunConfig) *Result {
 	return func(rc RunConfig) *Result {
-		ir, events, sched, rec := runIncastStar(rc.Variant, flowsN, rc.Seed, rc.Audit)
-		return &Result{Rec: rec, EventsRun: events, Sched: sched, App: ir}
-	}
-}
-
-// runIncastStar starts flowsN synchronized 32 kB flows from 8 servers to
-// one client on the testbed star.
-func runIncastStar(v Variant, flowsN int, seed int64, auditOn bool) (*incastResult, uint64, sim.SchedStats, *stats.Recorder) {
-	s, n := testbedStar(v, 9, auditOn)
-	rec := stats.NewRecorder()
-	cfg := v.tcpConfig()
-	for i := 0; i < flowsN; i++ {
-		src := n.Hosts[1+i%8]
-		f := &transport.Flow{
-			ID:  packet.FlowID(i + 1),
-			Src: src.ID(), Dst: 0,
-			Size: 32 * 1024,
-			// Tiny jitter stands in for request fan-out skew.
-			Start: sim.Time(seed*17+int64(i)%8) * 100 * sim.Nanosecond,
-			FG:    true,
+		ar := rc.arena()
+		s, n := testbedStar(ar, rc.Variant, 9, rc.Audit)
+		rec := stats.NewRecorder()
+		cfg := rc.Variant.tcpConfig()
+		for i := 0; i < flowsN; i++ {
+			ar.startTCP(n, &transport.Flow{
+				ID:  packet.FlowID(i + 1),
+				Src: packet.NodeID(1 + i%8), Dst: 0,
+				Size: 32 * 1024,
+				// Tiny jitter stands in for request fan-out skew.
+				Start: sim.Time(rc.Seed*17+int64(i)%8) * 100 * sim.Nanosecond,
+				FG:    true,
+			}, cfg, rec, nil)
 		}
-		tcp.StartFlow(s, src, n.Hosts[0], f, cfg, rec, nil)
+		s.Run(10 * sim.Second)
+		res := &Result{Rec: rec, EventsRun: s.Processed, Sched: s.Sched,
+			App: &incastResult{fcts: rec.Select(true), timeouts: rec.TimeoutsAll()}}
+		ar.release(n)
+		return res
 	}
-	s.Run(10 * sim.Second)
-	return &incastResult{fcts: rec.Select(true), timeouts: rec.TimeoutsAll()}, s.Processed, s.Sched, rec
 }
 
 // Fig14CDF prints the FCT distribution at a fixed fan-out (Figure 14c).

@@ -22,9 +22,11 @@ import (
 // RunGrid call with default options. Sharing one semaphore is what lets
 // `-exp all` interleave cells from all experiments: small figures don't
 // serialize behind big ones, they compete for the same worker slots.
+// A slot's token is its arena (arena.go): the channel starts full, a
+// cell receives a token to run and sends it back when done.
 var (
 	procsMu  sync.Mutex
-	procsSem chan struct{}
+	procsSem chan *arena
 )
 
 // SetProcs sets the shared worker limit for subsequent grids (n < 1 is
@@ -35,7 +37,7 @@ func SetProcs(n int) {
 		n = 1
 	}
 	procsMu.Lock()
-	procsSem = make(chan struct{}, n)
+	procsSem = newSlots(n)
 	procsMu.Unlock()
 }
 
@@ -104,11 +106,11 @@ func Policies() (mmuName, fcName string) {
 	return sessionMMU, sessionFC
 }
 
-func sharedSem() chan struct{} {
+func sharedSem() chan *arena {
 	procsMu.Lock()
 	defer procsMu.Unlock()
 	if procsSem == nil {
-		procsSem = make(chan struct{}, runtime.GOMAXPROCS(0))
+		procsSem = newSlots(runtime.GOMAXPROCS(0))
 	}
 	return procsSem
 }
@@ -131,7 +133,7 @@ func RunGrid(cells []RunConfig, opts GridOpts) []*Result {
 	}
 	sem := sharedSem()
 	if opts.Procs > 0 {
-		sem = make(chan struct{}, opts.Procs)
+		sem = newSlots(opts.Procs)
 	}
 	hp, ha := harnessSettings()
 	smmu, sfc := Policies()
@@ -159,26 +161,27 @@ func RunGrid(cells []RunConfig, opts GridOpts) []*Result {
 		wg.Add(1)
 		go func(i int, rc RunConfig) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+			rc.mem = <-sem
+			defer func() { sem <- rc.mem }()
 			// Cells and shards share the one worker budget: a sharded
 			// cell borrows extra slots if any are free right now (never
 			// blocking — that could deadlock the grid) and runs its
-			// shard group on 1 + borrowed workers.
-			extra := 0
+			// shard group on 1 + borrowed workers. It runs in its own
+			// slot's arena; the borrowed ones go back untouched.
+			var borrowed []*arena
 		borrow:
-			for extra < rc.Shards-1 {
+			for len(borrowed) < rc.Shards-1 {
 				select {
-				case sem <- struct{}{}:
-					extra++
+				case b := <-sem:
+					borrowed = append(borrowed, b)
 				default:
 					break borrow // no free slot; run narrower
 				}
 			}
-			rc.Workers = 1 + extra
+			rc.Workers = 1 + len(borrowed)
 			results[i] = runCell(rc)
-			for ; extra > 0; extra-- {
-				<-sem
+			for _, b := range borrowed {
+				sem <- b
 			}
 		}(i, rc)
 	}

@@ -18,7 +18,6 @@ import (
 	"tlt/internal/transport"
 	"tlt/internal/transport/dcqcn"
 	"tlt/internal/transport/hpcc"
-	"tlt/internal/transport/tcp"
 	"tlt/internal/workload"
 )
 
@@ -33,9 +32,10 @@ type RunConfig struct {
 	// (conservative parallel DES with link-latency lookahead); 0 and 1
 	// both mean a single shard. Reports are byte-identical across shard
 	// counts. Runs that attach cross-shard observers (Audit,
-	// CollectDelivery, CollectRTT) are clamped to one shard; the clamp
-	// is silent because a harness note naming the shard count would
-	// itself break cross-shard-count byte-identity.
+	// CollectDelivery, CollectRTT) are clamped to one shard. The run says
+	// nothing about it, because a harness note naming the shard count
+	// would itself break cross-shard-count byte-identity; tltsim prints
+	// one note on stderr at session start when -audit meets -shards > 1.
 	Shards int
 	// Workers caps the goroutines driving the shard group (0 → one per
 	// shard). The grid sets this from its run-slot budget.
@@ -83,6 +83,10 @@ type RunConfig struct {
 	// Label names the cell in panic-replay notes when Variant alone is
 	// not enough (custom cells, sweep points).
 	Label string
+
+	// mem is the arena of the grid slot running the cell (RunGrid sets
+	// it); nil outside a grid, where the driver makes its own.
+	mem *arena
 }
 
 // label names the cell for replay notes.
@@ -212,10 +216,11 @@ func Run(rc RunConfig) *Result {
 	}
 	if rc.Audit || rc.CollectDelivery || rc.CollectRTT {
 		// These observers read state across the whole fabric from event
-		// callbacks; keep them on one shard. Silent by design (see the
-		// Shards field comment).
+		// callbacks; keep them on one shard. Not noted in the Result (see
+		// the Shards field comment).
 		shards = 1
 	}
+	ar := rc.arena()
 	g := sim.NewGroup(shards, v.linkDelay())
 	s := g.Shard(0)
 
@@ -240,6 +245,7 @@ func Run(rc RunConfig) *Result {
 	lsCfg.HostPauseTimeout = rc.HostPauseTimeout
 	lsCfg.SeedSalt = rc.Seed
 	net := topo.LeafSpine(s, lsCfg)
+	ar.attach(net)
 
 	tr := rc.Traffic
 	tr.Seed = rc.Seed
@@ -260,6 +266,9 @@ func Run(rc RunConfig) *Result {
 	var aud *audit.Auditor
 	var coreAudit core.Audit // stays a nil interface unless auditing is on
 	if rc.Audit {
+		for _, p := range net.Pools {
+			p.EnableAudit()
+		}
 		aud = audit.New(s)
 		for _, sw := range net.Switches {
 			aud.AttachSwitch(sw)
@@ -292,7 +301,8 @@ func Run(rc RunConfig) *Result {
 			g.RequestStop()
 		}
 	}
-	reporters := startFlows(s, net, flows, v, rec, onDone, coreAudit)
+	reporters := startFlows(ar, net, flows, v, rec, onDone, coreAudit)
+	ar.trimEndpoints()
 	for i, fr := range rec.Flows {
 		flowIdx[fr] = i
 	}
@@ -315,6 +325,7 @@ func Run(rc RunConfig) *Result {
 		if err != nil {
 			res := &Result{Rec: rec, FlowCount: len(flows), Panicked: true}
 			res.Notef("%s seed %d: bad fault plan: %v", rc.label(), rc.Seed, err)
+			ar.release(net)
 			return res
 		}
 	}
@@ -394,6 +405,7 @@ func Run(rc RunConfig) *Result {
 			res.Notef("stall: %s", fs)
 		}
 	}
+	ar.release(net)
 	return res
 }
 
@@ -464,16 +476,18 @@ func stallReport(reporters []transport.StatusReporter) []transport.FlowStatus {
 // startFlows instantiates the right transport for every flow and returns
 // the senders' status reporters (index-aligned with flows) for the stall
 // watchdog. tltAudit, when non-nil, hooks every TLT marking machine.
-func startFlows(s *sim.Sim, net *topo.Network, flows []*transport.Flow, v Variant,
+// TCP-family endpoints come from the arena; dcqcn and hpcc endpoints have
+// no Reset and are built per flow.
+func startFlows(ar *arena, net *topo.Network, flows []*transport.Flow, v Variant,
 	rec *stats.Recorder, onDone func(*stats.FlowRecord), tltAudit core.Audit) []transport.StatusReporter {
+	s := net.Sim
 	reporters := make([]transport.StatusReporter, 0, len(flows))
 	switch v.Transport {
 	case "tcp", "dctcp":
 		cfg := v.tcpConfig()
 		cfg.TLT.Audit = tltAudit
 		for _, f := range flows {
-			c := tcp.StartFlow(s, net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
-			reporters = append(reporters, c.Sender)
+			reporters = append(reporters, ar.startTCP(net, f, cfg, rec, onDone))
 		}
 	case "dcqcn", "dcqcn-sack", "dcqcn-irn":
 		cfg := v.dcqcnConfig()

@@ -103,21 +103,24 @@ func scaleSource(p scaleParams, hosts int, rateBps int64, seed int64) workload.S
 	return workload.MergeSources(rpc.Stream(), bg)
 }
 
-// Endpoint state is recycled, not allocated per flow: each walker keeps
-// free lists of sender slabs, receiver slabs and demux slots, so a cell
-// allocates O(peak live flows) endpoints however many flows it issues.
-// A slab goes back on its list from inside the endpoint's own completion
-// callback, where its timers are already stopped and nothing touches it
-// again, and is only ever taken off by a later step event. Packets of
-// the flow it carried before miss the demux map (the old flow ID is
-// unregistered), and stale sim.Timer handles are generation-checked.
+// Endpoint state is recycled, not allocated per flow: a walker draws
+// sender slabs, receiver slabs and demux slots from its shard's part of
+// the slot's arena (arena.go) and pushes them back as flows finish, so a
+// cell allocates O(peak live flows) endpoints however many flows it
+// issues — and none once the slot has run a cell of its size. A slab goes
+// back on its list from inside the endpoint's own completion callback,
+// where its timers are already stopped and nothing touches it again, and
+// is only ever taken off by a later step event. Packets of the flow it
+// carried before miss the demux map (the old flow ID is unregistered),
+// and stale sim.Timer handles are generation-checked.
 
 // sndSlab is the sender half of one flow: the endpoint, the flow
 // descriptor and record it points at, and its completion callback bound
-// once so re-arming a slab allocates nothing.
+// once so re-arming a slab allocates nothing. The materialized-schedule
+// drivers use the endpoint alone (arena.startTCP).
 type sndSlab struct {
 	w      *scaleWalker
-	snd    *tcp.Sender
+	snd    tcp.Sender
 	flow   transport.Flow
 	rec    stats.FlowRecord
 	doneFn func()
@@ -129,16 +132,23 @@ func (sl *sndSlab) done() {
 	w := sl.w
 	w.stream.Class(sl.flow.FG).FoldSender(&sl.rec)
 	w.net.Hosts[sl.flow.Src].Unregister(sl.flow.ID)
-	w.freeSnd = append(w.freeSnd, sl)
+	w.mem.snd.push(sl)
+}
+
+// park drops the slab's references to the cell it served.
+func (sl *sndSlab) park() {
+	sl.snd.Clear()
+	sl.w, sl.flow, sl.rec = nil, transport.Flow{}, stats.FlowRecord{}
 }
 
 // rcvSlab is the receiver half of one flow while data is still arriving.
 // It returns to the free list on full delivery; the slot it served
 // lingers on without it.
 type rcvSlab struct {
-	rcv  *tcp.Receiver
-	flow transport.Flow
-	slot *rcvSlot
+	rcv       tcp.Receiver
+	flow      transport.Flow
+	slot      *rcvSlot
+	deliverFn func(total int64)
 }
 
 // deliver is the receiver's OnDeliver. On full delivery it folds the
@@ -155,11 +165,17 @@ func (rb *rcvSlab) deliver(total int64) {
 	w.stream.Class(rb.flow.FG).FoldDone(now-rb.flow.Start, rb.flow.Size)
 	w.stream.Epochs.AddDone(now, rb.flow.Size)
 	slot.rcv, rb.slot = nil, nil
-	w.freeRcv = append(w.freeRcv, rb)
+	w.mem.rcv.push(rb)
 	w.ssim.PostKind(now+w.grace, kindReap, 0, slot)
 	if w.rem.Add(-1) == 0 {
 		w.g.RequestStop()
 	}
+}
+
+// park drops the slab's references to the cell it served.
+func (rb *rcvSlab) park() {
+	rb.rcv.Clear()
+	rb.flow, rb.slot = transport.Flow{}, nil
 }
 
 // rcvSlot is a streaming-run receiver's demux entry, kept for
@@ -217,7 +233,7 @@ func (rs *rcvSlot) reap() {
 	w := rs.w
 	if quiet := w.ssim.Now() - rs.lastRx; quiet >= w.grace {
 		rs.host.Unregister(rs.id)
-		w.freeSlot = append(w.freeSlot, rs)
+		w.mem.slot.push(rs)
 		return
 	}
 	w.ssim.PostKind(rs.lastRx+w.grace, kindReap, 0, rs)
@@ -238,10 +254,7 @@ type scaleWalker struct {
 	stream *stats.Stream
 	rem    *atomic.Int64
 	stepFn func()
-
-	freeSnd  []*sndSlab
-	freeRcv  []*rcvSlab
-	freeSlot []*rcvSlot
+	mem    *shardMem // this shard's free lists of finished endpoints
 }
 
 // step processes every arrival due now that this shard owns, then
@@ -281,55 +294,30 @@ func (w *scaleWalker) step() {
 	}
 }
 
-// pop takes the most recently freed slab off a free list, or returns nil.
-func pop[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return nil
-	}
-	v := (*free)[n-1]
-	*free = (*free)[:n-1]
-	return v
-}
-
 func (w *scaleWalker) spawnSender(fl transport.Flow) {
-	sl := pop(&w.freeSnd)
-	if sl == nil {
-		sl = &sndSlab{w: w}
-		sl.doneFn = sl.done
-	}
-	sl.flow = fl
+	sl := w.mem.sender()
+	sl.w, sl.flow = w, fl
 	sl.rec = stats.FlowRecord{Flow: &sl.flow}
 	w.stream.Class(fl.FG).Issued++
 	w.stream.Epochs.AddIssued(fl.Start)
 	host := w.net.Hosts[fl.Src]
-	if sl.snd == nil {
-		sl.snd = tcp.NewSender(w.ssim, host, &sl.flow, w.cfg, &sl.rec, nil, sl.doneFn)
-	} else {
-		sl.snd.Reset(host, &sl.flow, &sl.rec, sl.doneFn)
-	}
-	host.Register(fl.ID, sl.snd)
+	sl.snd.Reset(host, &sl.flow, w.cfg, &sl.rec, nil, sl.doneFn)
+	host.Register(fl.ID, &sl.snd)
 	sl.snd.Write(fl.Size)
 	sl.snd.Close()
 }
 
 func (w *scaleWalker) spawnReceiver(fl transport.Flow) {
 	host := w.net.Hosts[fl.Dst]
-	rb := pop(&w.freeRcv)
-	if rb == nil {
-		rb = &rcvSlab{flow: fl}
-		rb.rcv = tcp.NewReceiver(w.ssim, host, &rb.flow, w.cfg)
-		rb.rcv.OnDeliver = rb.deliver
-	} else {
-		rb.flow = fl
-		rb.rcv.Reset(host, &rb.flow)
+	rb := w.mem.receiver()
+	rb.flow = fl
+	rb.rcv.Reset(host, &rb.flow, w.cfg)
+	rb.rcv.OnDeliver = rb.deliverFn
+	slot := w.mem.demuxSlot()
+	*slot = rcvSlot{
+		w: w, host: host, rcv: &rb.rcv,
+		peer: fl.Src, id: fl.ID, size: fl.Size,
 	}
-	slot := pop(&w.freeSlot)
-	if slot == nil {
-		slot = &rcvSlot{w: w}
-	}
-	slot.host, slot.rcv, slot.lastRx = host, rb.rcv, 0
-	slot.peer, slot.id, slot.size = fl.Src, fl.ID, fl.Size
 	rb.slot = slot
 	host.Register(fl.ID, slot)
 }
@@ -352,6 +340,7 @@ func runScale(rc RunConfig, p scaleParams) *Result {
 	if shards < 1 {
 		shards = 1
 	}
+	ar := rc.arena()
 	g := sim.NewGroup(shards, v.linkDelay())
 	s := g.Shard(0)
 
@@ -364,6 +353,7 @@ func runScale(rc RunConfig, p scaleParams) *Result {
 		Group:       g,
 	}
 	net := topo.FatTree(s, ftCfg)
+	ar.attach(net)
 	hosts := len(net.Hosts)
 
 	// Pre-walk the schedule once to learn the flow total and the last
@@ -408,6 +398,7 @@ func runScale(rc RunConfig, p scaleParams) *Result {
 			grace:  scaleGrace(cfg),
 			stream: streams[sh],
 			rem:    &remaining,
+			mem:    ar.shards[sh],
 		}
 		w.stepFn = w.step
 		w.next, w.ok = w.src.Next()
@@ -467,6 +458,7 @@ func runScale(rc RunConfig, p scaleParams) *Result {
 		res.Notef("%s seed %d: incomplete=%d of %d flows at horizon %v",
 			rc.label(), rc.Seed, res.Incomplete, total, end)
 	}
+	ar.release(net)
 	return res
 }
 

@@ -402,3 +402,103 @@ func TestPausedClockAccounting(t *testing.T) {
 		t.Fatalf("paused total = %v, want 150us", atx.PausedTotal)
 	}
 }
+
+// Host buffers pass from one run's host to the next through a Mem: the
+// next host sees nothing of the last one's flows or backlog, and grows
+// nothing the last one already grew.
+func TestHostBuffersRecycleClean(t *testing.T) {
+	var m Mem
+	s := sim.New()
+	a := NewHost(s, 0)
+	Connect(s, a, 0, &sink{id: 1}, 0, 40e9, sim.Microsecond)
+	hits := 0
+	for f := packet.FlowID(1); f <= 600; f++ {
+		a.Register(f, handlerFunc(func(*packet.Packet) { hits++ }))
+	}
+	a.Unregister(17)
+	for i := 0; i < 100; i++ {
+		a.Send(&packet.Packet{Flow: 1, Dst: 1, Type: packet.Data, Len: 100})
+	}
+	a.Release(&m) // backlog still queued
+
+	s2 := sim.New()
+	b := NewHost(s2, 0)
+	k := &sink{id: 1}
+	Connect(s2, b, 0, k, 0, 40e9, sim.Microsecond)
+	b.Adopt(&m)
+	if b.QueuedPackets() != 0 {
+		t.Fatalf("adopted NIC queue holds %d packets", b.QueuedPackets())
+	}
+	for f := packet.FlowID(1); f <= 600; f++ {
+		b.Receive(&packet.Packet{Flow: f, Type: packet.Ack}, 0)
+	}
+	if hits != 0 {
+		t.Fatalf("%d packets reached handlers the previous host registered", hits)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		b.Register(600, handlerFunc(func(*packet.Packet) { hits++ }))
+		b.Unregister(600)
+	})
+	if allocs > 1 { // the handlerFunc closure
+		t.Fatalf("registering within recycled capacity allocated %v times", allocs)
+	}
+	b.Register(300, handlerFunc(func(*packet.Packet) { hits++ }))
+	for f := packet.FlowID(1); f <= 600; f++ {
+		b.Receive(&packet.Packet{Flow: f, Type: packet.Ack}, 0)
+	}
+	if hits != 1 {
+		t.Fatalf("%d handler calls, want 1: only flow 300 is registered", hits)
+	}
+	b.Send(&packet.Packet{Flow: 300, Dst: 1, Type: packet.Data, Len: 100})
+	s2.RunAll()
+	if len(k.got) != 1 {
+		t.Fatalf("sink got %d packets, want 1 (none of the previous host's backlog)", len(k.got))
+	}
+}
+
+// A buffer follows what the last run used: the NIC and switch queues a
+// burst grew are handed on for as long as each run fills a quarter of
+// them, and dropped — their place in the Mem kept — by the first run that
+// does not, so one incast does not stay with its port for a whole grid.
+func TestBuffersFollowLastRun(t *testing.T) {
+	var m Mem
+	// run sends burst packets at once through a 40:1 bottleneck and
+	// returns the capacities its host and bottleneck queue adopted.
+	run := func(burst int) (nic, egress int) {
+		s := sim.New()
+		sw := NewSwitch(s, 100, sim.NewRNG(1), SwitchConfig{Ports: 2, Alpha: 1, BufferBytes: 1 << 30})
+		h, k := NewHost(s, 0), &sink{id: 1}
+		Connect(s, h, 0, sw, 0, 40e9, sim.Microsecond)
+		Connect(s, k, 0, sw, 1, 1e9, sim.Microsecond)
+		sw.SetRoute(1, []int{1})
+		h.Adopt(&m)
+		sw.Adopt(&m)
+		nic, egress = cap(h.queue), cap(sw.ports[1].qs[0].queue)
+		for i := 0; i < burst; i++ {
+			h.Send(data(1, 1, 1000, packet.Unimportant))
+		}
+		s.RunAll()
+		if len(k.got) != burst {
+			t.Fatalf("burst of %d: sink got %d", burst, len(k.got))
+		}
+		sw.Release(&m)
+		h.Release(&m)
+		if len(m.hosts) != 1 || len(m.queues) != len(sw.ports)*len(sw.ports[0].qs) {
+			t.Fatalf("released %d host and %d queue buffers", len(m.hosts), len(m.queues))
+		}
+		return nic, egress
+	}
+	if nic, egress := run(3000); nic != 0 || egress != 0 {
+		t.Fatalf("first run adopted capacity %d/%d from an empty Mem", nic, egress)
+	}
+	nic, egress := run(1000) // a third of the burst: still worth keeping
+	if nic < 3000 || egress < 2000 {
+		t.Fatalf("second run adopted capacity %d/%d, want the first run's backlog (3000/~2900)", nic, egress)
+	}
+	if n, e := run(10); n != nic || e != egress {
+		t.Fatalf("third run adopted capacity %d/%d, want %d/%d again", n, e, nic, egress)
+	}
+	if n, e := run(10); n != 0 || e != 0 {
+		t.Fatalf("fourth run adopted capacity %d/%d: a run of 10 packets handed on buffers for %d", n, e, nic)
+	}
+}

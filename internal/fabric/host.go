@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"tlt/internal/packet"
 	"tlt/internal/sim"
@@ -26,20 +27,22 @@ type Host struct {
 	id  packet.NodeID
 	sim *sim.Sim
 
-	tx    *Tx
-	queue []*packet.Packet
-	sizes []int // wire size of queue[i], recorded while the packet is cache-warm
-	pop   int
+	tx *Tx
 
-	// Dense dispatch: flow IDs get a compact per-run slot index at
-	// registration, so demux on the per-packet path is two slice
-	// indexes. idx maps FlowID → slot+1 (0 = unregistered); slots holds
-	// the handlers. handlers is the slow path for IDs past maxDenseFlow
-	// and stays nil until one appears.
-	idx       []int32
-	slots     []PacketHandler
-	freeSlots []int32
-	handlers  map[packet.FlowID]PacketHandler
+	// hostBufs is the NIC queue (queue, with sizes[i] the wire size of
+	// queue[i], recorded while the packet is cache-warm) and the dense
+	// dispatch tables: flow IDs get a compact per-run slot index at
+	// registration, so demux on the per-packet path is two slice indexes.
+	// idx maps FlowID → slot+1 (0 = unregistered) and is zero through its
+	// whole capacity; slots holds the handlers. These are the buffers that
+	// grow with traffic, so they pass from run to run (Adopt, Release).
+	hostBufs
+	pop  int
+	peak int // longest queue has been, as of the last time it shrank
+
+	// handlers is the slow path for IDs past maxDenseFlow and stays nil
+	// until one appears.
+	handlers map[packet.FlowID]PacketHandler
 
 	// pool, when set, supplies outbound packets and recycles inbound
 	// ones after dispatch. Shared by every host of one network (the sim
@@ -86,8 +89,10 @@ func (h *Host) QueuedPackets() int { return len(h.queue) - h.pop }
 // Register installs the handler for a flow's packets arriving at this host.
 func (h *Host) Register(flow packet.FlowID, ep PacketHandler) {
 	if flow < maxDenseFlow {
-		for int(flow) >= len(h.idx) {
-			h.idx = append(h.idx, 0)
+		if n := int(flow) + 1; n > len(h.idx) {
+			// Spare capacity is zero (fresh from append's growth, or
+			// cleared by Release), so extending is a reslice.
+			h.idx = slices.Grow(h.idx, n-len(h.idx))[:n]
 		}
 		if s := h.idx[flow]; s != 0 {
 			h.slots[s-1] = ep
@@ -179,10 +184,12 @@ func (h *Host) dequeue() (*packet.Packet, int) {
 	h.queue[h.pop] = nil
 	h.pop++
 	if h.pop == len(h.queue) {
+		h.peak = max(h.peak, h.pop)
 		h.queue = h.queue[:0]
 		h.sizes = h.sizes[:0]
 		h.pop = 0
 	} else if h.pop > 1024 && h.pop*2 > len(h.queue) {
+		h.peak = max(h.peak, len(h.queue))
 		n := copy(h.queue, h.queue[h.pop:])
 		h.queue = h.queue[:n]
 		copy(h.sizes, h.sizes[h.pop:])

@@ -161,6 +161,7 @@ type swEnt struct {
 type swQueue struct {
 	queue []swEnt // FIFO; head at index pop
 	pop   int
+	peak  int   // longest queue has been, as of the last time it shrank
 	bytes int64 // current depth in bytes
 	red   int64 // red bytes currently queued
 
@@ -195,9 +196,11 @@ func (q *swQueue) popFront() (*packet.Packet, int64) {
 	q.queue[q.pop] = swEnt{}
 	q.pop++
 	if q.pop == len(q.queue) {
+		q.peak = max(q.peak, q.pop)
 		q.queue = q.queue[:0]
 		q.pop = 0
 	} else if q.pop > 1024 && q.pop*2 > len(q.queue) {
+		q.peak = max(q.peak, len(q.queue))
 		n := copy(q.queue, q.queue[q.pop:])
 		q.queue = q.queue[:n]
 		q.pop = 0

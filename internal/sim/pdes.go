@@ -76,6 +76,27 @@ func NewGroup(n int, lookahead Time) *Group {
 	return g
 }
 
+// Adopt gives shard i the scheduler memory a finished run released: node
+// chunks to its simulator, buffers to its mailboxes. Call it before the
+// group runs.
+func (g *Group) Adopt(i int, m *Mem) {
+	g.shards[i].Adopt(m)
+	g.out[i], g.pend[i] = m.out, m.pend
+	m.out, m.pend = nil, nil
+}
+
+// Release moves shard i's node chunks and mailbox buffers to m, zeroed;
+// undelivered hand-offs are dropped with them. The group must not run
+// again.
+func (g *Group) Release(i int, m *Mem) {
+	g.shards[i].Release(m)
+	out, pend := g.out[i][:cap(g.out[i])], g.pend[i][:cap(g.pend[i])]
+	clear(out)
+	clear(pend)
+	m.out, m.pend = out[:0], pend[:0]
+	g.out[i], g.pend[i] = nil, nil
+}
+
 // Shard returns the i'th shard simulator.
 func (g *Group) Shard(i int) *Sim { return g.shards[i] }
 

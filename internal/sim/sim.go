@@ -140,6 +140,9 @@ type Sim struct {
 	live int // scheduled, non-cancelled events
 
 	free *Event
+	// chunks lists every node chunk behind the free list and the queue;
+	// spare holds adopted chunks not needed yet (see Mem).
+	chunks, spare [][]Event
 
 	// targets interns long-lived typed-dispatch targets (RegisterTarget);
 	// index 0 is reserved for "no target".
@@ -159,12 +162,45 @@ func New() *Sim {
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
+// Mem is the scheduler memory a finished run hands to the next one on
+// the same grid worker slot: a shard's event-node chunks and, under a
+// Group, its mailbox buffers. Everything in it is zeroed. The zero Mem
+// is empty; a Mem is not safe for concurrent use.
+type Mem struct {
+	chunks    [][]Event
+	out, pend []xfer
+}
+
+// Adopt moves m's node chunks to s, which draws on them before it
+// allocates new ones. Call it once, before s runs.
+func (s *Sim) Adopt(m *Mem) {
+	s.spare, m.chunks = m.chunks, nil
+}
+
+// Release moves the node chunks s has used to m, zeroed: pending events
+// and the references they carry are dropped, so s must not be used again.
+// Adopted chunks s never needed are dropped, so what a slot keeps follows
+// its last run, not the most any run ever used.
+func (s *Sim) Release(m *Mem) {
+	for _, c := range s.chunks {
+		clear(c)
+	}
+	m.chunks = append(m.chunks, s.chunks...)
+	s.chunks, s.spare, s.free = nil, nil, nil
+}
+
 // alloc takes an event node from the pool, growing it a chunk at a time
 // so steady-state scheduling allocates nothing.
 func (s *Sim) alloc() *Event {
 	ev := s.free
 	if ev == nil {
-		chunk := make([]Event, 128)
+		var chunk []Event
+		if n := len(s.spare); n > 0 {
+			chunk, s.spare = s.spare[n-1], s.spare[:n-1]
+		} else {
+			chunk = make([]Event, 128)
+		}
+		s.chunks = append(s.chunks, chunk)
 		for i := 1; i < len(chunk); i++ {
 			chunk[i-1].next = &chunk[i]
 		}

@@ -504,3 +504,45 @@ func BenchmarkScheduler(b *testing.B) {
 	}
 	s.RunAll()
 }
+
+// Event-node chunks pass from a finished Sim to the next through a Mem:
+// zeroed, pending events dropped, and only the chunks the last Sim used.
+func TestMemHandsChunksOn(t *testing.T) {
+	var m Mem
+	a := New()
+	fired := 0
+	for i := 0; i < 300; i++ { // three chunks' worth, all pending
+		a.Post(Time(10+i), func() { fired++ })
+	}
+	a.Run(100)
+	a.Release(&m)
+	if len(m.chunks) != 3 {
+		t.Fatalf("released %d chunks, want 3", len(m.chunks))
+	}
+	for _, c := range m.chunks {
+		for i := range c {
+			if c[i] != (Event{}) {
+				t.Fatalf("released node not zeroed: %+v", c[i])
+			}
+		}
+	}
+
+	b := New()
+	b.Adopt(&m)
+	for i := 0; i < 130; i++ { // needs two of the three
+		b.Post(Time(i), func() { fired++ })
+	}
+	fired = 0
+	allocs := testing.AllocsPerRun(1, func() { b.Post(500, func() {}) })
+	b.RunAll()
+	if fired != 130 {
+		t.Fatalf("fired %d events on adopted nodes, want 130 (and none of the first Sim's)", fired)
+	}
+	if allocs != 0 {
+		t.Fatalf("scheduling on adopted chunks allocated %v times", allocs)
+	}
+	b.Release(&m)
+	if len(m.chunks) != 2 {
+		t.Fatalf("second release handed on %d chunks, want the 2 it used", len(m.chunks))
+	}
+}

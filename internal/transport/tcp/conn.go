@@ -17,11 +17,18 @@ type Conn struct {
 // flow, without writing data. Use for persistent application connections.
 func NewConn(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
 	rec *stats.FlowRecord, recorder *stats.Recorder) *Conn {
-	snd := NewSender(s, src, flow, cfg, rec, recorder, nil)
-	rcv := NewReceiver(s, dst, flow, cfg)
-	src.Register(flow.ID, snd)
-	dst.Register(flow.ID, rcv)
-	return &Conn{Sender: snd, Receiver: rcv}
+	c := &Conn{Sender: new(Sender), Receiver: new(Receiver)}
+	c.open(src, dst, flow, cfg, rec, recorder)
+	return c
+}
+
+// open initialises both endpoints for flow and registers them.
+func (c Conn) open(src, dst *fabric.Host, flow *transport.Flow, cfg Config,
+	rec *stats.FlowRecord, recorder *stats.Recorder) {
+	c.Sender.Reset(src, flow, cfg, rec, recorder, nil)
+	c.Receiver.Reset(dst, flow, cfg)
+	src.Register(flow.ID, c.Sender)
+	dst.Register(flow.ID, c.Receiver)
 }
 
 // StartFlow creates a connection carrying exactly flow.Size bytes,
@@ -30,8 +37,18 @@ func NewConn(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config
 // the data sink). onDone, if non-nil, fires at that moment.
 func StartFlow(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
 	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) *Conn {
+	c := &Conn{Sender: new(Sender), Receiver: new(Receiver)}
+	StartFlowOn(*c, src, dst, flow, cfg, recorder, onDone)
+	return c
+}
+
+// StartFlowOn is StartFlow on endpoints the caller supplies: new ones, or
+// ones whose previous flow has finished (Sender.Reset panics otherwise).
+// Nothing of what they did before shows in the flow they carry now.
+func StartFlowOn(c Conn, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
+	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
 	rec := recorder.NewFlowRecord(flow)
-	c := NewConn(s, src, dst, flow, cfg, rec, recorder)
+	c.open(src, dst, flow, cfg, rec, recorder)
 	// Completion runs on the receiver's shard, abort on the sender's;
 	// each closure touches only its own side of the record and stamps
 	// its own shard's clock. A flow can finalize from both sides (abort
@@ -59,5 +76,4 @@ func StartFlow(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Conf
 		}
 	}
 	src.Sim().PostKind(flow.Start, kindFlowStart, 0, c.Sender)
-	return c
 }

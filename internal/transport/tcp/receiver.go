@@ -30,24 +30,31 @@ type Receiver struct {
 
 // NewReceiver constructs a receiver on host for flow.
 func NewReceiver(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config) *Receiver {
-	r := &Receiver{cfg: cfg}
-	r.Reset(host, flow)
+	r := new(Receiver)
+	r.Reset(host, flow, cfg)
 	return r
 }
 
-// Reset initialises the receiver for flow on host: reassembly and TLT
-// state start from zero, while cfg, OnDeliver and the range set's backing
-// array carry over. It is the only place receiver state is initialised.
-// A receiver cannot tell an abandoned flow from a live one (the sender
-// may have aborted), so unlike Sender.Reset there is no mid-flow check.
-func (r *Receiver) Reset(host *fabric.Host, flow *transport.Flow) {
+// Reset initialises the receiver for flow on host: everything starts
+// from zero or from the arguments (OnDeliver included — set it after),
+// and only the range set's emptied backing array carries over. It is the
+// only place receiver state is initialised. A receiver cannot tell an
+// abandoned flow from a live one (the sender may have aborted), so unlike
+// Sender.Reset there is no mid-flow check.
+func (r *Receiver) Reset(host *fabric.Host, flow *transport.Flow, cfg Config) {
 	r.received.Reset()
 	*r = Receiver{
-		s: host.Sim(), host: host, flow: flow, cfg: r.cfg,
-		received:  r.received,
-		tlt:       *core.NewWindowReceiver(r.cfg.TLT),
-		OnDeliver: r.OnDeliver,
+		s: host.Sim(), host: host, flow: flow, cfg: cfg,
+		received: r.received,
+		tlt:      *core.NewWindowReceiver(cfg.TLT),
 	}
+}
+
+// Clear zeroes the receiver down to what Reset carries over, so a
+// receiver parked between runs pins nothing of the run it served.
+func (r *Receiver) Clear() {
+	r.received.Reset()
+	*r = Receiver{received: r.received}
 }
 
 // Delivered returns the in-order bytes delivered so far.

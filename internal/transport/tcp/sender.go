@@ -56,8 +56,9 @@ type Sender struct {
 	sndUna   int64
 	sndNxt   int64
 
-	segs []segment
-	head int // index of first segment not fully cum-acked
+	segs   []segment
+	head   int          // index of first segment not fully cum-acked
+	boards *Scoreboards // where segs comes from and goes back to; nil: kept across Reset
 
 	// Aggregate scoreboard counters for O(1) pipe computation.
 	sackedB   int64 // sacked bytes in [sndUna, sndNxt)
@@ -106,66 +107,64 @@ type Sender struct {
 	OnAbort func()
 }
 
-// maxKeptSegs bounds the scoreboard backing a finished sender keeps for
-// its next flow (about 10 kB). Without it one elephant's 64 Ki-segment
-// array would sit in a streaming run's free list until the run ends.
-const maxKeptSegs = 256
-
 // NewSender constructs a sender on host for flow. It does not register
 // with the host nor start transmitting; see NewConnection.
 func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config,
 	rec *stats.FlowRecord, recorder *stats.Recorder, onDone func()) *Sender {
-	snd := &Sender{cfg: cfg, recorder: recorder}
-	snd.Reset(host, flow, rec, onDone)
+	snd := new(Sender)
+	snd.Reset(host, flow, cfg, rec, recorder, onDone)
 	return snd
 }
 
-// Reset initialises the sender for flow on host: every piece of per-flow
-// state starts from zero, while cfg, recorder, OnAbort, the tick events
-// and the scoreboard backing array carry over. It is the only place
-// sender state is initialised, so a recycled sender cannot differ from
-// a fresh one. Resetting a sender that is mid-flow, or whose tick events
-// are still queued, is a caller bug and panics.
-func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, rec *stats.FlowRecord, onDone func()) {
-	if s.appLimit > 0 && !s.done {
-		panic(fmt.Sprintf("tcp: Reset of sender mid-flow (%d of %d bytes acked)", s.sndUna, s.appLimit))
-	}
-	if (s.rtoEv != nil && s.rtoEv.Scheduled()) || (s.tlpEv != nil && s.tlpEv.Scheduled()) {
-		panic("tcp: Reset of sender with a tick event still scheduled")
-	}
-	cfg := s.cfg
+// Reset initialises the sender for flow on host: every piece of state
+// starts from zero or from the arguments, and only the tick events and
+// the scoreboard's (emptied) backing array, or the list it comes from,
+// carry over. It is the only place sender state is initialised, so a
+// recycled sender cannot differ from a fresh one — whichever run, config
+// or network it served before. Resetting a sender that is mid-flow, or
+// whose tick events are still queued, is a caller bug and panics.
+func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config,
+	rec *stats.FlowRecord, recorder *stats.Recorder, onDone func()) {
+	s.mustBeIdle()
 	cfg.TLT.Flow = flow.ID
-	// Size the scoreboard up front when the flow length is known:
-	// growing it by geometric append copies the whole array log(n) times,
-	// which the memory profile shows as the single largest source of
-	// allocated bytes on large sweeps. Slack covers the extra 1-byte
-	// clock-probe segments and is proportional to the flow, floored at 8
-	// — a flat slack dominates the sender's footprint on million-flow
-	// churn runs where most flows are 1-3 segments. App-driven flows
-	// (Size 0) and outliers past the cap still grow on demand.
-	segs := s.segs[:0]
-	if flow.Size > 0 {
-		nsegs := (flow.Size + int64(cfg.MSS) - 1) / int64(cfg.MSS)
-		nsegs = min(nsegs+max(8, nsegs/4), 1<<16)
-		if int64(cap(segs)) < nsegs {
-			segs = make([]segment, 0, nsegs)
-		}
-	}
 	// The estimator and the TLT machine live in the sender by value; their
 	// constructors inline, so the dereferences allocate nothing.
 	*s = Sender{
 		s: host.Sim(), host: host, flow: flow, cfg: cfg,
-		rec: rec, recorder: s.recorder, onDone: onDone,
-		segs:     segs,
+		rec: rec, recorder: recorder, onDone: onDone,
+		segs:     s.segs[:0],
+		boards:   s.boards,
 		cwnd:     float64(cfg.InitWindowSegs * cfg.MSS),
 		ssthresh: cfg.MaxCwndBytes,
 		rtoEst:   *transport.NewRTOEstimator(cfg.RTO),
 		rtoEv:    s.rtoEv,
 		tlpEv:    s.tlpEv,
 		tlt:      *core.NewWindowSender(cfg.TLT),
-		OnAbort:  s.OnAbort,
 	}
 }
+
+func (s *Sender) mustBeIdle() {
+	if s.appLimit > 0 && !s.done {
+		panic(fmt.Sprintf("tcp: Reset of sender mid-flow (%d of %d bytes acked)", s.sndUna, s.appLimit))
+	}
+	if (s.rtoEv != nil && s.rtoEv.Scheduled()) || (s.tlpEv != nil && s.tlpEv.Scheduled()) {
+		panic("tcp: Reset of sender with a tick event still scheduled")
+	}
+}
+
+// Clear zeroes a finished sender down to what Reset carries over, so a
+// sender parked between runs pins nothing of the run it served — host,
+// flow, record, recorder, callbacks. It panics where Reset would.
+func (s *Sender) Clear() {
+	s.mustBeIdle()
+	*s = Sender{segs: s.segs[:0], boards: s.boards, rtoEv: s.rtoEv, tlpEv: s.tlpEv}
+}
+
+// ShareScoreboards makes the sender draw its scoreboard backing from b
+// for each flow and return it when the flow ends, instead of keeping one
+// of its own from flow to flow. Call it on a sender that has not carried
+// a flow yet; b must belong to the sender's event loop.
+func (s *Sender) ShareScoreboards(b *Scoreboards) { s.boards = b }
 
 // Write appends n bytes to the stream and kicks transmission.
 func (s *Sender) Write(n int64) {
@@ -357,8 +356,10 @@ func (s *Sender) advanceUna(ack int64) {
 	if s.lostEdge < ack {
 		s.lostEdge = ack
 	}
-	// Compact the scoreboard occasionally.
-	if s.head > 4096 && s.head*2 > len(s.segs) {
+	// Compact once the acked prefix is half the slice: each move is paid
+	// for by the segments acked since the last one, and the backing array
+	// stays proportional to the peak window, not to the flow.
+	if s.head*2 >= len(s.segs) {
 		s.segs = append(s.segs[:0], s.segs[s.head:]...)
 		s.head = 0
 	}
@@ -556,6 +557,17 @@ func (s *Sender) ccOnAck(pkt *packet.Packet, newly int64) {
 	}
 }
 
+// pushSeg appends a segment to the scoreboard and returns its index. A
+// sender with no backing array starts at the initial window, which any
+// flow may fill at once, instead of doubling its way up from one.
+func (s *Sender) pushSeg(seg segment) int {
+	if len(s.segs) == cap(s.segs) {
+		s.segs = s.boards.grow(s.segs, s.cfg.InitWindowSegs)
+	}
+	s.segs = append(s.segs, seg)
+	return len(s.segs) - 1
+}
+
 // nextRetxIdx returns the first lost segment without an in-flight
 // retransmission, or -1.
 func (s *Sender) nextRetxIdx() int {
@@ -592,8 +604,7 @@ func (s *Sender) output() {
 		if n > int64(s.cfg.MSS) {
 			n = int64(s.cfg.MSS)
 		}
-		s.segs = append(s.segs, segment{start: s.sndNxt, end: s.sndNxt + n})
-		i := len(s.segs) - 1
+		i := s.pushSeg(segment{start: s.sndNxt, end: s.sndNxt + n})
 		s.sndNxt += n
 		more := s.unsent() && s.pipe()+float64(n) < s.cwnd
 		s.transmitSeg(i, false, s.tlt.TakeMark(!more, s.s.Now()))
@@ -694,8 +705,7 @@ func (s *Sender) importantClock() {
 		if !s.unsent() {
 			return
 		}
-		s.segs = append(s.segs, segment{start: s.sndNxt, end: s.sndNxt + 1})
-		i := len(s.segs) - 1
+		i := s.pushSeg(segment{start: s.sndNxt, end: s.sndNxt + 1})
 		s.sndNxt++
 		s.rec.ClockSends++
 		s.rec.ClockBytes++
@@ -803,8 +813,7 @@ func (s *Sender) onTLP() {
 		if n > int64(s.cfg.MSS) {
 			n = int64(s.cfg.MSS)
 		}
-		s.segs = append(s.segs, segment{start: s.sndNxt, end: s.sndNxt + n})
-		i := len(s.segs) - 1
+		i := s.pushSeg(segment{start: s.sndNxt, end: s.sndNxt + n})
 		s.sndNxt += n
 		s.transmitSeg(i, false, s.tlt.TakeMark(false, s.s.Now()))
 	} else if i := s.firstUnackedIdx(); i >= 0 {
@@ -868,24 +877,28 @@ func (s *Sender) complete() {
 	}
 }
 
-// retire ends the flow: it cancels any pending tick events and lets go of
-// an outsized scoreboard. The ticks would be no-ops once done, but a
-// cancelled event is reclaimed by the scheduler right away, while a
-// parked one pins the whole Sender in memory until its deadline passes —
-// on churn workloads that window (RTOmin and up) can exceed the entire
-// run, turning "done" senders into O(flows) live heap — and would make
-// the sender unfit for Reset. Nothing reads the scoreboard after done.
+// retire ends the flow and cancels any pending tick events. The ticks
+// would be no-ops once done, but a cancelled event is reclaimed by the
+// scheduler right away, while a parked one pins the whole Sender in
+// memory until its deadline passes — on churn workloads that window
+// (RTOmin and up) can exceed the entire run, turning "done" senders into
+// O(flows) live heap — and would make the sender unfit for Reset.
+//
+// Nothing reads the scoreboard after done, so its backing goes back to
+// the shared list for the next flow that starts; a sender without one
+// keeps it for its own next flow.
 func (s *Sender) retire() {
 	s.done = true
+	if s.boards != nil {
+		s.boards.give(s.segs)
+		s.segs, s.head = nil, 0
+	}
 	s.rtoDeadline = 0
 	s.tlpDeadline = 0
 	s.rtoTimer.Stop()
 	s.tlpTimer.Stop()
 	s.rtoPending = false
 	s.tlpPending = false
-	if cap(s.segs) > maxKeptSegs {
-		s.segs, s.head = nil, 0
-	}
 }
 
 // abort terminates the flow after MaxRetries consecutive timeouts: the
