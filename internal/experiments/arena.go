@@ -26,15 +26,21 @@ import (
 // what it takes (tcp's Reset methods), and TestArenaIsolation holds the
 // drivers to it.
 //
-// What an arena keeps is what its last cell used, no more: whatever a
-// cell was offered and did not touch — spare packets and event chunks,
-// buffers of devices it did not have or never filled a quarter of,
-// endpoints below each free list's low-water mark — is dropped when the
-// cell releases. A small cell after a large one therefore shrinks the
-// slot, and nothing ratchets up over a long grid; the price is that the
-// large cell's growth is paid again if one follows.
+// What an arena keeps follows the last cell that had a use for it, no
+// more: whatever a cell was offered and did not touch — spare packets
+// and event chunks, buffers it never filled a quarter of, endpoints
+// below each free list's low-water mark — is dropped when the cell
+// releases, so a small cell after a large one shrinks the slot and
+// nothing ratchets up over a long grid. Memory a cell has no use for at
+// all is not its to judge: a cell on another fabric leaves this fabric's
+// alone (fabricFor), one without TCP flows the endpoint lists
+// (trimEndpoints). Which cell follows which on a slot is the goroutine
+// scheduler's choice; while a star or RoCE cell between two leaf-spine
+// TCP cells cost the second its warm-up again, what a mixed grid
+// allocated varied by a quarter from run to run.
 type arena struct {
-	shards []*shardMem // by shard index
+	fabrics [2]fabricSet // [0]: the last cell's fabric; [1]: one other (fabricFor)
+	shards  []*shardMem  // fabrics[0]'s, by shard index
 
 	// lent lists the TCP endpoint pairs startTCP has handed to the
 	// current cell; release takes back the finished ones.
@@ -48,6 +54,7 @@ type shardMem struct {
 	sched  sim.Mem          // event-node chunks, mailbox buffers
 	pkts   []*packet.Packet // free packets, zeroed
 	fabric fabric.Mem       // host and switch-queue buffers
+	tcp    bool             // the running cell took from the lists below: only then does it trim them
 
 	// Finished TCP endpoints and demux slots. The streaming runner pushes
 	// and pops them while it runs; the other drivers take at set-up and
@@ -57,6 +64,18 @@ type shardMem struct {
 	rcv    freeList[rcvSlab]
 	slot   freeList[rcvSlot]
 	boards tcp.Scoreboards
+}
+
+// shape tells fabrics apart as far as recycled memory goes: device i
+// adopts what device i of the last network of the same shape grew.
+type shape struct{ hosts, switches, shards int }
+
+func (s shape) devices() int { return s.hosts + s.switches }
+
+// fabricSet is the memory that fits networks of one shape.
+type fabricSet struct {
+	shape  shape
+	shards []*shardMem // by shard index
 }
 
 // freeList is a stack of parked slabs that remembers how short it has
@@ -131,13 +150,7 @@ func shardOf(shards []int, i int) int {
 func (a *arena) attach(net *topo.Network) {
 	clear(a.lent) // a cell that panicked never released
 	a.lent = a.lent[:0]
-	n := len(net.Pools)
-	for len(a.shards) < n {
-		a.shards = append(a.shards, new(shardMem))
-	}
-	clear(a.shards[n:]) // shards this cell does not have
-	a.shards = a.shards[:n]
-
+	a.shards = a.fabricFor(shape{len(net.Hosts), len(net.Switches), len(net.Pools)})
 	if g := net.Group; g != nil {
 		for i := 0; i < g.Shards(); i++ {
 			g.Adopt(i, &a.shards[i].sched)
@@ -157,8 +170,37 @@ func (a *arena) attach(net *topo.Network) {
 		sw.Adopt(&a.shards[shardOf(net.SwitchShard, i)].fabric)
 	}
 	for _, m := range a.shards {
-		m.fabric = fabric.Mem{} // buffers of devices this cell does not have
+		m.fabric = fabric.Mem{} // buffers no device of this network took
+		m.tcp = false
 	}
+}
+
+// fabricFor makes the memory for networks of shape sh the set in use and
+// returns it, by shard. A slot keeps two sets because figures on the
+// leaf-spine and figures on the testbed star or the dumbbell share the
+// worker slots. A third fabric takes the place of the smaller of the
+// two, the cheaper one to grow again; one bigger than both takes the
+// place of both, so a sweep over growing fabrics does not hold the last
+// size while it runs the next.
+func (a *arena) fabricFor(sh shape) []*shardMem {
+	f := &a.fabrics
+	switch {
+	case f[0].shape == sh:
+	case f[1].shape == sh:
+		f[0], f[1] = f[1], f[0]
+	default:
+		if f[0].shape.devices() > f[1].shape.devices() {
+			f[1] = f[0]
+		}
+		if sh.devices() > f[1].shape.devices() {
+			f[1] = fabricSet{}
+		}
+		f[0] = fabricSet{shape: sh, shards: make([]*shardMem, sh.shards)}
+		for i := range f[0].shards {
+			f[0].shards[i] = new(shardMem)
+		}
+	}
+	return f[0].shards
 }
 
 // release takes the memory back once the cell's Result is assembled. The
@@ -210,10 +252,14 @@ func (a *arena) release(net *topo.Network) {
 // since the last trim — and, when no sender is on loan to take one, the
 // scoreboards. release ends with it; Run also calls it as soon as its
 // flows are set up, when what is left on the lists can no longer be
-// taken, so a RoCE cell does not sit on the TCP endpoints and scoreboards
-// of the cell before it for its whole run.
+// taken, so a small TCP cell does not sit on a larger one's endpoints for
+// its whole run. A shard whose cell has taken nothing — a RoCE cell's —
+// keeps its lists: the next TCP cell would only grow them again.
 func (a *arena) trimEndpoints() {
 	for _, m := range a.shards {
+		if !m.tcp {
+			continue
+		}
 		m.snd.trim()
 		m.rcv.trim()
 		m.slot.trim()
@@ -239,6 +285,7 @@ func (a *arena) startTCP(net *topo.Network, f *transport.Flow, cfg tcp.Config,
 // sender returns a finished sender slab, or a new one. Its callback is
 // bound once, so re-arming a slab allocates nothing.
 func (m *shardMem) sender() *sndSlab {
+	m.tcp = true
 	sl := m.snd.pop()
 	if sl == nil {
 		sl = new(sndSlab)
@@ -250,6 +297,7 @@ func (m *shardMem) sender() *sndSlab {
 
 // receiver returns a finished receiver slab, or a new one.
 func (m *shardMem) receiver() *rcvSlab {
+	m.tcp = true
 	rb := m.rcv.pop()
 	if rb == nil {
 		rb = new(rcvSlab)
@@ -260,6 +308,7 @@ func (m *shardMem) receiver() *rcvSlab {
 
 // demuxSlot returns a reaped demux slot, or a new one.
 func (m *shardMem) demuxSlot() *rcvSlot {
+	m.tcp = true
 	rs := m.slot.pop()
 	if rs == nil {
 		rs = new(rcvSlot)

@@ -186,3 +186,72 @@ func TestGridAllocPerCell(t *testing.T) {
 		t.Fatalf("four cells on one slot allocate %.2fx one cell, limit 2x: cells are paying their warm-up again", ratio)
 	}
 }
+
+// TestSlotKeepsWhatACellCannotUse is the deterministic gate on what keeps
+// a mixed grid's allocation steady: on one slot, a leaf-spine TCP cell
+// that follows a testbed-star cell or a RoCE cell must find the memory
+// the leaf-spine TCP cell before them left, not pay its warm-up again.
+// Which cell follows which is the goroutine scheduler's choice in a grid,
+// so while these transitions cost a warm-up (13 and 8 MB of a 16 MB
+// cell) the benchmark's artifact-grid allocated 170 to 240 MB a pass.
+//
+// Mutation-checked: fails when fabricFor always starts a new set, and
+// when trimEndpoints ignores shardMem.tcp.
+func TestSlotKeepsWhatACellCannotUse(t *testing.T) {
+	ls := RunConfig{
+		Variant: Variant{Transport: "dctcp"},
+		Traffic: trafficFor(tinyScale(), 0.4, 0.05),
+		Seed:    1, Shards: 1, Faults: &chaos.Plan{},
+	}
+	roce := ls
+	roce.Variant = Variant{Transport: "dcqcn", PFC: true}
+	star := RunConfig{Variant: Variant{Transport: "tcp"}, Seed: 1, Custom: incastCell(100)}
+
+	slot := new(arena)
+	alloc := func(rc RunConfig) float64 {
+		rc.mem = slot
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if r := runCell(rc); r.Panicked || r.Incomplete != 0 {
+			t.Fatalf("%s failed: %v", rc.label(), r.Notes)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	}
+	alloc(ls) // first-use costs: blueprints, kind tables
+	slot = new(arena)
+	fresh := alloc(ls)
+	alloc(star)
+	afterStar := alloc(ls)
+	alloc(roce)
+	afterRoCE := alloc(ls)
+	t.Logf("leaf-spine dctcp cell: %.1f MB on a new slot, %.1f MB after a star cell, %.1f MB after a RoCE cell",
+		fresh, afterStar, afterRoCE)
+	if afterStar > fresh/3 || afterRoCE > fresh/3 {
+		t.Fatalf("a cell of another kind cost the next leaf-spine cell its warm-up: %.1f and %.1f MB, limit %.1f",
+			afterStar, afterRoCE, fresh/3)
+	}
+}
+
+// TestFabricForKeepsTheLargerTwo pins which fabric's memory a third
+// fabric displaces.
+func TestFabricForKeepsTheLargerTwo(t *testing.T) {
+	star, bell, ls, tree := shape{9, 1, 1}, shape{9, 2, 1}, shape{96, 16, 1}, shape{128, 80, 1}
+	a := new(arena)
+	lsMem := a.fabricFor(ls)[0]
+	starMem := a.fabricFor(star)[0]
+	if a.fabricFor(ls)[0] != lsMem || a.fabricFor(star)[0] != starMem {
+		t.Fatal("two fabrics taking turns do not each keep their memory")
+	}
+	bellMem := a.fabricFor(bell)[0] // displaces the star, not the leaf-spine
+	if a.fabricFor(ls)[0] != lsMem || a.fabricFor(bell)[0] != bellMem {
+		t.Fatal("a third fabric displaced the larger of the two kept")
+	}
+	if a.fabricFor(star)[0] == starMem {
+		t.Fatal("three fabrics kept")
+	}
+	a.fabricFor(tree) // bigger than both: keeps neither
+	if a.fabrics[1].shards != nil {
+		t.Fatalf("a fabric bigger than both kept %+v beside it", a.fabrics[1].shape)
+	}
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"tlt/internal/audit"
 	"tlt/internal/core"
 	"tlt/internal/fabric"
 	"tlt/internal/packet"
@@ -113,6 +114,11 @@ func runDumbbell(rc RunConfig, fgFlows int) *Result {
 	rec := stats.NewRecorder()
 	cfg := tcp.DCTCPConfig()
 	cfg.TLT = core.Config{Enabled: tlt}
+	var aud *audit.Auditor
+	if rc.Audit {
+		aud = attachAudit(s, n)
+		cfg.TLT.Audit = aud
+	}
 
 	// Background: host 6 (left) streams to host 8 (right) continuously. It
 	// never finishes, so its endpoints are not the arena's.
@@ -160,6 +166,9 @@ func runDumbbell(rc RunConfig, fgFlows int) *Result {
 		timeouts:     rec.TimeoutsAll(),
 		drops:        ctr.TotalDrops() - ctr.DropRedColor, // non-proactive drops
 	}}
+	if aud != nil {
+		res.AuditEvents = aud.Events
+	}
 	ar.release(n)
 	return res
 }

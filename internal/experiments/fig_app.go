@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tlt/internal/app"
-	"tlt/internal/audit"
 	"tlt/internal/packet"
 	"tlt/internal/sim"
 	"tlt/internal/stats"
@@ -33,11 +32,7 @@ func testbedStar(ar *arena, v Variant, hosts int, auditOn bool) (*sim.Sim, *topo
 	})
 	ar.attach(n)
 	if auditOn {
-		n.Pool.EnableAudit()
-		a := audit.New(s)
-		for _, sw := range n.Switches {
-			a.AttachSwitch(sw)
-		}
+		attachAudit(s, n)
 	}
 	return s, n
 }

@@ -208,10 +208,15 @@ func runCell(rc RunConfig) (res *Result) {
 			}
 		}
 	}()
-	if rc.Custom != nil {
-		return rc.Custom(rc)
+	if rc.Custom == nil {
+		return Run(rc)
 	}
-	return Run(rc)
+	res = rc.Custom(rc)
+	if !rc.Faults.Empty() {
+		// Only Run wires a fault plan into its network.
+		res.Notef("-chaos is not honoured by %s (custom run driver): it ran fault-free", rc.label())
+	}
+	return res
 }
 
 // sweep accumulates a figure's whole grid before running any of it: the

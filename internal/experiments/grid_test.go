@@ -151,3 +151,53 @@ func TestSweepFoldOrder(t *testing.T) {
 		t.Fatalf("grid stats = %d cells, %d events; want 12, 120", cells, events)
 	}
 }
+
+// TestDumbbellHonoursAudit: -audit reaches the dumbbell driver — the
+// auditor checks events there — and without the flag nothing is attached.
+func TestDumbbellHonoursAudit(t *testing.T) {
+	rc := RunConfig{Variant: Variant{Transport: "dctcp", TLT: true, PFC: true}, Seed: 1}
+	if res := runDumbbell(rc, 60); res.AuditEvents != 0 || len(res.Notes) != 0 {
+		t.Fatalf("no flag: AuditEvents = %d notes = %q, want none", res.AuditEvents, res.Notes)
+	}
+	rc.Audit = true
+	if res := runDumbbell(rc, 60); res.AuditEvents == 0 {
+		t.Fatal("-audit: the dumbbell ran unaudited")
+	}
+}
+
+// TestUnhonouredFlagsAreNoted: a driver that cannot honour a session
+// flag says so in the cell's notes, naming the flag and the cell, instead
+// of dropping it silently — and says nothing when the flag is not set.
+func TestUnhonouredFlagsAreNoted(t *testing.T) {
+	plan := &chaos.Plan{Flaps: []chaos.LinkFlap{{Link: 0, At: sim.Millisecond, Down: 50 * sim.Microsecond}}}
+	noted := func(res *Result, flag, cell string) bool {
+		for _, n := range res.Notes {
+			if strings.Contains(n, flag) && strings.Contains(n, cell) {
+				return true
+			}
+		}
+		return false
+	}
+	star := RunConfig{Label: "star cell", Variant: Variant{Transport: "dctcp"}, Seed: 1, Custom: incastCell(16)}
+	dumbbell := RunConfig{Label: "dumbbell cell", Variant: Variant{Transport: "dctcp", PFC: true}, Seed: 1,
+		Custom: func(rc RunConfig) *Result { return runDumbbell(rc, 60) }}
+	for _, rc := range []RunConfig{star, dumbbell} {
+		if res := runCell(rc); len(res.Notes) != 0 {
+			t.Errorf("%s, no flag: notes %q, want none", rc.Label, res.Notes)
+		}
+		rc.Faults = plan
+		if res := runCell(rc); !noted(res, "-chaos", rc.Label) {
+			t.Errorf("%s: fault plan dropped without a note: %q", rc.Label, res.Notes)
+		}
+	}
+
+	scale := RunConfig{Label: "scale cell", Variant: Variant{Transport: "dctcp"}, Seed: 1}
+	p := scaleParams{K: 4, Load: 0.6, Requests: 200, Fanout: 4}
+	if res := runScale(scale, p); len(res.Notes) != 0 {
+		t.Errorf("scale cell, no flag: notes %q, want none", res.Notes)
+	}
+	scale.Audit = true
+	if res := runScale(scale, p); !noted(res, "-audit", scale.Label) {
+		t.Errorf("scale cell: -audit dropped without a note: %q", res.Notes)
+	}
+}

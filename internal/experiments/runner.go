@@ -266,19 +266,7 @@ func Run(rc RunConfig) *Result {
 	var aud *audit.Auditor
 	var coreAudit core.Audit // stays a nil interface unless auditing is on
 	if rc.Audit {
-		for _, p := range net.Pools {
-			p.EnableAudit()
-		}
-		aud = audit.New(s)
-		for _, sw := range net.Switches {
-			aud.AttachSwitch(sw)
-		}
-		// Register inter-switch adjacency so the auditor can build the
-		// pause wait-for graph (deadlock/storm detection).
-		for _, l := range net.SwitchLinks {
-			aud.SetPortPeer(l.A, l.APort, l.B.ID())
-			aud.SetPortPeer(l.B, l.BPort, l.A.ID())
-		}
+		aud = attachAudit(s, net)
 		coreAudit = aud
 	}
 
@@ -457,6 +445,25 @@ func sampleQueues(g *sim.Group, net *topo.Network, tick sim.Time) func() []int64
 	}
 }
 
+// attachAudit puts the strict runtime invariant auditor on net — every
+// packet pool, every switch, and the inter-switch adjacency it builds the
+// pause wait-for graph from (deadlock/storm detection). Every run driver
+// that honours -audit goes through here.
+func attachAudit(s *sim.Sim, net *topo.Network) *audit.Auditor {
+	for _, p := range net.Pools {
+		p.EnableAudit()
+	}
+	aud := audit.New(s)
+	for _, sw := range net.Switches {
+		aud.AttachSwitch(sw)
+	}
+	for _, l := range net.SwitchLinks {
+		aud.SetPortPeer(l.A, l.APort, l.B.ID())
+		aud.SetPortPeer(l.B, l.BPort, l.A.ID())
+	}
+	return aud
+}
+
 // stallReport is the stall watchdog: it interrogates every sender that
 // had not completed when the horizon expired, so an Incomplete count
 // always comes with per-flow transport state instead of a bare number.
@@ -476,8 +483,9 @@ func stallReport(reporters []transport.StatusReporter) []transport.FlowStatus {
 // startFlows instantiates the right transport for every flow and returns
 // the senders' status reporters (index-aligned with flows) for the stall
 // watchdog. tltAudit, when non-nil, hooks every TLT marking machine.
-// TCP-family endpoints come from the arena; dcqcn and hpcc endpoints have
-// no Reset and are built per flow.
+// TCP-family endpoints come from the arena; a RoCE queue pair
+// (transport.QPSender/QPReceiver under dcqcn or hpcc) has no Reset yet and
+// is built per flow.
 func startFlows(ar *arena, net *topo.Network, flows []*transport.Flow, v Variant,
 	rec *stats.Recorder, onDone func(*stats.FlowRecord), tltAudit core.Audit) []transport.StatusReporter {
 	s := net.Sim

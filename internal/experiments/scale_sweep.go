@@ -458,6 +458,11 @@ func runScale(rc RunConfig, p scaleParams) *Result {
 		res.Notef("%s seed %d: incomplete=%d of %d flows at horizon %v",
 			rc.label(), rc.Seed, res.Incomplete, total, end)
 	}
+	if rc.Audit {
+		// The auditor reads the whole fabric from event callbacks and the
+		// streaming runner recycles endpoints under it; not wired.
+		res.Notef("-audit is not honoured by %s (streaming runner): it ran unaudited", rc.label())
+	}
 	ar.release(net)
 	return res
 }

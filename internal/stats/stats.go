@@ -8,9 +8,21 @@ import (
 	"math"
 	"sort"
 
+	"tlt/internal/packet"
 	"tlt/internal/sim"
-	"tlt/internal/transport"
 )
+
+// Flow describes one transfer: what a FlowRecord is kept for. The
+// transports name it transport.Flow; it is declared down here because the
+// shared RoCE queue pair in package transport books into FlowRecords, so
+// transport imports stats and not the other way round.
+type Flow struct {
+	ID       packet.FlowID
+	Src, Dst packet.NodeID
+	Size     int64    // bytes (TCP family) — RoCE transports derive packets
+	Start    sim.Time // arrival time
+	FG       bool     // foreground (latency-sensitive incast) vs background
+}
 
 // FlowRecord tracks one flow's lifetime statistics. Transports mutate the
 // exported counters directly while the flow runs.
@@ -21,7 +33,7 @@ import (
 // Neither side reads or writes the other's fields mid-run; aggregates
 // that need both (ImportantFraction) sum them after the run joins.
 type FlowRecord struct {
-	Flow *transport.Flow
+	Flow *Flow
 	// End / Done are stamped by the receiver at completion.
 	End  sim.Time
 	Done bool
@@ -91,7 +103,7 @@ func (rec *Recorder) Reserve(n int) {
 
 // NewFlowRecord registers a flow and returns its record. The record is
 // pointer-stable for the recorder's lifetime.
-func (rec *Recorder) NewFlowRecord(f *transport.Flow) *FlowRecord {
+func (rec *Recorder) NewFlowRecord(f *Flow) *FlowRecord {
 	if len(rec.arena) == cap(rec.arena) {
 		rec.arena = make([]FlowRecord, 0, arenaChunk)
 	}

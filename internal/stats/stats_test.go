@@ -8,7 +8,6 @@ import (
 
 	"tlt/internal/packet"
 	"tlt/internal/sim"
-	"tlt/internal/transport"
 )
 
 func TestPercentile(t *testing.T) {
@@ -92,8 +91,8 @@ func TestCDF(t *testing.T) {
 
 func TestRecorderFlows(t *testing.T) {
 	rec := NewRecorder()
-	fg := &transport.Flow{ID: 1, Size: 1000, Start: 0, FG: true}
-	bg := &transport.Flow{ID: 2, Size: 5000, Start: 100}
+	fg := &Flow{ID: 1, Size: 1000, Start: 0, FG: true}
+	bg := &Flow{ID: 2, Size: 5000, Start: 100}
 	fr1 := rec.NewFlowRecord(fg)
 	fr2 := rec.NewFlowRecord(bg)
 	fr1.Timeouts = 2
@@ -121,10 +120,10 @@ func TestRecorderFlows(t *testing.T) {
 
 func TestImportantFraction(t *testing.T) {
 	rec := NewRecorder()
-	fr := rec.NewFlowRecord(&transport.Flow{ID: 1})
+	fr := rec.NewFlowRecord(&Flow{ID: 1})
 	fr.TotalBytes = 1000
 	fr.ImpBytes = 100
-	fr2 := rec.NewFlowRecord(&transport.Flow{ID: 2})
+	fr2 := rec.NewFlowRecord(&Flow{ID: 2})
 	fr2.TotalBytes = 1000
 	fr2.ImpBytes = 0
 	if got := rec.ImportantFraction(); got != 0.05 {
@@ -182,7 +181,7 @@ func TestFlowRecordArenaPointerStable(t *testing.T) {
 	rec.Reserve(3 * arenaChunk / 2)
 	var frs []*FlowRecord
 	for i := 0; i < 3*arenaChunk/2; i++ {
-		fr := rec.NewFlowRecord(&transport.Flow{ID: packet.FlowID(i + 1)})
+		fr := rec.NewFlowRecord(&Flow{ID: packet.FlowID(i + 1)})
 		fr.Timeouts = i
 		frs = append(frs, fr)
 	}

@@ -21,7 +21,7 @@ func blackholeQP(t *testing.T, cfg Config, size int64) (*sim.Sim, *Sender, *stat
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: size}
 	rec := stats.NewRecorder()
 	fr := rec.NewFlowRecord(flow)
-	snd := NewSender(s, src, flow, cfg, fr, rec, nil)
+	snd := NewSender(s, src, flow, cfg, fr)
 	src.Register(1, snd)
 	s.At(0, snd.Start)
 	return s, snd, fr
@@ -71,8 +71,9 @@ func TestQPNoBackoffByDefault(t *testing.T) {
 	if fr2.Timeouts > 4 {
 		t.Fatalf("Timeouts = %d at 10ms with shift cap 2, want ≤4", fr2.Timeouts)
 	}
-	if snd2.backoff != 2 {
-		t.Fatalf("backoff = %d, want capped at 2", snd2.backoff)
+	// The shift is capped at 2: after the fire at 7ms the timer waits 4ms.
+	if at := snd2.FlowStatus().RTODeadline; at != 11*sim.Millisecond {
+		t.Fatalf("next RTO at %v, want 11ms (backoff capped at 2)", at)
 	}
 }
 
@@ -104,7 +105,7 @@ func TestQPRetriesResetOnProgress(t *testing.T) {
 	if !c.Sender.Done() {
 		t.Fatal("flow incomplete after the outage lifted")
 	}
-	if c.Sender.retries != 0 {
-		t.Fatalf("retries = %d after completion, want reset to 0", c.Sender.retries)
+	if c.Sender.Retries() != 0 {
+		t.Fatalf("retries = %d after completion, want reset to 0", c.Sender.Retries())
 	}
 }

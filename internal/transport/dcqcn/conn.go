@@ -14,36 +14,11 @@ type Conn struct {
 }
 
 // StartFlow creates a queue pair carrying flow.Size bytes from src to dst
-// starting at flow.Start; the FCT is stamped when the receiver has the
-// whole message.
+// starting at flow.Start; see transport.StartQP.
 func StartFlow(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
 	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) *Conn {
 	rec := recorder.NewFlowRecord(flow)
-	snd := NewSender(s, src, flow, cfg, rec, recorder, nil)
-	rcv := NewReceiver(s, dst, flow, cfg, rec)
-	src.Register(flow.ID, snd)
-	dst.Register(flow.ID, rcv)
-	// Completion runs on the receiver's shard, abort on the sender's;
-	// each closure touches only its own side of the record (see
-	// stats.FlowRecord). onDone callers that must fire once per flow
-	// deduplicate themselves.
-	rcv.OnComplete = func() {
-		if !rec.Done {
-			recorder.FlowDone(rec, dst.Sim().Now())
-			if onDone != nil {
-				onDone(rec)
-			}
-		}
-	}
-	snd.OnAbort = func() {
-		if rec.Aborted {
-			return
-		}
-		recorder.FlowAborted(rec, src.Sim().Now())
-		if onDone != nil {
-			onDone(rec)
-		}
-	}
-	src.Sim().At(flow.Start, snd.Start)
-	return &Conn{Sender: snd, Receiver: rcv}
+	c := &Conn{NewSender(s, src, flow, cfg, rec), NewReceiver(s, dst, flow, cfg, rec)}
+	transport.StartQP(c.Sender, c.Receiver, recorder, onDone)
+	return c
 }

@@ -134,7 +134,7 @@ func TestIRNWindowLimitsInflight(t *testing.T) {
 	maxIn := int64(0)
 	var poll func()
 	poll = func() {
-		if in := c.Sender.board.InFlight(); in > maxIn {
+		if in := c.Sender.Board.InFlight(); in > maxIn {
 			maxIn = in
 		}
 		if !c.Sender.Done() {

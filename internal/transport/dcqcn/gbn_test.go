@@ -92,11 +92,11 @@ func TestNackImpliesCumulativeAck(t *testing.T) {
 	n.Switches[0].Tx(0).Pause()
 	s.Run(10 * sim.Microsecond)
 	c.Sender.Handle(&packet.Packet{Flow: 1, Type: packet.Nack, Ack: 5})
-	if c.Sender.board.Una != 5 {
-		t.Fatalf("una = %d after NACK(5)", c.Sender.board.Una)
+	if c.Sender.Board.Una != 5 {
+		t.Fatalf("una = %d after NACK(5)", c.Sender.Board.Una)
 	}
-	if c.Sender.board.Nxt != 5 {
-		t.Fatalf("nxt = %d, want rewind to 5", c.Sender.board.Nxt)
+	if c.Sender.Board.Nxt != 5 {
+		t.Fatalf("nxt = %d, want rewind to 5", c.Sender.Board.Nxt)
 	}
 	n.Switches[0].Tx(0).Resume()
 	s.Run(5 * sim.Second)

@@ -1,7 +1,6 @@
 package dcqcn
 
 import (
-	"tlt/internal/core"
 	"tlt/internal/fabric"
 	"tlt/internal/packet"
 	"tlt/internal/sim"
@@ -9,54 +8,26 @@ import (
 	"tlt/internal/transport"
 )
 
-// Receiver is the responder side of a queue pair: it generates ACKs (and
-// NACKs for go-back-N), echoes congestion via CNPs, and detects message
-// completion.
+// Receiver is the responder side of a queue pair. ACK generation and
+// message completion are the embedded transport.QPReceiver; what is here
+// echoes congestion via CNPs and, for go-back-N, accepts in order only
+// and NACKs the rest.
 type Receiver struct {
-	s    *sim.Sim
-	host *fabric.Host
-	flow *transport.Flow
-	cfg  Config
-	rec  *stats.FlowRecord
-
-	n        int64
-	expected int64              // GBN in-order pointer
-	rcv      transport.RangeSet // SACK/IRN out-of-order state
-	cum      int64
+	transport.QPReceiver
+	s           *sim.Sim
+	gbn         bool
+	cnpInterval sim.Time
 
 	lastNackFor int64
 	lastCnp     sim.Time
 	cnpPrimed   bool
-
-	tltWin *core.WindowReceiver // IRN
-
-	// OnComplete fires once when the full message has arrived.
-	OnComplete func()
-	completed  bool
 }
 
 // NewReceiver constructs the responder for flow.
 func NewReceiver(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) *Receiver {
-	n := (flow.Size + int64(cfg.MSS) - 1) / int64(cfg.MSS)
-	if n == 0 {
-		n = 1
-	}
-	r := &Receiver{
-		s: host.Sim(), host: host, flow: flow, cfg: cfg, rec: rec,
-		n: n, lastNackFor: -1,
-	}
-	if cfg.Mode == IRN && cfg.TLT.Enabled {
-		r.tltWin = core.NewWindowReceiver(cfg.TLT)
-	}
+	r := &Receiver{s: host.Sim(), gbn: cfg.Mode == GBN, cnpInterval: cfg.CnpInterval, lastNackFor: -1}
+	r.Init(host, flow, cfg.MSS, rec, cfg.TLT, cfg.Mode == IRN, false)
 	return r
-}
-
-// Delivered returns the packets delivered in order so far.
-func (r *Receiver) Delivered() int64 {
-	if r.cfg.Mode == GBN {
-		return r.expected
-	}
-	return r.cum
 }
 
 // Handle implements fabric.PacketHandler for the data path.
@@ -67,119 +38,33 @@ func (r *Receiver) Handle(pkt *packet.Packet) {
 	if pkt.CE {
 		r.maybeCnp()
 	}
-	if r.cfg.Mode == GBN {
-		r.handleGBN(pkt)
-	} else {
-		r.handleSelective(pkt)
+	switch {
+	case !r.gbn:
+		r.QPReceiver.Handle(pkt)
+	case pkt.Seq == r.Cum:
+		r.Cum++
+		if r.lastNackFor < r.Cum {
+			r.lastNackFor = -1
+		}
+		r.Control(packet.Ack, r.Cum)
+	case pkt.Seq > r.Cum:
+		// Out of order: drop payload, NACK once per expected PSN.
+		if r.lastNackFor != r.Cum {
+			r.lastNackFor = r.Cum
+			r.Control(packet.Nack, r.Cum)
+		}
+	default:
+		// Duplicate of already-delivered data: re-ACK.
+		r.Control(packet.Ack, r.Cum)
 	}
-}
-
-func (r *Receiver) controlMark() packet.Mark {
-	return core.ControlMark(r.cfg.TLT.Enabled)
 }
 
 func (r *Receiver) maybeCnp() {
 	now := r.s.Now()
-	if r.cnpPrimed && now-r.lastCnp < r.cfg.CnpInterval {
+	if r.cnpPrimed && now-r.lastCnp < r.cnpInterval {
 		return
 	}
 	r.cnpPrimed = true
 	r.lastCnp = now
-	cnp := r.host.NewPacket()
-	cnp.Flow, cnp.Dst = r.flow.ID, r.flow.Src
-	cnp.Type = packet.Cnp
-	cnp.Mark = r.controlMark()
-	r.send(cnp)
-}
-
-func (r *Receiver) handleGBN(pkt *packet.Packet) {
-	switch {
-	case pkt.Seq == r.expected:
-		r.expected++
-		if r.lastNackFor < r.expected {
-			r.lastNackFor = -1
-		}
-		r.sendAck(r.expected, nil, packet.Mark(0))
-		if r.expected >= r.n {
-			r.finish()
-		}
-	case pkt.Seq > r.expected:
-		// Out of order: drop payload, NACK once per expected PSN.
-		if r.lastNackFor != r.expected {
-			r.lastNackFor = r.expected
-			nack := r.host.NewPacket()
-			nack.Flow, nack.Dst = r.flow.ID, r.flow.Src
-			nack.Type = packet.Nack
-			nack.Ack = r.expected
-			nack.Mark = r.controlMark()
-			r.send(nack)
-		}
-	default:
-		// Duplicate of already-delivered data: re-ACK.
-		r.sendAck(r.expected, nil, packet.Mark(0))
-	}
-}
-
-func (r *Receiver) handleSelective(pkt *packet.Packet) {
-	if r.tltWin != nil {
-		r.tltWin.OnData(pkt.Mark)
-	}
-	if pkt.Seq >= r.cum {
-		r.rcv.Add(pkt.Seq, pkt.Seq+1)
-		r.cum = r.rcv.NextUncovered(r.cum)
-		r.rcv.TrimBelow(r.cum)
-	}
-	mark := packet.Mark(0)
-	if r.tltWin != nil {
-		mark = r.tltWin.TakeAckMark()
-	}
-	ack := r.buildAck(r.cum, r.rcv.Blocks(8), mark)
-	// Echo the data packet's send time: the sender uses it for
-	// RACK-style invalidation of retransmissions that were themselves
-	// lost (the per-OOO-arrival NACK behaviour of commercial RoCE NICs).
-	ack.EchoTS = pkt.SentAt
-	r.send(ack)
-	if r.cum >= r.n {
-		r.finish()
-	}
-}
-
-func (r *Receiver) sendAck(cum int64, blocks []packet.SackBlock, mark packet.Mark) {
-	r.send(r.buildAck(cum, blocks, mark))
-}
-
-func (r *Receiver) buildAck(cum int64, blocks []packet.SackBlock, mark packet.Mark) *packet.Packet {
-	if mark == packet.Mark(0) {
-		mark = r.controlMark()
-	}
-	ack := r.host.NewPacket()
-	ack.Flow, ack.Dst = r.flow.ID, r.flow.Src
-	ack.Type = packet.Ack
-	ack.Ack = cum
-	ack.Sack = blocks
-	ack.Mark = mark
-	return ack
-}
-
-func (r *Receiver) send(pkt *packet.Packet) {
-	if r.rec != nil {
-		// Receiver-owned counters: the sender may live on another shard.
-		size := int64(pkt.WireSize())
-		r.rec.RxTotalBytes += size
-		if pkt.Important() {
-			r.rec.RxImpPackets++
-			r.rec.RxImpBytes += size
-		}
-	}
-	r.host.Send(pkt)
-}
-
-func (r *Receiver) finish() {
-	if r.completed {
-		return
-	}
-	r.completed = true
-	if r.OnComplete != nil {
-		r.OnComplete()
-	}
+	r.Control(packet.Cnp, 0)
 }

@@ -1,18 +1,9 @@
 package transport
 
-import (
-	"tlt/internal/packet"
-	"tlt/internal/sim"
-)
+import "tlt/internal/stats"
 
 // Flow describes one transfer.
-type Flow struct {
-	ID       packet.FlowID
-	Src, Dst packet.NodeID
-	Size     int64    // bytes (TCP family) — RoCE transports derive packets
-	Start    sim.Time // arrival time
-	FG       bool     // foreground (latency-sensitive incast) vs background
-}
+type Flow = stats.Flow
 
 // MSS is the modeled maximum segment payload in bytes, matching the
 // paper's ns-3 setup (1 kB payload packets).

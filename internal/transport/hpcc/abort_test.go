@@ -67,7 +67,7 @@ func TestHPCCBackoffShiftsFixedRTO(t *testing.T) {
 	if got := rec2.Flows[0].Timeouts; got != 2 {
 		t.Fatalf("Timeouts = %d at 6ms with backoff, want 2 (cadence 1,3,7ms)", got)
 	}
-	if snd2.backoff != 2 {
-		t.Fatalf("backoff = %d after 2 timeouts, want 2", snd2.backoff)
+	if at := snd2.FlowStatus().RTODeadline; at != 7*sim.Millisecond {
+		t.Fatalf("next RTO at %v after 2 timeouts, want 7ms (backoff 2)", at)
 	}
 }

@@ -15,14 +15,6 @@ import (
 	"tlt/internal/transport"
 )
 
-// kindRTOTick drives the lazy RTO tick through a static handler on a
-// preallocated per-sender event (no closure boxing per arm).
-var kindRTOTick sim.EventKind
-
-func init() {
-	kindRTOTick = sim.NewKind(func(_, arg any) { arg.(*Sender).rtoTick() })
-}
-
 // Config parametrizes an HPCC sender.
 type Config struct {
 	MSS         int
@@ -50,19 +42,13 @@ func DefaultConfig(baseRTT sim.Time) Config {
 	}
 }
 
-// Sender is an HPCC flow sender.
+// Sender is an HPCC flow sender. Reliability — the scoreboard, the RTO,
+// ACK intake, the packet fill, TLT marking state — is the embedded
+// transport.QPSender; what is here is the INT-driven window law and the
+// burst loop that fills the window.
 type Sender struct {
-	s    *sim.Sim
-	host *fabric.Host
-	flow *transport.Flow
-	cfg  Config
-
-	rec    *stats.FlowRecord
-	onDone func()
-
-	n       int64
-	lastLen int
-	board   *transport.PktBoard
+	transport.QPSender
+	cfg Config
 
 	winit    float64
 	w, wc    float64
@@ -70,79 +56,43 @@ type Sender struct {
 	incStage int
 	lastSeq  int64 // lastUpdateSeq: next Wc assignment boundary
 	lastINT  []packet.INTHop
-
-	rtoDeadline sim.Time // lazy RTO: 0 = disarmed
-	rtoPending  bool
-	rtoEv       *sim.Event // preallocated tick event (lazily created)
-	backoff     uint       // exponential backoff shift (only if RTO.MaxBackoffShift > 0)
-	retries     int        // consecutive RTO rounds without forward progress
-	tlt         *core.WindowSender
-	done        bool
-	aborted     bool
-
-	// OnAbort fires once when the sender exhausts RTO.MaxRetries
-	// consecutive timeouts without progress. May be nil.
-	OnAbort func()
 }
 
+// Receiver acknowledges every data packet, echoing the INT telemetry the
+// packet accumulated so the sender can run the HPCC control law.
+type Receiver = transport.QPReceiver
+
 // NewSender constructs an HPCC sender for flow.
-func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config,
-	rec *stats.FlowRecord, onDone func()) *Sender {
-	n := (flow.Size + int64(cfg.MSS) - 1) / int64(cfg.MSS)
-	if n == 0 {
-		n = 1
-	}
+func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) *Sender {
 	winit := float64(cfg.LineRateBps/8) * cfg.BaseRTT.Seconds()
 	cfg.TLT.Flow = flow.ID
-	return &Sender{
-		s: host.Sim(), host: host, flow: flow, cfg: cfg,
-		rec: rec, onDone: onDone,
-		n: n, lastLen: int(flow.Size - (n-1)*int64(cfg.MSS)),
-		board: transport.NewPktBoard(n),
-		winit: winit, w: winit, wc: winit,
-		tlt: core.NewWindowSender(cfg.TLT),
-	}
+	snd := &Sender{cfg: cfg, winit: winit, w: winit, wc: winit}
+	snd.Init(snd, host, flow, cfg.MSS, &snd.cfg.RTO, rec)
+	// Always present: a disabled config yields a machine that never marks.
+	snd.Win = *core.NewWindowSender(cfg.TLT)
+	return snd
+}
+
+// StartFlow creates an HPCC flow from src to dst; see transport.StartQP.
+func StartFlow(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
+	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) (*Sender, *Receiver) {
+	rec := recorder.NewFlowRecord(flow)
+	snd, rcv := NewSender(s, src, flow, cfg, rec), new(Receiver)
+	rcv.Init(dst, flow, cfg.MSS, rec, cfg.TLT, true, true)
+	transport.StartQP(snd, rcv, recorder, onDone)
+	return snd, rcv
 }
 
 // Start begins transmission.
 func (s *Sender) Start() {
 	s.output()
-	s.armRTO()
+	s.ArmRTO()
 }
 
-// Done reports sender completion.
-func (s *Sender) Done() bool { return s.done }
-
-// FlowStatus implements transport.StatusReporter for stall reports.
-func (s *Sender) FlowStatus() transport.FlowStatus {
-	state := "open"
-	switch {
-	case s.aborted:
-		state = "aborted"
-	case s.done:
-		state = "done"
-	case s.board.HasLoss():
-		state = "loss-recovery"
-	}
-	mss := int64(s.cfg.MSS)
-	acked := s.board.Una * mss
-	if acked > s.flow.Size {
-		acked = s.flow.Size
-	}
-	return transport.FlowStatus{
-		Flow:              s.flow.ID,
-		Transport:         "hpcc",
-		State:             fmt.Sprintf("%s(w=%.0fB)", state, s.w),
-		Done:              s.done,
-		Aborted:           s.aborted,
-		AckedBytes:        acked,
-		TotalBytes:        s.flow.Size,
-		OutstandingBytes:  s.board.InFlight() * mss,
-		LostBytes:         s.board.PendingRetx() * mss,
-		ImportantInFlight: s.tlt.InFlight(),
-		RTOArmed:          s.rtoDeadline > 0,
-		RTODeadline:       s.rtoDeadline,
-	}
+// Describe adds the window law's state to a stall snapshot.
+func (s *Sender) Describe(fs *transport.FlowStatus) {
+	fs.Transport = "hpcc"
+	fs.State = fmt.Sprintf("%s(w=%.0fB)", fs.State, s.w)
 }
 
 // Window returns the current window in bytes (for tests).
@@ -150,54 +100,25 @@ func (s *Sender) Window() float64 { return s.w }
 
 // Handle implements fabric.PacketHandler.
 func (s *Sender) Handle(pkt *packet.Packet) {
-	if s.done || pkt.Type != packet.Ack {
+	if s.Done() || pkt.Type != packet.Ack {
 		return
 	}
-	s.onAck(pkt)
-}
-
-func (s *Sender) inflightBytes() float64 {
-	return float64(s.board.InFlight()) * float64(s.cfg.MSS)
-}
-
-func (s *Sender) onAck(pkt *packet.Packet) {
-	var impSentAt sim.Time
-	rackOK := false
-	if s.tlt.Enabled() {
-		switch pkt.Mark {
-		case packet.ImportantEcho, packet.ImportantClockEcho:
-			impSentAt, rackOK = s.tlt.OnEcho()
-		}
-	}
-
-	progressed := s.board.Ack(pkt.Ack)
-	s.board.Sack(pkt.Sack)
-	if rackOK {
-		s.board.RackMark(impSentAt)
-	}
-	if pkt.EchoTS > 0 {
-		s.board.RackMark(pkt.EchoTS)
-	}
-	s.board.ApplyLostEdge()
-
+	// The window law first: of the scoreboard it reads only Nxt, which
+	// ACK intake never moves.
 	if pkt.NumINT() > 0 {
 		s.react(pkt)
 	}
-
-	if s.board.Complete() {
-		s.complete()
+	if open, _ := s.OnAck(pkt); !open {
 		return
 	}
-	if progressed {
-		s.backoff = 0
-		s.retries = 0 // Karn: forward progress resets the give-up counter
-		s.armRTO()
-	}
 	s.output()
-
-	if s.tlt.Armed() && s.board.FirstUnsacked() >= 0 {
-		s.importantClock()
+	if s.Win.Armed() {
+		s.ImportantClock()
 	}
+}
+
+func (s *Sender) inflightBytes() float64 {
+	return float64(s.Board.InFlight()) * float64(s.cfg.MSS)
 }
 
 // react runs HPCC's per-ACK control law (Algorithm 1 of the HPCC paper).
@@ -206,7 +127,7 @@ func (s *Sender) react(pkt *packet.Packet) {
 	u := s.measureInflight(pkt.INTHops())
 	s.computeWind(u, updateWc)
 	if updateWc {
-		s.lastSeq = s.board.Nxt
+		s.lastSeq = s.Board.Nxt
 	}
 }
 
@@ -266,168 +187,33 @@ func (s *Sender) computeWind(u float64, updateWc bool) {
 	}
 }
 
+// output fills the window: retransmissions first, then fresh data.
 func (s *Sender) output() {
-	if s.done {
-		return
-	}
 	for s.inflightBytes() < s.w {
-		psn := s.board.NextRetx()
+		psn := s.Board.NextRetx()
 		isRetx := psn >= 0
 		if !isRetx {
-			if s.board.Nxt >= s.n {
+			if s.Board.Nxt >= s.Board.N {
 				return
 			}
-			psn = s.board.Nxt
+			psn = s.Board.Nxt
 		}
-		more := s.moreAfter(psn, isRetx)
-		s.transmit(psn, isRetx, s.tlt.TakeMark(!more, s.s.Now()))
+		// The burst goes on if the window has room for one more packet and
+		// there is one: a pending retransmission or, behind fresh data,
+		// more fresh data.
+		more := s.inflightBytes()+float64(s.cfg.MSS) < s.w && s.MoreAfter(psn, isRetx, !isRetx)
+		s.Transmit(psn, isRetx, s.Win.TakeMark(!more, s.S.Now()))
 	}
 }
 
-func (s *Sender) moreAfter(psn int64, isRetx bool) bool {
-	if s.inflightBytes()+float64(s.cfg.MSS) >= s.w {
-		return false
-	}
-	if isRetx {
-		for p := psn + 1; p < s.board.Nxt; p++ {
-			st := s.board.State(p)
-			if st.Lost && !st.Retx {
-				return true
-			}
-		}
-	}
-	next := psn + 1
-	if !isRetx && next < s.n && next >= s.board.Nxt {
-		return true
-	}
-	return false
-}
-
-func (s *Sender) transmit(psn int64, isRetx bool, mark packet.Mark) {
-	now := s.s.Now()
-	length := s.cfg.MSS
-	last := psn == s.n-1
-	if last {
-		length = s.lastLen
-	}
-	// Field-by-field fill: NewPacket returns a zeroed struct, and a
-	// composite-literal assignment would copy the whole INT-array-bearing
-	// packet through a stack temporary on every send.
-	pkt := s.host.NewPacket()
-	pkt.Flow, pkt.Dst = s.flow.ID, s.flow.Dst
-	pkt.Type = packet.Data
-	pkt.Seq, pkt.Len = psn, length
-	pkt.Mark = mark
-	pkt.ECT = true
-	pkt.SentAt = now
-	pkt.IsRetx = isRetx
-	pkt.LastPkt = last
-	s.board.OnSent(psn, isRetx, now)
-	if isRetx {
-		s.rec.RetxPackets++
-	}
-	s.rec.SentPackets++
-	size := int64(pkt.WireSize())
-	s.rec.TotalBytes += size
-	if pkt.Important() {
-		s.rec.ImpPackets++
-		s.rec.ImpBytes += size
-	}
-	s.host.Send(pkt)
-}
-
-func (s *Sender) importantClock() {
-	psn := s.board.NextRetx()
-	isRetx := true
-	if psn < 0 {
-		psn = s.board.FirstUnsacked()
-		isRetx = false
-		if psn < 0 {
-			return
-		}
-	}
-	s.rec.ClockSends++
-	s.rec.ClockBytes += int64(s.cfg.MSS)
-	if !isRetx {
-		s.rec.RetxPackets++
-	}
-	s.transmit(psn, isRetx, s.tlt.TakeClockMark(s.s.Now()))
-}
-
-func (s *Sender) armRTO() {
-	if s.done {
-		s.rtoDeadline = 0
-		return
-	}
-	s.rtoDeadline = s.s.Now() + s.cfg.RTO.Fixed<<s.backoff
-	if !s.rtoPending {
-		s.rtoPending = true
-		if s.rtoEv == nil {
-			s.rtoEv = s.s.NewKindEvent(kindRTOTick, 0, s)
-		}
-		s.s.Schedule(s.rtoEv, s.rtoDeadline)
-	}
-}
-
-func (s *Sender) rtoTick() {
-	s.rtoPending = false
-	if s.done || s.rtoDeadline == 0 {
-		return
-	}
-	if now := s.s.Now(); now < s.rtoDeadline {
-		s.rtoPending = true
-		s.s.Schedule(s.rtoEv, s.rtoDeadline)
-		return
-	}
-	s.onRTO()
-}
-
-func (s *Sender) onRTO() {
-	if s.done || s.board.Complete() {
-		return
-	}
-	s.rec.Timeouts++
-	s.retries++
-	if s.cfg.RTO.MaxRetries > 0 && s.retries >= s.cfg.RTO.MaxRetries {
-		s.abort()
-		return
-	}
-	// Static RoCE timers do not back off by default; MaxBackoffShift
-	// opts the flow into exponential backoff.
-	if s.backoff < s.cfg.RTO.MaxBackoffShift {
-		s.backoff++
-	}
-	s.board.MarkAllLost()
-	s.tlt.Reset()
+// Recover implements the core's RTO hook: everything outstanding is lost
+// and goes out again as far as the window allows.
+func (s *Sender) Recover() {
+	s.Board.MarkAllLost()
+	s.Win.Reset()
 	s.output()
-	s.armRTO()
+	s.ArmRTO()
 }
 
-// abort terminates the flow after RTO.MaxRetries consecutive timeouts
-// without progress (retry exhaustion against a black-holed path).
-func (s *Sender) abort() {
-	if s.done {
-		return
-	}
-	s.done = true
-	s.aborted = true
-	s.rtoDeadline = 0
-	s.tlt.Reset()
-	if s.OnAbort != nil {
-		s.OnAbort()
-	}
-}
-
-// Aborted reports whether the sender gave up (for tests).
-func (s *Sender) Aborted() bool { return s.aborted }
-
-func (s *Sender) complete() {
-	if s.done {
-		return
-	}
-	s.done = true
-	s.rtoDeadline = 0
-	if s.onDone != nil {
-		s.onDone()
-	}
-}
+// Quiesce has nothing to stop: HPCC keeps no timer beyond the core's RTO.
+func (s *Sender) Quiesce() {}

@@ -86,3 +86,41 @@ func TestHPCCTLTMarksBurstTail(t *testing.T) {
 		t.Fatalf("%d of %d packets important: marking too aggressive", imp, len(seen))
 	}
 }
+
+// TestHPCCClockBytesBooksRealLength: important ACK-clocking books the
+// bytes it actually injects. The message is the initial window (30
+// packets on this star) plus a 300-byte tail: the tail leaves on the
+// first ACK, unmarked because packet 29 is the important one in flight,
+// and is the first unsacked packet when 29's echo arrives with nothing
+// left to send — so the one clock transmission duplicates the short last
+// packet. The sender used to book a full MSS for it; dcqcn's IRN never
+// did. ClockBytes is rendered only by fig17, which runs dctcp, so no
+// golden and no benchmark digest moves with this.
+func TestHPCCClockBytesBooksRealLength(t *testing.T) {
+	s := sim.New()
+	n := topo.Star(s, topo.StarConfig{
+		Hosts: 2, LinkRateBps: 40e9, LinkDelay: sim.Microsecond,
+		Switch: fabric.SwitchConfig{BufferBytes: 4 << 20, INT: true},
+	})
+	rec := stats.NewRecorder()
+	cfg := DefaultConfig(n.BaseRTT + 2*sim.Microsecond)
+	cfg.TLT = core.Config{Enabled: true}
+	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 30_300}
+	var clocked []int
+	n.Hosts[0].Trace = func(now sim.Time, dir string, p *packet.Packet) {
+		if dir == "tx" && p.Mark == packet.ImportantClockData {
+			clocked = append(clocked, p.Len)
+		}
+	}
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	s.Run(sim.Millisecond)
+	if !snd.Done() {
+		t.Fatal("flow incomplete")
+	}
+	if len(clocked) != 1 || clocked[0] != 300 {
+		t.Fatalf("clock transmissions carried %v bytes, want one of 300 (the short last packet)", clocked)
+	}
+	if fr := rec.Flows[0]; fr.ClockSends != 1 || fr.ClockBytes != 300 {
+		t.Fatalf("ClockSends = %d ClockBytes = %d, want 1 and 300", fr.ClockSends, fr.ClockBytes)
+	}
+}
