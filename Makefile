@@ -13,7 +13,7 @@ PGO := cmd/tltsim/default.pgo
 PGO_META := cmd/tltsim/default.pgo.meta
 PGO_MAX_AGE := 3
 
-.PHONY: all build test bench benchmark pgo pgo-check
+.PHONY: all build test bench benchmark ab pgo pgo-check
 
 all: build
 
@@ -30,6 +30,12 @@ bench:
 # workloads, end-to-end metrics and the per-layer ledger.
 benchmark:
 	bash bench/run.sh -workload all
+
+# Paired A/B of one benchmark workload between two commits, ten
+# interleaved pairs and the README's verdict rule (scripts/ab.sh):
+# make ab PARENT=HEAD~1 CHANGE=HEAD W=leafspine-roce
+ab:
+	bash scripts/ab.sh $(PARENT) $(CHANGE) --workload $(W)
 
 # Capture CPU profiles from the two smoke workloads CI gates on, merge
 # them into the committed default.pgo, and stamp the staleness sidecar.

@@ -7,24 +7,26 @@ import (
 	"tlt/internal/stats"
 	"tlt/internal/topo"
 	"tlt/internal/transport"
+	"tlt/internal/transport/dcqcn"
+	"tlt/internal/transport/hpcc"
 	"tlt/internal/transport/tcp"
 )
 
 // An arena is the memory a grid worker slot carries from one cell to the
 // next. A figure is hundreds of cells on the same fabric, and each cell's
 // warm-up — packets, event nodes, NIC and switch queues, demux tables,
-// TCP endpoints and their scoreboards — grows to much the same size, so
-// a slot pays that growth once instead of once per cell. The arena is
-// the slot's token in RunGrid's semaphore: holding it is both the right
-// to run and the memory to run in, and it changes goroutines only
-// through that channel. A cell run outside a grid gets a private arena
-// (RunConfig.arena), so every driver has the one code path.
+// TCP endpoints, RoCE queue pairs and their scoreboards — grows to much
+// the same size, so a slot pays that growth once instead of once per
+// cell. The arena is the slot's token in RunGrid's semaphore: holding it
+// is both the right to run and the memory to run in, and it changes
+// goroutines only through that channel. A cell run outside a grid gets a
+// private arena (RunConfig.arena), so every driver has the one code path.
 //
 // Nothing a cell computes may depend on what ran on its slot before.
 // Every layer therefore returns its memory zeroed (Pool.Put, the
 // Release methods of sim, fabric and the slabs here) and re-initialises
-// what it takes (tcp's Reset methods), and TestArenaIsolation holds the
-// drivers to it.
+// what it takes (the endpoints' Reset methods), and TestArenaIsolation
+// holds the drivers to it.
 //
 // What an arena keeps follows the last cell that had a use for it, no
 // more: whatever a cell was offered and did not touch — spare packets
@@ -33,17 +35,19 @@ import (
 // releases, so a small cell after a large one shrinks the slot and
 // nothing ratchets up over a long grid. Memory a cell has no use for at
 // all is not its to judge: a cell on another fabric leaves this fabric's
-// alone (fabricFor), one without TCP flows the endpoint lists
-// (trimEndpoints). Which cell follows which on a slot is the goroutine
-// scheduler's choice; while a star or RoCE cell between two leaf-spine
-// TCP cells cost the second its warm-up again, what a mixed grid
-// allocated varied by a quarter from run to run.
+// alone (fabricFor), and a cell of one transport family — tcp, dcqcn,
+// hpcc — the endpoint lists of the other two (trimEndpoints). Which cell
+// follows which on a slot is the goroutine scheduler's choice; while a
+// star or RoCE cell between two leaf-spine TCP cells cost the second its
+// warm-up again, what a mixed grid allocated varied by a quarter from run
+// to run.
 type arena struct {
 	fabrics [2]fabricSet // [0]: the last cell's fabric; [1]: one other (fabricFor)
 	shards  []*shardMem  // fabrics[0]'s, by shard index
 
-	// lent lists the TCP endpoint pairs startTCP has handed to the
-	// current cell; release takes back the finished ones.
+	// lent lists the endpoint pairs startTCP, startDCQCN and startHPCC
+	// have handed to the current cell; release takes back the finished
+	// ones.
 	lent []lentConn
 }
 
@@ -54,7 +58,10 @@ type shardMem struct {
 	sched  sim.Mem          // event-node chunks, mailbox buffers
 	pkts   []*packet.Packet // free packets, zeroed
 	fabric fabric.Mem       // host and switch-queue buffers
-	tcp    bool             // the running cell took from the lists below: only then does it trim them
+
+	// took says which families' lists below the running cell has taken
+	// from: only those does it trim.
+	took [families]bool
 
 	// Finished TCP endpoints and demux slots. The streaming runner pushes
 	// and pops them while it runs; the other drivers take at set-up and
@@ -64,6 +71,27 @@ type shardMem struct {
 	rcv    freeList[rcvSlab]
 	slot   freeList[rcvSlot]
 	boards tcp.Scoreboards
+
+	// Finished RoCE queue pairs, taken at set-up and returned at release.
+	// The two laws embed the same transport.QPSender but keep a list
+	// each, boards included: an hpcc window is not a dcqcn one.
+	dcqcn roceMem[dcqcn.Sender, dcqcn.Receiver]
+	hpcc  roceMem[hpcc.Sender, hpcc.Receiver]
+}
+
+// A family is a set of transports whose endpoints one cell can use.
+const (
+	famTCP = iota
+	famDCQCN
+	famHPCC
+	families
+)
+
+// roceMem is one RoCE family's share of a shardMem.
+type roceMem[S, R any] struct {
+	snd    freeList[S]
+	rcv    freeList[R]
+	boards transport.PktBoards
 }
 
 // shape tells fabrics apart as far as recycled memory goes: device i
@@ -108,10 +136,10 @@ func (l *freeList[T]) trim() {
 }
 
 // lentConn is one flow's endpoints on loan to a materialized-schedule
-// driver, with the shards whose lists they go back to.
+// driver — *sndSlab and *rcvSlab, or a dcqcn or hpcc sender and receiver
+// — with the shards whose lists they go back to.
 type lentConn struct {
-	snd            *sndSlab
-	rcv            *rcvSlab
+	snd, rcv       any
 	sShard, rShard int
 }
 
@@ -171,7 +199,7 @@ func (a *arena) attach(net *topo.Network) {
 	}
 	for _, m := range a.shards {
 		m.fabric = fabric.Mem{} // buffers no device of this network took
-		m.tcp = false
+		m.took = [families]bool{}
 	}
 }
 
@@ -209,9 +237,23 @@ func (a *arena) fabricFor(sh shape) []*shardMem {
 // flow's state is dropped with the network.
 func (a *arena) release(net *topo.Network) {
 	for _, l := range a.lent {
-		if l.snd.snd.Done() && !l.snd.snd.Aborted() {
-			a.shards[l.sShard].snd.push(l.snd)
-			a.shards[l.rShard].rcv.push(l.rcv)
+		sm, rm := a.shards[l.sShard], a.shards[l.rShard]
+		switch snd := l.snd.(type) {
+		case *sndSlab:
+			if completed(&snd.snd) {
+				sm.snd.push(snd)
+				rm.rcv.push(l.rcv.(*rcvSlab))
+			}
+		case *dcqcn.Sender:
+			if completed(snd) {
+				sm.dcqcn.snd.push(snd)
+				rm.dcqcn.rcv.push(l.rcv.(*dcqcn.Receiver))
+			}
+		case *hpcc.Sender:
+			if completed(snd) {
+				sm.hpcc.snd.push(snd)
+				rm.hpcc.rcv.push(l.rcv.(*hpcc.Receiver))
+			}
 		}
 	}
 	clear(a.lent)
@@ -236,15 +278,33 @@ func (a *arena) release(net *topo.Network) {
 	// the cell they last served.
 	a.trimEndpoints()
 	for _, m := range a.shards {
-		for _, sl := range m.snd.free {
-			sl.park()
-		}
-		for _, rb := range m.rcv.free {
-			rb.park()
-		}
+		parkAll(&m.snd)
+		parkAll(&m.rcv)
 		for _, rs := range m.slot.free {
 			*rs = rcvSlot{}
 		}
+		parkAll(&m.dcqcn.snd)
+		parkAll(&m.dcqcn.rcv)
+		parkAll(&m.hpcc.snd)
+		parkAll(&m.hpcc.rcv)
+	}
+}
+
+// completed reports whether a sender on loan can serve another flow.
+func completed(snd interface {
+	Done() bool
+	Aborted() bool
+}) bool {
+	return snd.Done() && !snd.Aborted()
+}
+
+// parkAll clears every slab on l of what it holds of the cell it served.
+func parkAll[T any, P interface {
+	*T
+	Clear()
+}](l *freeList[T]) {
+	for _, v := range l.free {
+		P(v).Clear()
 	}
 }
 
@@ -252,20 +312,35 @@ func (a *arena) release(net *topo.Network) {
 // since the last trim — and, when no sender is on loan to take one, the
 // scoreboards. release ends with it; Run also calls it as soon as its
 // flows are set up, when what is left on the lists can no longer be
-// taken, so a small TCP cell does not sit on a larger one's endpoints for
-// its whole run. A shard whose cell has taken nothing — a RoCE cell's —
-// keeps its lists: the next TCP cell would only grow them again.
+// taken, so a small cell does not sit on a larger one's endpoints for its
+// whole run. The lists of a family the cell has taken nothing from — the
+// TCP lists under a RoCE cell, dcqcn's under an hpcc cell — stay as they
+// are: the next cell of that family would only grow them again.
 func (a *arena) trimEndpoints() {
+	idle := len(a.lent) == 0 // release has emptied it; Run has not if the cell has flows
 	for _, m := range a.shards {
-		if !m.tcp {
-			continue
+		if m.took[famTCP] {
+			m.snd.trim()
+			m.rcv.trim()
+			m.slot.trim()
+			if idle {
+				m.boards.Trim()
+			}
 		}
-		m.snd.trim()
-		m.rcv.trim()
-		m.slot.trim()
-		if len(a.lent) == 0 { // release has emptied it; Run has not if the cell has TCP flows
-			m.boards.Trim()
+		if m.took[famDCQCN] {
+			m.dcqcn.trim(idle)
 		}
+		if m.took[famHPCC] {
+			m.hpcc.trim(idle)
+		}
+	}
+}
+
+func (f *roceMem[S, R]) trim(boards bool) {
+	f.snd.trim()
+	f.rcv.trim()
+	if boards {
+		f.boards.Trim()
 	}
 }
 
@@ -274,18 +349,63 @@ func (a *arena) trimEndpoints() {
 // destination's. f.Src and f.Dst index net.Hosts.
 func (a *arena) startTCP(net *topo.Network, f *transport.Flow, cfg tcp.Config,
 	rec *stats.Recorder, onDone func(*stats.FlowRecord)) *tcp.Sender {
-	l := lentConn{sShard: shardOf(net.HostShard, int(f.Src)), rShard: shardOf(net.HostShard, int(f.Dst))}
-	l.snd, l.rcv = a.shards[l.sShard].sender(), a.shards[l.rShard].receiver()
-	a.lent = append(a.lent, l)
-	tcp.StartFlowOn(tcp.Conn{Sender: &l.snd.snd, Receiver: &l.rcv.rcv},
+	sm, rm, l := a.lend(net, f)
+	snd, rcv := sm.sender(), rm.receiver()
+	l.snd, l.rcv = snd, rcv
+	tcp.StartFlowOn(tcp.Conn{Sender: &snd.snd, Receiver: &rcv.rcv},
 		net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
-	return &l.snd.snd
+	return &snd.snd
+}
+
+// lend opens f's entry in lent for the caller to fill in, and returns the
+// memory of the shards f's sender and receiver live on.
+func (a *arena) lend(net *topo.Network, f *transport.Flow) (sm, rm *shardMem, l *lentConn) {
+	s, r := shardOf(net.HostShard, int(f.Src)), shardOf(net.HostShard, int(f.Dst))
+	a.lent = append(a.lent, lentConn{sShard: s, rShard: r})
+	return a.shards[s], a.shards[r], &a.lent[len(a.lent)-1]
+}
+
+// startDCQCN is dcqcn.StartFlow on the slot's recycled queue pairs, the
+// way startTCP is tcp's.
+func (a *arena) startDCQCN(net *topo.Network, f *transport.Flow, cfg dcqcn.Config,
+	rec *stats.Recorder, onDone func(*stats.FlowRecord)) *dcqcn.Sender {
+	sm, rm, l := a.lend(net, f)
+	sm.took[famDCQCN], rm.took[famDCQCN] = true, true
+	snd, rcv := sm.dcqcn.snd.pop(), rm.dcqcn.rcv.pop()
+	if snd == nil {
+		snd = new(dcqcn.Sender)
+		snd.ShareBoards(&sm.dcqcn.boards)
+	}
+	if rcv == nil {
+		rcv = new(dcqcn.Receiver)
+	}
+	l.snd, l.rcv = snd, rcv
+	dcqcn.StartFlowOn(dcqcn.Conn{Sender: snd, Receiver: rcv}, net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
+	return snd
+}
+
+// startHPCC is hpcc.StartFlow on the slot's recycled queue pairs.
+func (a *arena) startHPCC(net *topo.Network, f *transport.Flow, cfg hpcc.Config,
+	rec *stats.Recorder, onDone func(*stats.FlowRecord)) *hpcc.Sender {
+	sm, rm, l := a.lend(net, f)
+	sm.took[famHPCC], rm.took[famHPCC] = true, true
+	snd, rcv := sm.hpcc.snd.pop(), rm.hpcc.rcv.pop()
+	if snd == nil {
+		snd = new(hpcc.Sender)
+		snd.ShareBoards(&sm.hpcc.boards)
+	}
+	if rcv == nil {
+		rcv = new(hpcc.Receiver)
+	}
+	l.snd, l.rcv = snd, rcv
+	hpcc.StartFlowOn(snd, rcv, net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
+	return snd
 }
 
 // sender returns a finished sender slab, or a new one. Its callback is
 // bound once, so re-arming a slab allocates nothing.
 func (m *shardMem) sender() *sndSlab {
-	m.tcp = true
+	m.took[famTCP] = true
 	sl := m.snd.pop()
 	if sl == nil {
 		sl = new(sndSlab)
@@ -297,7 +417,7 @@ func (m *shardMem) sender() *sndSlab {
 
 // receiver returns a finished receiver slab, or a new one.
 func (m *shardMem) receiver() *rcvSlab {
-	m.tcp = true
+	m.took[famTCP] = true
 	rb := m.rcv.pop()
 	if rb == nil {
 		rb = new(rcvSlab)
@@ -308,7 +428,7 @@ func (m *shardMem) receiver() *rcvSlab {
 
 // demuxSlot returns a reaped demux slot, or a new one.
 func (m *shardMem) demuxSlot() *rcvSlot {
-	m.tcp = true
+	m.took[famTCP] = true
 	rs := m.slot.pop()
 	if rs == nil {
 		rs = new(rcvSlot)

@@ -16,7 +16,6 @@ import (
 	"tlt/internal/stats"
 	"tlt/internal/topo"
 	"tlt/internal/transport"
-	"tlt/internal/transport/dcqcn"
 	"tlt/internal/transport/hpcc"
 	"tlt/internal/workload"
 )
@@ -483,12 +482,9 @@ func stallReport(reporters []transport.StatusReporter) []transport.FlowStatus {
 // startFlows instantiates the right transport for every flow and returns
 // the senders' status reporters (index-aligned with flows) for the stall
 // watchdog. tltAudit, when non-nil, hooks every TLT marking machine.
-// TCP-family endpoints come from the arena; a RoCE queue pair
-// (transport.QPSender/QPReceiver under dcqcn or hpcc) has no Reset yet and
-// is built per flow.
+// Every family's endpoints come from the arena.
 func startFlows(ar *arena, net *topo.Network, flows []*transport.Flow, v Variant,
 	rec *stats.Recorder, onDone func(*stats.FlowRecord), tltAudit core.Audit) []transport.StatusReporter {
-	s := net.Sim
 	reporters := make([]transport.StatusReporter, 0, len(flows))
 	switch v.Transport {
 	case "tcp", "dctcp":
@@ -501,8 +497,7 @@ func startFlows(ar *arena, net *topo.Network, flows []*transport.Flow, v Variant
 		cfg := v.dcqcnConfig()
 		cfg.TLT.Audit = tltAudit
 		for _, f := range flows {
-			c := dcqcn.StartFlow(s, net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
-			reporters = append(reporters, c.Sender)
+			reporters = append(reporters, ar.startDCQCN(net, f, cfg, rec, onDone))
 		}
 	case "hpcc":
 		cfg := hpcc.DefaultConfig(net.BaseRTT + 2*sim.Microsecond)
@@ -511,8 +506,7 @@ func startFlows(ar *arena, net *topo.Network, flows []*transport.Flow, v Variant
 		cfg.RTO.MaxRetries = v.MaxRetries
 		cfg.RTO.MaxBackoffShift = v.MaxBackoffShift
 		for _, f := range flows {
-			snd, _ := hpcc.StartFlow(s, net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
-			reporters = append(reporters, snd)
+			reporters = append(reporters, ar.startHPCC(net, f, cfg, rec, onDone))
 		}
 	default:
 		panic("experiments: unknown transport " + v.Transport)

@@ -135,8 +135,8 @@ func (sl *sndSlab) done() {
 	w.mem.snd.push(sl)
 }
 
-// park drops the slab's references to the cell it served.
-func (sl *sndSlab) park() {
+// Clear drops the slab's references to the cell it served.
+func (sl *sndSlab) Clear() {
 	sl.snd.Clear()
 	sl.w, sl.flow, sl.rec = nil, transport.Flow{}, stats.FlowRecord{}
 }
@@ -172,8 +172,8 @@ func (rb *rcvSlab) deliver(total int64) {
 	}
 }
 
-// park drops the slab's references to the cell it served.
-func (rb *rcvSlab) park() {
+// Clear drops the slab's references to the cell it served.
+func (rb *rcvSlab) Clear() {
 	rb.rcv.Clear()
 	rb.flow, rb.slot = transport.Flow{}, nil
 }

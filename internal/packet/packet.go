@@ -7,7 +7,11 @@
 // DSCP-like mark), and ECN bits.
 package packet
 
-import "tlt/internal/sim"
+import (
+	"slices"
+
+	"tlt/internal/sim"
+)
 
 // FlowID uniquely identifies a flow (connection) in a run.
 type FlowID uint64
@@ -152,6 +156,9 @@ type Packet struct {
 	// SACK/IRN: next expected PSN). For Nack, the expected PSN.
 	Ack  int64
 	Sack []SackBlock
+	// sackBuf is the backing a packet keeps for its SACK blocks from one
+	// use to the next (SackBuf); Pool.Put empties it.
+	sackBuf *[SackBufBlocks]SackBlock
 
 	// ECN state.
 	ECT bool // ECN-capable transport
@@ -183,6 +190,29 @@ type Packet struct {
 	// cache lines.
 	intOv   []INTHop
 	intHops [MaxINTHops]INTHop
+}
+
+// SackBufBlocks is the capacity of the SACK backing a packet keeps: the
+// most blocks any receiver in the repository reports.
+const SackBufBlocks = 8
+
+// SackBuf returns an empty slice on the packet's own SACK backing, for
+// the receiver filling p.Sack to append to. The backing stays with the
+// packet through its Pool, so an ACK on a recycled packet allocates
+// nothing; whoever keeps a packet past its Put copies the blocks
+// (Snapshot).
+func (p *Packet) SackBuf() []SackBlock {
+	if p.sackBuf == nil {
+		p.sackBuf = new([SackBufBlocks]SackBlock)
+	}
+	return p.sackBuf[:0]
+}
+
+// Snapshot returns a copy of p that stays valid after p is recycled.
+func (p *Packet) Snapshot() Packet {
+	c := *p
+	c.Sack, c.sackBuf = slices.Clone(p.Sack), nil
+	return c
 }
 
 // intSpilled in intN marks a packet whose INT stack overflowed the

@@ -124,9 +124,10 @@ func (p *Pool) unpoison(pkt *Packet) {
 
 // Put recycles pkt. The struct is fully zeroed — including the Sack
 // slice header and the inline INT state — so no stale field leaks into
-// the next Get and any backing array still aliased by an in-flight
-// reader (trace events copy slice headers) remains solely theirs: the
-// pool never reuses slice capacity.
+// the next Get. The one thing a packet keeps is its emptied SACK backing
+// (Packet.SackBuf), so a reader that holds on to a delivered packet's
+// blocks copies them (Packet.Snapshot); the INT overflow slice is never
+// reused.
 func (p *Pool) Put(pkt *Packet) {
 	if p.onFree != nil {
 		if p.onFree[pkt] {
@@ -134,7 +135,12 @@ func (p *Pool) Put(pkt *Packet) {
 		}
 		p.onFree[pkt] = true
 	}
+	buf := pkt.sackBuf
+	if buf != nil && len(pkt.Sack) > 0 {
+		*buf = [SackBufBlocks]SackBlock{}
+	}
 	*pkt = Packet{}
+	pkt.sackBuf = buf
 	if p.onFree != nil {
 		pkt.Seq = poisonSeq
 	}

@@ -90,7 +90,7 @@ func (t *Tracer) Stream(w io.Writer) *Tracer {
 func (t *Tracer) Attach(h *fabric.Host) {
 	id := h.ID()
 	h.Trace = func(now sim.Time, dir string, pkt *packet.Packet) {
-		t.record(Event{At: now, Host: id, Dir: dir, Pkt: *pkt})
+		t.record(Event{At: now, Host: id, Dir: dir, Pkt: pkt.Snapshot()})
 	}
 }
 

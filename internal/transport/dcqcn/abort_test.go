@@ -109,3 +109,49 @@ func TestQPRetriesResetOnProgress(t *testing.T) {
 		t.Fatalf("retries = %d after completion, want reset to 0", c.Sender.Retries())
 	}
 }
+
+// TestLateEchoScansFromTheLaterImportantPacket pins what an important
+// echo marks lost when it is not the echo of the important packet the
+// marking machine has in flight. An RTO presumes that packet lost and
+// marks a retransmission important in its place; if the first one's echo
+// then turns up after all, it frees the machine to mark a third packet,
+// and from there on every echo arrives one important packet behind: the
+// machine answers it with a send time later than the one the echo
+// carries, and the retransmissions sent in between are invalidated. The
+// incast flows of a leaf-spine dcqcn-irn+tlt cell do this thousands of
+// times (RTO_low fires while echoes queue), so every digest of such a
+// cell rests on QPSender.OnAck scanning from the later of the two times,
+// not from the echoed one alone.
+func TestLateEchoScansFromTheLaterImportantPacket(t *testing.T) {
+	cfg := DefaultConfig(IRN)
+	cfg.TLT.Enabled = true
+	cfg.RTO.Fixed, cfg.RTOLow = 50*sim.Microsecond, 0
+	s, snd, _ := blackholeQP(t, cfg, 12_000)
+	echo := func(cum int64, echoTS sim.Time) {
+		snd.Handle(&packet.Packet{Flow: 1, Type: packet.Ack, Ack: cum, Mark: packet.ImportantEcho, EchoTS: echoTS})
+	}
+	s.Run(50*sim.Microsecond + 500) // the RTO has fired and PSNs 0 to 2 have left again
+	b := &snd.Board
+	// The important packets so far: the message's tail, then PSN 0 again.
+	first, second := b.State(b.Nxt-1).LastSent, b.State(0).LastSent
+	if second != 50*sim.Microsecond || !b.State(2).Retx || b.State(3).Retx || b.Nxt != 12 {
+		t.Fatalf("500 ns after the RTO: psn 0 last sent at %v, board %+v; want three retransmissions out", second, b)
+	}
+
+	// The presumed-lost packet's echo: nothing was sent before it, but the
+	// machine is free again and marks PSN 3, which leaves at once.
+	echo(0, first)
+	if !b.State(3).Retx || b.State(3).LastSent != s.Now() || !snd.Win.InFlight() || b.PendingRetx() != 8 {
+		t.Fatalf("after the late echo: psn 3 %+v, important in flight %v, %d await retransmission; want a third important packet out",
+			b.State(3), snd.Win.InFlight(), b.PendingRetx())
+	}
+
+	// The echo of PSN 0's retransmission is answered with PSN 3's send
+	// time: PSNs 1 and 2, sent in between, are invalidated — 1 leaves
+	// again at once, 2 waits its turn — and PSN 3 keeps its own.
+	echo(1, second)
+	if p1, p2, p3 := b.State(1), b.State(2), b.State(3); p1.LastSent != s.Now() || p2.Retx || !p2.Lost || !p3.Retx {
+		t.Fatalf("after the second echo: psn 1 %+v, psn 2 %+v, psn 3 %+v; want the retransmissions sent before psn 3's invalidated",
+			p1, p2, p3)
+	}
+}

@@ -25,9 +25,25 @@ type Receiver struct {
 
 // NewReceiver constructs the responder for flow.
 func NewReceiver(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) *Receiver {
-	r := &Receiver{s: host.Sim(), gbn: cfg.Mode == GBN, cnpInterval: cfg.CnpInterval, lastNackFor: -1}
-	r.Init(host, flow, cfg.MSS, rec, cfg.TLT, cfg.Mode == IRN, false)
+	r := new(Receiver)
+	r.Reset(host, flow, cfg, rec)
 	return r
+}
+
+// Reset initialises the responder for flow on host; see
+// transport.QPReceiver.Reset.
+func (r *Receiver) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {
+	r.QPReceiver.Reset(host, flow, cfg.MSS, rec, cfg.TLT, cfg.Mode == IRN, false)
+	*r = Receiver{
+		QPReceiver: r.QPReceiver,
+		s:          host.Sim(), gbn: cfg.Mode == GBN, cnpInterval: cfg.CnpInterval, lastNackFor: -1,
+	}
+}
+
+// Clear zeroes the responder down to what Reset carries over.
+func (r *Receiver) Clear() {
+	r.QPReceiver.Clear()
+	*r = Receiver{QPReceiver: r.QPReceiver}
 }
 
 // Handle implements fabric.PacketHandler for the data path.

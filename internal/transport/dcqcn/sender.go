@@ -49,33 +49,50 @@ type Sender struct {
 	sendTimer sim.Timer
 	sendEv    *sim.Event
 
-	// TLT marking: the rate machine for GBN/SACK; IRN uses the core's
-	// window machine (Win).
-	tltRate    *core.RateSender
+	// TLT marking: the rate machine for GBN/SACK (its zero value never
+	// marks); IRN uses the core's window machine (Win).
+	tltRate    core.RateSender
 	roundStart bool // next retransmission starts a round
 }
 
 // NewSender constructs a queue pair sender. The message is flow.Size
 // bytes, segmented into MSS packets.
 func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) *Sender {
+	snd := new(Sender)
+	snd.Reset(host, flow, cfg, rec)
+	return snd
+}
+
+// Reset initialises the sender for flow on host, in whatever mode cfg
+// says; see transport.QPSender.Reset, which panics on a sender that is
+// mid-flow. Of the rate law only the three tick events carry over.
+func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {
 	cfg.TLT.Flow = flow.ID
-	snd := &Sender{
-		cfg:    cfg,
-		rate:   float64(cfg.LineRateBps),
-		target: float64(cfg.LineRateBps),
+	s.QPSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec)
+	*s = Sender{
+		QPSender: s.QPSender,
+		cfg:      cfg,
+		rate:     float64(cfg.LineRateBps),
+		target:   float64(cfg.LineRateBps),
+		rpEv:     s.rpEv, alphaEv: s.alphaEv, sendEv: s.sendEv,
 	}
-	snd.Init(snd, host, flow, cfg.MSS, &snd.cfg.RTO, rec)
 	if cfg.Mode == IRN {
-		snd.RTOLow, snd.NLow = cfg.RTOLow, cfg.NLow
+		s.RTOLow, s.NLow = cfg.RTOLow, cfg.NLow
 	}
 	if cfg.TLT.Enabled {
 		if cfg.Mode == IRN {
-			snd.Win = *core.NewWindowSender(cfg.TLT)
+			s.Win = *core.NewWindowSender(cfg.TLT)
 		} else {
-			snd.tltRate = core.NewRateSender(cfg.TLT)
+			s.tltRate = *core.NewRateSender(cfg.TLT)
 		}
 	}
-	return snd
+}
+
+// Clear zeroes a finished sender down to what Reset carries over; see
+// transport.QPSender.Clear.
+func (s *Sender) Clear() {
+	s.QPSender.Clear()
+	*s = Sender{QPSender: s.QPSender, rpEv: s.rpEv, alphaEv: s.alphaEv, sendEv: s.sendEv}
 }
 
 // Start begins transmission.
@@ -170,7 +187,7 @@ func (s *Sender) sendOne() {
 // mark derives an outgoing packet's mark from the TLT machine in use.
 func (s *Sender) mark(psn int64, isRetx bool) packet.Mark {
 	switch {
-	case s.tltRate != nil:
+	case s.tltRate.Enabled():
 		// §5.2: mark the first and the last packet of a retransmission
 		// round, and the last packet of the message. For go-back-N the
 		// round's last packet is the end of the rewound window; for

@@ -64,23 +64,48 @@ type Receiver = transport.QPReceiver
 
 // NewSender constructs an HPCC sender for flow.
 func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) *Sender {
+	snd := new(Sender)
+	snd.Reset(host, flow, cfg, rec)
+	return snd
+}
+
+// Reset initialises the sender for flow on host; see
+// transport.QPSender.Reset, which panics on a sender that is mid-flow. Of
+// the window law only the emptied backing of the last INT stack carries
+// over.
+func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {
 	winit := float64(cfg.LineRateBps/8) * cfg.BaseRTT.Seconds()
 	cfg.TLT.Flow = flow.ID
-	snd := &Sender{cfg: cfg, winit: winit, w: winit, wc: winit}
-	snd.Init(snd, host, flow, cfg.MSS, &snd.cfg.RTO, rec)
+	s.QPSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec)
+	*s = Sender{QPSender: s.QPSender, cfg: cfg, winit: winit, w: winit, wc: winit, lastINT: s.lastINT[:0]}
 	// Always present: a disabled config yields a machine that never marks.
-	snd.Win = *core.NewWindowSender(cfg.TLT)
-	return snd
+	s.Win = *core.NewWindowSender(cfg.TLT)
+}
+
+// Clear zeroes a finished sender down to what Reset carries over; see
+// transport.QPSender.Clear.
+func (s *Sender) Clear() {
+	s.QPSender.Clear()
+	*s = Sender{QPSender: s.QPSender, lastINT: s.lastINT[:0]}
 }
 
 // StartFlow creates an HPCC flow from src to dst; see transport.StartQP.
 func StartFlow(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
 	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) (*Sender, *Receiver) {
-	rec := recorder.NewFlowRecord(flow)
-	snd, rcv := NewSender(s, src, flow, cfg, rec), new(Receiver)
-	rcv.Init(dst, flow, cfg.MSS, rec, cfg.TLT, true, true)
-	transport.StartQP(snd, rcv, recorder, onDone)
+	snd, rcv := new(Sender), new(Receiver)
+	StartFlowOn(snd, rcv, src, dst, flow, cfg, recorder, onDone)
 	return snd, rcv
+}
+
+// StartFlowOn is StartFlow on endpoints the caller supplies: new ones, or
+// ones whose previous flow has finished (Sender.Reset panics otherwise).
+// Nothing of what they did before shows in the flow they carry now.
+func StartFlowOn(snd *Sender, rcv *Receiver, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
+	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
+	rec := recorder.NewFlowRecord(flow)
+	snd.Reset(src, flow, cfg, rec)
+	rcv.Reset(dst, flow, cfg.MSS, rec, cfg.TLT, true, true)
+	transport.StartQP(snd, rcv, recorder, onDone)
 }
 
 // Start begins transmission.

@@ -12,28 +12,53 @@ type PktState struct {
 	Lost     bool
 	Retx     bool // retransmission of this lost packet is in flight
 	EverSent bool
+	resent   bool // sent when it did not extend the board: counted in PktBoard.resent
 	LastSent sim.Time
 }
 
 // PktBoard is a sender scoreboard over packet sequence numbers 0..N-1
 // with selective acknowledgment, duplicate-threshold-1 loss marking, and
 // time-based (RACK-style) loss detection for TLT echoes.
+//
+// It holds state for the PSNs from Una to the highest one sent, not for
+// the message: st grows at the top as packets leave and is compacted as
+// they are acknowledged, on a backing that doubles when the window
+// outgrows it. Calls must not go back in time: now and t never decrease.
 type PktBoard struct {
 	N   int64 // message length in packets
 	Una int64 // first PSN not cumulatively acked
 	Nxt int64 // next fresh PSN
 
-	st []PktState
+	// st[i] is PSN off+i. The entries below Una are dead, the ones from
+	// Nxt up (sent before a go-back-N rewind) dormant until sent again.
+	st  []PktState
+	off int64
+	mem *PktBoards // where st comes from and goes back to; nil: the board's own
 
 	sacked   int64 // sacked in [Una, Nxt)
 	lost     int64 // lost, unsacked
 	lostRetx int64 // subset of lost with retransmission in flight
+	resent   int64 // live entries sent out of PSN order: while 0, LastSent rises with PSN
 	LostEdge int64 // PSNs below this and unsacked are lost
 }
 
 // NewPktBoard returns a board for an n-packet message.
-func NewPktBoard(n int64) *PktBoard {
-	return &PktBoard{N: n, st: make([]PktState, n)}
+func NewPktBoard(n int64) *PktBoard { return &PktBoard{N: n} }
+
+// Reset empties the board for an n-packet message. Only the backing, or
+// the list it comes from, carries over.
+func (b *PktBoard) Reset(n int64) {
+	b.release()
+	*b = PktBoard{N: n, st: b.st[:0], mem: b.mem}
+}
+
+// release gives the slots back to the shared list, if there is one: the
+// flow is over and only the counters are read from here on.
+func (b *PktBoard) release() {
+	if b.mem != nil {
+		b.mem.Give(b.st)
+		b.st = nil
+	}
 }
 
 // InFlight estimates packets currently in the network.
@@ -50,20 +75,67 @@ func (b *PktBoard) PendingRetx() int64 { return b.lost - b.lostRetx }
 // Complete reports whether everything is cumulatively acked.
 func (b *PktBoard) Complete() bool { return b.Una >= b.N }
 
-// State returns the scoreboard entry for psn (for tests).
-func (b *PktBoard) State(psn int64) PktState { return b.st[psn] }
+// State returns the scoreboard entry for psn, Una <= psn < Nxt.
+func (b *PktBoard) State(psn int64) PktState {
+	s := b.st[psn-b.off]
+	s.resent = false
+	return s
+}
+
+// end is one past the highest PSN the board has an entry for.
+func (b *PktBoard) end() int64 { return b.off + int64(len(b.st)) }
+
+// window returns the entries of [Una, Nxt): window()[i] is PSN Una+i.
+func (b *PktBoard) window() []PktState {
+	if b.Nxt <= b.Una {
+		return nil
+	}
+	return b.st[b.Una-b.off : b.Nxt-b.off]
+}
 
 // OnSent records a transmission of psn at time now.
 func (b *PktBoard) OnSent(psn int64, isRetx bool, now sim.Time) {
-	s := &b.st[psn]
+	if psn >= b.Nxt {
+		b.Nxt = psn + 1
+	}
+	if psn < b.Una {
+		// Go-back-N overtaken by the ACKs of what it sent before a rewind:
+		// it sends below Una until Nxt catches up, and nothing reads that.
+		return
+	}
+	if psn < b.end() {
+		if s := &b.st[psn-b.off]; !s.resent {
+			s.resent = true
+			b.resent++
+		}
+	} else {
+		b.extend(psn)
+	}
+	s := &b.st[psn-b.off]
 	s.EverSent = true
 	s.LastSent = now
 	if isRetx && s.Lost && !s.Retx {
 		s.Retx = true
 		b.lostRetx++
 	}
-	if psn >= b.Nxt {
-		b.Nxt = psn + 1
+}
+
+// extend appends zeroed entries up to and including psn. A full backing
+// is compacted if at least half of it is dead — each move is paid for by
+// the packets acknowledged since the last — and otherwise traded for one
+// twice the size (a short message's first holds it whole), so capacity
+// stays within four times the peak window.
+func (b *PktBoard) extend(psn int64) {
+	for n := int(psn - b.end() + 1); n > 0; n-- {
+		if len(b.st) == cap(b.st) {
+			if dead := int(b.Una - b.off); dead > 0 && dead*2 >= len(b.st) {
+				b.st = b.st[:copy(b.st, b.st[dead:])]
+				b.off = b.Una
+			} else {
+				b.st = b.mem.Grow(b.st, int(min(b.N, 64)))
+			}
+		}
+		b.st = append(b.st, PktState{})
 	}
 }
 
@@ -75,8 +147,10 @@ func (b *PktBoard) Ack(cum int64) (progressed bool) {
 	if cum > b.N {
 		cum = b.N
 	}
-	for p := b.Una; p < cum; p++ {
-		s := &b.st[p]
+	end := b.end()
+	leaving := b.st[b.Una-b.off : min(cum, end)-b.off]
+	for i := range leaving {
+		s := &leaving[i]
 		if s.Sacked {
 			b.sacked--
 		}
@@ -86,8 +160,14 @@ func (b *PktBoard) Ack(cum int64) (progressed bool) {
 				b.lostRetx--
 			}
 		}
+		if s.resent {
+			b.resent--
+		}
 	}
 	b.Una = cum
+	if cum >= end {
+		b.st, b.off = b.st[:0], cum
+	}
 	if b.LostEdge < cum {
 		b.LostEdge = cum
 	}
@@ -98,16 +178,10 @@ func (b *PktBoard) Ack(cum int64) (progressed bool) {
 // the dupthresh-1 loss edge.
 func (b *PktBoard) Sack(blocks []packet.SackBlock) {
 	for _, blk := range blocks {
-		lo := blk.Start
-		if lo < b.Una {
-			lo = b.Una
-		}
-		hi := blk.End
-		if hi > b.Nxt {
-			hi = b.Nxt
-		}
+		lo := max(blk.Start, b.Una)
+		hi := min(blk.End, b.Nxt)
 		for p := lo; p < hi; p++ {
-			s := &b.st[p]
+			s := &b.st[p-b.off]
 			if s.Sacked {
 				continue
 			}
@@ -130,8 +204,8 @@ func (b *PktBoard) Sack(blocks []packet.SackBlock) {
 
 // ApplyLostEdge marks unsacked PSNs below LostEdge as lost.
 func (b *PktBoard) ApplyLostEdge() (newLoss bool) {
-	for p := b.Una; p < b.LostEdge; p++ {
-		s := &b.st[p]
+	for p, end := b.Una, min(b.LostEdge, b.end()); p < end; p++ {
+		s := &b.st[p-b.off]
 		if !s.Sacked && !s.Lost {
 			s.Lost = true
 			b.lost++
@@ -143,11 +217,22 @@ func (b *PktBoard) ApplyLostEdge() (newLoss bool) {
 
 // RackMark marks every unsacked PSN last sent strictly before t as lost
 // (TLT guaranteed loss detection); stale retransmissions are invalidated
-// so they are sent again.
+// so they are sent again. While every live entry was sent once and in PSN
+// order, send times rise with PSN and the scan ends at the first packet
+// sent at or after t — the very first, when ACKs arrive in order. A
+// window that holds a retransmission is scanned whole.
 func (b *PktBoard) RackMark(t sim.Time) (newLoss bool) {
-	for p := b.Una; p < b.Nxt; p++ {
-		s := &b.st[p]
-		if s.Sacked || !s.EverSent || s.LastSent >= t {
+	inOrder := b.resent == 0
+	w := b.window()
+	for i := range w {
+		s := &w[i]
+		if s.EverSent && s.LastSent >= t {
+			if inOrder {
+				break
+			}
+			continue
+		}
+		if s.Sacked || !s.EverSent {
 			continue
 		}
 		if s.Retx {
@@ -167,8 +252,9 @@ func (b *PktBoard) RackMark(t sim.Time) (newLoss bool) {
 // lost and in-flight retransmissions are invalidated.
 func (b *PktBoard) MarkAllLost() {
 	b.LostEdge = b.Nxt
-	for p := b.Una; p < b.Nxt; p++ {
-		s := &b.st[p]
+	w := b.window()
+	for i := range w {
+		s := &w[i]
 		if s.Retx {
 			s.Retx = false
 			b.lostRetx--
@@ -197,10 +283,9 @@ func (b *PktBoard) NextRetx() int64 {
 	if b.lost <= b.lostRetx {
 		return -1
 	}
-	for p := b.Una; p < b.Nxt; p++ {
-		s := &b.st[p]
+	for i, s := range b.window() {
 		if s.Lost && !s.Retx {
-			return p
+			return b.Una + int64(i)
 		}
 	}
 	return -1
@@ -208,9 +293,9 @@ func (b *PktBoard) NextRetx() int64 {
 
 // FirstUnsacked returns the lowest unsacked outstanding PSN, or -1.
 func (b *PktBoard) FirstUnsacked() int64 {
-	for p := b.Una; p < b.Nxt; p++ {
-		if !b.st[p].Sacked {
-			return p
+	for i, s := range b.window() {
+		if !s.Sacked {
+			return b.Una + int64(i)
 		}
 	}
 	return -1

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+
 	"tlt/internal/core"
 	"tlt/internal/fabric"
 	"tlt/internal/packet"
@@ -9,12 +11,18 @@ import (
 )
 
 // kindRTOTick drives the lazy RTO tick through a static handler on a
-// preallocated per-sender event (no closure boxing per arm).
-var kindRTOTick = sim.NewKind(func(_, arg any) { arg.(*QPSender).rtoTick() })
+// preallocated per-sender event (no closure boxing per arm); kindQPStart
+// is StartQP's one-shot start.
+var (
+	kindRTOTick = sim.NewKind(func(_, arg any) { arg.(*QPSender).rtoTick() })
+	kindQPStart = sim.NewKind(func(_, arg any) { arg.(*QPSender).law.Start() })
+)
 
-// qpLaw is the congestion law a QPSender is embedded in: the three places
-// where the reliability core has to call back into it.
+// qpLaw is the congestion law a QPSender is embedded in: the places where
+// the reliability core has to call back into it.
 type qpLaw interface {
+	// Start begins transmission, at the flow's start time.
+	Start()
 	// Recover runs when the RTO fired and the flow goes on (the timeout is
 	// already counted): mark or rewind the board, re-arm, resend — in the
 	// law's own order, which the event sequence depends on.
@@ -34,7 +42,7 @@ type qpLaw interface {
 // dcqcn.Sender and hpcc.Sender embed a QPSender and drive it.
 type QPSender struct {
 	S     *sim.Sim
-	Board *PktBoard
+	Board PktBoard
 	Rec   *stats.FlowRecord
 
 	// Win is the window-based TLT marking machine (§5.1) of IRN and
@@ -61,10 +69,14 @@ type QPSender struct {
 	mss  int
 	rto  *RTOConfig // the law's own copy; read only
 
-	rtoDeadline sim.Time // lazy RTO: 0 = disarmed
-	rtoEv       *sim.Event
-	backoff     uint // exponential backoff shift (only if rto.MaxBackoffShift > 0)
-	retries     int  // consecutive full-RTO rounds without forward progress
+	// Where StartQP has an abort booked; nil on a sender wired by hand.
+	recorder *stats.Recorder
+	onDone   func(*stats.FlowRecord)
+
+	rtoDeadline sim.Time   // lazy RTO: 0 = disarmed, which an open flow never is
+	rtoEv       *sim.Event // tick event, created at first arm and kept across Reset
+	backoff     uint       // exponential backoff shift (only if rto.MaxBackoffShift > 0)
+	retries     int        // consecutive full-RTO rounds without forward progress
 	rtoPending  bool
 	rtoIsLow    bool // armed with RTOLow
 	done        bool
@@ -77,12 +89,49 @@ func packets(size int64, mss int) int64 {
 	return max(1, (size+int64(mss)-1)/int64(mss))
 }
 
-// Init sets the core up for flow, segmented into mss-byte packets, under
-// the law that embeds it.
-func (q *QPSender) Init(law qpLaw, host *fabric.Host, flow *Flow, mss int, rto *RTOConfig, rec *stats.FlowRecord) {
-	q.S, q.Board, q.Rec = host.Sim(), NewPktBoard(packets(flow.Size, mss)), rec
-	q.host, q.flow, q.law, q.mss, q.rto = host, flow, law, mss, rto
+// Reset sets the core up for flow, segmented into mss-byte packets, under
+// the law that embeds it. It is the only place sender state is
+// initialised: everything starts from zero or from the arguments, and only
+// the tick event and the board's emptied backing (or the list it comes
+// from) carry over, so a recycled queue pair cannot differ from a new one.
+// A sender that is mid-flow, or whose tick is still queued, panics.
+func (q *QPSender) Reset(law qpLaw, host *fabric.Host, flow *Flow, mss int, rto *RTOConfig, rec *stats.FlowRecord) {
+	q.mustBeOver()
+	if q.rtoEv != nil && q.rtoEv.Scheduled() {
+		panic("transport: Reset of queue pair with its RTO tick still scheduled")
+	}
+	q.Board.Reset(packets(flow.Size, mss))
+	*q = QPSender{
+		S: host.Sim(), Board: q.Board, Rec: rec,
+		host: host, flow: flow, law: law, mss: mss, rto: rto,
+		rtoEv: q.rtoEv,
+	}
 }
+
+func (q *QPSender) mustBeOver() {
+	if q.rtoDeadline != 0 {
+		panic(fmt.Sprintf("transport: Reset of queue pair mid-flow (%d of %d packets acked)", q.Board.Una, q.Board.N))
+	}
+}
+
+// Clear zeroes a finished sender down to what Reset carries over, so one
+// parked between runs pins nothing of the run it served. Its simulator is
+// dead by then: finish leaves the lazy RTO tick to fire as a no-op rather
+// than stop it, a run that ends first leaves it queued for good, and Clear
+// lets go of that event. It panics on a sender that is mid-flow.
+func (q *QPSender) Clear() {
+	q.mustBeOver()
+	if q.rtoEv != nil && q.rtoEv.Scheduled() {
+		q.rtoEv = nil
+	}
+	q.Board.Reset(0)
+	*q = QPSender{Board: q.Board, rtoEv: q.rtoEv}
+}
+
+// ShareBoards makes the sender take its scoreboard's backing from b for
+// each flow and return it when the flow ends, instead of keeping its own.
+// Call it before the sender's first flow; b belongs to its event loop.
+func (q *QPSender) ShareBoards(b *PktBoards) { q.Board.mem = b }
 
 // Done reports sender-side completion, successful or not.
 func (q *QPSender) Done() bool { return q.done }
@@ -201,23 +250,26 @@ func (q *QPSender) ImportantClock() int64 {
 // no packet awaited retransmission before this ACK's selective
 // information was applied, and one does now.
 func (q *QPSender) OnAck(pkt *packet.Packet) (open, newLoss bool) {
-	var impSentAt sim.Time
-	rackOK := false
+	// Every ACK proves its data packet round-tripped: anything sent
+	// strictly earlier and still unacknowledged — including stale
+	// retransmissions — is lost (commercial RoCE NACK semantics), and an
+	// important echo proves the same of the important packet in flight
+	// (TLT's guaranteed loss detection). Marking is monotone in the time
+	// scanned from, so one scan from the later of the two serves both.
+	// They differ when an echo outlives the RTO that presumed its packet
+	// lost: the machine then holds the send time of a later one.
+	lostBefore := pkt.EchoTS
 	switch pkt.Mark {
 	case packet.ImportantEcho, packet.ImportantClockEcho:
-		impSentAt, rackOK = q.Win.OnEcho()
+		if impSentAt, ok := q.Win.OnEcho(); ok {
+			lostBefore = max(lostBefore, impSentAt)
+		}
 	}
 	progressed := q.Board.Ack(pkt.Ack)
 	hadLoss := q.Board.HasLoss()
 	q.Board.Sack(pkt.Sack)
-	if rackOK {
-		q.Board.RackMark(impSentAt)
-	}
-	// Every ACK proves its data packet round-tripped: anything sent
-	// strictly earlier and still unacknowledged — including stale
-	// retransmissions — is lost (commercial RoCE NACK semantics).
-	if pkt.EchoTS > 0 {
-		q.Board.RackMark(pkt.EchoTS)
+	if lostBefore > 0 {
+		q.Board.RackMark(lostBefore)
 	}
 	q.Board.ApplyLostEdge()
 	newLoss = !hadLoss && q.Board.HasLoss()
@@ -287,8 +339,18 @@ func (q *QPSender) finish(aborted bool) {
 	q.done, q.aborted = true, aborted
 	q.rtoDeadline = 0
 	q.law.Quiesce()
+	q.Board.release()
 	if aborted {
 		q.Win.Reset()
+		// The abort is booked on the sender's shard, completion on the
+		// receiver's; each touches only its own side of the record (see
+		// stats.FlowRecord).
+		if q.recorder != nil && !q.Rec.Aborted {
+			q.recorder.FlowAborted(q.Rec, q.S.Now())
+			if q.onDone != nil {
+				q.onDone(q.Rec)
+			}
+		}
 		if q.OnAbort != nil {
 			q.OnAbort()
 		}
@@ -304,12 +366,16 @@ func (q *QPSender) finish(aborted bool) {
 type QPReceiver struct {
 	// Cum is the in-order delivery point: every PSN below it has arrived.
 	Cum int64
-	// OnComplete fires once when the full message has arrived.
+	// OnComplete fires once when the full message has arrived. May be nil.
 	OnComplete func()
 
 	host *fabric.Host
 	flow *Flow
 	rec  *stats.FlowRecord
+
+	// Where StartQP has the completion booked; nil when wired by hand.
+	recorder *stats.Recorder
+	onDone   func(*stats.FlowRecord)
 
 	n         int64
 	rcv       RangeSet // out-of-order arrivals above Cum
@@ -319,17 +385,30 @@ type QPReceiver struct {
 	completed bool
 }
 
-// Init sets the receiver up for flow. window turns on the window-based
-// TLT echo machine (IRN, HPCC); echoINT copies each data packet's
-// telemetry into its ACK (HPCC).
-func (r *QPReceiver) Init(host *fabric.Host, flow *Flow, mss int, rec *stats.FlowRecord, tlt core.Config, window, echoINT bool) {
-	r.host, r.flow, r.rec = host, flow, rec
-	r.n = packets(flow.Size, mss)
-	r.ctrl = core.ControlMark(tlt.Enabled)
+// Reset sets the receiver up for flow. It is the only place receiver
+// state is initialised; only the range set's emptied backing carries over.
+// window turns on the window-based TLT echo machine (IRN, HPCC); echoINT
+// copies each data packet's telemetry into its ACK (HPCC). There is no
+// mid-flow check: a receiver whose sender aborted never sees its flow end.
+func (r *QPReceiver) Reset(host *fabric.Host, flow *Flow, mss int, rec *stats.FlowRecord, tlt core.Config, window, echoINT bool) {
+	r.rcv.Reset()
+	*r = QPReceiver{
+		host: host, flow: flow, rec: rec,
+		n:       packets(flow.Size, mss),
+		rcv:     r.rcv,
+		ctrl:    core.ControlMark(tlt.Enabled),
+		echoINT: echoINT,
+	}
 	if window {
 		r.win = *core.NewWindowReceiver(tlt)
 	}
-	r.echoINT = echoINT
+}
+
+// Clear zeroes the receiver down to what Reset carries over, so one
+// parked between runs pins nothing of the run it served.
+func (r *QPReceiver) Clear() {
+	r.rcv.Reset()
+	*r = QPReceiver{rcv: r.rcv}
 }
 
 // Delivered returns the packets delivered in order so far.
@@ -349,7 +428,9 @@ func (r *QPReceiver) Handle(pkt *packet.Packet) {
 		r.rcv.TrimBelow(r.Cum)
 	}
 	ack := r.control(packet.Ack, r.Cum)
-	ack.Sack = r.rcv.Blocks(8)
+	if !r.rcv.Empty() {
+		ack.Sack = r.rcv.AppendBlocks(ack.SackBuf(), packet.SackBufBlocks)
+	}
 	if m := r.win.TakeAckMark(); m != packet.Unimportant {
 		ack.Mark = m
 	}
@@ -377,8 +458,8 @@ func (r *QPReceiver) control(t packet.Type, ack int64) *packet.Packet {
 	return pkt
 }
 
-// reply books and sends pkt, then fires OnComplete if the message is whole
-// (the ACK saying so is on its way).
+// reply books and sends pkt, then stamps the flow's completion if the
+// message is whole (the ACK saying so is on its way).
 func (r *QPReceiver) reply(pkt *packet.Packet) {
 	if r.rec != nil {
 		// Receiver-owned counters: the sender may live on another shard.
@@ -392,19 +473,26 @@ func (r *QPReceiver) reply(pkt *packet.Packet) {
 	r.host.Send(pkt)
 	if r.Cum >= r.n && !r.completed {
 		r.completed = true
+		if r.recorder != nil && !r.rec.Done {
+			r.recorder.FlowDone(r.rec, r.host.Sim().Now())
+			if r.onDone != nil {
+				r.onDone(r.rec)
+			}
+		}
 		if r.OnComplete != nil {
 			r.OnComplete()
 		}
 	}
 }
 
-// StartQP wires the two ends of a queue pair into their hosts and starts
-// the sender at flow.Start. The FCT is stamped when the receiver has the
-// whole message; a sender that gives up stamps the abort.
+// StartQP wires the two ends of a queue pair, each Reset for the same
+// flow, into their hosts and starts the sender at the flow's start time,
+// allocating nothing. The FCT is stamped when the receiver has the whole
+// message, on its shard; a sender that gives up stamps the abort on its
+// own. onDone callers that must fire once per flow deduplicate themselves.
 func StartQP(
 	snd interface {
 		fabric.PacketHandler
-		Start()
 		sender() *QPSender
 	},
 	rcv interface {
@@ -413,29 +501,9 @@ func StartQP(
 	},
 	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
 	q, r := snd.sender(), rcv.receiver()
-	src, dst, rec := q.host, r.host, q.Rec
-	src.Register(q.flow.ID, snd)
-	dst.Register(q.flow.ID, rcv)
-	// Completion runs on the receiver's shard, abort on the sender's;
-	// each closure touches only its own side of the record (see
-	// stats.FlowRecord). onDone callers that must fire once per flow
-	// deduplicate themselves.
-	r.OnComplete = func() {
-		if !rec.Done {
-			recorder.FlowDone(rec, dst.Sim().Now())
-			if onDone != nil {
-				onDone(rec)
-			}
-		}
-	}
-	q.OnAbort = func() {
-		if rec.Aborted {
-			return
-		}
-		recorder.FlowAborted(rec, src.Sim().Now())
-		if onDone != nil {
-			onDone(rec)
-		}
-	}
-	src.Sim().At(q.flow.Start, snd.Start)
+	q.host.Register(q.flow.ID, snd)
+	r.host.Register(q.flow.ID, rcv)
+	q.recorder, q.onDone = recorder, onDone
+	r.recorder, r.onDone = recorder, onDone
+	q.S.PostKind(q.flow.Start, kindQPStart, 0, q)
 }

@@ -57,10 +57,9 @@ func FuzzRoCERecovery(f *testing.F) {
 
 		audit := &alternation{t: t}
 		rec := stats.NewRecorder()
-		qp := startRoCE(n, name, roceOpts{tlt: core.Config{Enabled: tlt, Audit: audit}, maxRetries: 6, backoff: 2}, flow, rec)
+		qp := startRoCE(n, name, roceOpts{tlt: core.Config{Enabled: tlt, Audit: audit}, maxRetries: 6, backoff: 2}, flow, rec, nil)
 		completes := 0
-		announce := *qp.complete
-		*qp.complete = func() { completes++; announce() }
+		*qp.complete = func() { completes++ }
 
 		checkBoard := func(now sim.Time, _ string, _ *packet.Packet) {
 			b := qp.board

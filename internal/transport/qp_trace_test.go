@@ -55,14 +55,22 @@ type roceOpts struct {
 	noLow      bool
 }
 
-// startRoCE starts flow f from host 0 to host 1 on the named transport.
-func startRoCE(n *topo.Network, name string, o roceOpts, f *transport.Flow, rec *stats.Recorder) qpEnds {
+// startRoCE starts flow f from host 0 to host 1 on the named transport:
+// on a new queue pair, or on one from stock when there is a stock.
+func startRoCE(n *topo.Network, name string, o roceOpts, f *transport.Flow, rec *stats.Recorder, stock *qpStock) qpEnds {
 	rto := transport.RTOConfig{Fixed: 300 * sim.Microsecond, MaxRetries: o.maxRetries, MaxBackoffShift: o.backoff}
 	if name == "hpcc" {
 		cfg := hpcc.DefaultConfig(n.BaseRTT + 2*sim.Microsecond)
 		cfg.TLT, cfg.RTO = o.tlt, rto
-		snd, rcv := hpcc.StartFlow(n.Sim, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
-		return qpEnds{snd.Board, snd.FlowStatus, rcv.Delivered, &rcv.OnComplete}
+		var snd *hpcc.Sender
+		var rcv *hpcc.Receiver
+		if stock == nil {
+			snd, rcv = hpcc.StartFlow(n.Sim, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+		} else {
+			snd, rcv = stock.hpccPair()
+			hpcc.StartFlowOn(snd, rcv, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+		}
+		return qpEnds{&snd.Board, snd.FlowStatus, rcv.Delivered, &rcv.OnComplete}
 	}
 	mode := map[string]dcqcn.Mode{"dcqcn-gbn": dcqcn.GBN, "dcqcn-sack": dcqcn.SACK, "dcqcn-irn": dcqcn.IRN}[name]
 	cfg := dcqcn.DefaultConfig(mode)
@@ -74,8 +82,14 @@ func startRoCE(n *topo.Network, name string, o roceOpts, f *transport.Flow, rec 
 			cfg.RTOLow = 0
 		}
 	}
-	c := dcqcn.StartFlow(n.Sim, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
-	return qpEnds{c.Sender.Board, c.Sender.FlowStatus, c.Receiver.Delivered, &c.Receiver.OnComplete}
+	var c *dcqcn.Conn
+	if stock == nil {
+		c = dcqcn.StartFlow(n.Sim, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	} else {
+		c = stock.dcqcnConn()
+		dcqcn.StartFlowOn(*c, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	}
+	return qpEnds{&c.Sender.Board, c.Sender.FlowStatus, c.Receiver.Delivered, &c.Receiver.OnComplete}
 }
 
 // seededLoss is the drop and CE-marking pattern of tcp/reset_test.go: a
@@ -129,7 +143,8 @@ const clockedTailSize = 30_300
 // loss-free cell: one flow of clockedTailSize. Any other cell runs four
 // flows concurrently — three seed-chosen sizes and one beyond
 // the window — through seeded 12% loss with backoff enabled (shift ≤ 2).
-func runTraceCase(t *testing.T, name string, tlt bool, seed int64, blackhole bool) ([]byte, []stats.FlowRecord) {
+// With a stock, the flows run on its queue pairs instead of new ones.
+func runTraceCase(t *testing.T, name string, tlt bool, seed int64, blackhole bool, stock *qpStock) ([]byte, []stats.FlowRecord) {
 	t.Helper()
 	s, n := roceStar()
 	rec := stats.NewRecorder()
@@ -149,9 +164,9 @@ func runTraceCase(t *testing.T, name string, tlt bool, seed int64, blackhole boo
 	if blackhole {
 		n.Hosts[0].NICTx().DropWhen(func(p *packet.Packet) bool { return p.Type == packet.Data })
 		o.maxRetries, o.noLow = 3, true
-		qps = append(qps, startRoCE(n, name, o, &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 24_300}, rec))
+		qps = append(qps, startRoCE(n, name, o, &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 24_300}, rec, stock))
 	} else if seed == 0 {
-		qps = append(qps, startRoCE(n, name, o, &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: clockedTailSize}, rec))
+		qps = append(qps, startRoCE(n, name, o, &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: clockedTailSize}, rec, stock))
 	} else {
 		loss := seededLoss(seed, 12)
 		n.Hosts[0].NICTx().DropWhen(loss(0))
@@ -163,7 +178,7 @@ func runTraceCase(t *testing.T, name string, tlt bool, seed int64, blackhole boo
 				size = traceSizes[6+seed%2]
 			}
 			qps = append(qps, startRoCE(n, name, o, &transport.Flow{ID: packet.FlowID(id), Src: 0, Dst: 1, Size: size,
-				Start: sim.Time(rng.Intn(40)) * sim.Microsecond}, rec))
+				Start: sim.Time(rng.Intn(40)) * sim.Microsecond}, rec, stock))
 		}
 	}
 	s.Run(sim.Second)
@@ -204,10 +219,16 @@ func hashWithRecords(trace []byte, recs []stats.FlowRecord) string {
 // cells are therefore compared with ClockBytes re-booked the parent's
 // way (ClockSends × MSS), and at least one of them must actually differ.
 func TestRoCEWireTraceMatchesParent(t *testing.T) {
+	checkParentTraces(t, func(string, string, int64) *qpStock { return nil })
+}
+
+// checkParentTraces runs the 32 cells, each on the queue pairs stock
+// returns for it (nil: new ones), against the committed hashes.
+func checkParentTraces(t *testing.T, stock func(cell, name string, seed int64) *qpStock) {
 	rebooked := 0
 	reached := map[string]int{} // recovery paths the case table went through
 	check := func(cell, name string, tlt bool, seed int64, blackhole bool) {
-		trace, recs := runTraceCase(t, name, tlt, seed, blackhole)
+		trace, recs := runTraceCase(t, name, tlt, seed, blackhole, stock(cell, name, seed))
 		for i := range recs {
 			r := &recs[i]
 			reached[name+" timeouts"] += r.Timeouts

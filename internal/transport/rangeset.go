@@ -35,25 +35,13 @@ func (s *RangeSet) Reset() {
 	s.r = s.r[:0]
 }
 
-// Blocks returns up to max intervals, highest first (the order SACK
-// options report most-recent data). max <= 0 returns all, lowest first.
-func (s *RangeSet) Blocks(max int) []packet.SackBlock {
-	if max <= 0 || max >= len(s.r) {
-		out := make([]packet.SackBlock, len(s.r))
-		copy(out, s.r)
-		if max > 0 {
-			// reverse for highest-first
-			for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-		return out
+// AppendBlocks appends up to max intervals to dst, highest first (the
+// order SACK options report most-recent data), and returns it.
+func (s *RangeSet) AppendBlocks(dst []packet.SackBlock, max int) []packet.SackBlock {
+	for i := len(s.r) - 1; i >= 0 && max > 0; i, max = i-1, max-1 {
+		dst = append(dst, s.r[i])
 	}
-	out := make([]packet.SackBlock, 0, max)
-	for i := len(s.r) - 1; i >= 0 && len(out) < max; i-- {
-		out = append(out, s.r[i])
-	}
-	return out
+	return dst
 }
 
 // Add inserts [start, end) and returns the number of newly covered units.

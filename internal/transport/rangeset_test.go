@@ -2,8 +2,11 @@ package transport
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"tlt/internal/packet"
 )
 
 // naiveSet is a reference model for RangeSet.
@@ -61,7 +64,7 @@ func TestRangeSetAdjacentMerge(t *testing.T) {
 	s.Add(30, 40)
 	s.Add(20, 30) // bridges
 	if s.Len() != 1 {
-		t.Fatalf("bridge not merged: %v", s.Blocks(0))
+		t.Fatalf("bridge not merged: %v", s.r)
 	}
 }
 
@@ -72,7 +75,7 @@ func TestRangeSetTrimBelow(t *testing.T) {
 	s.Add(40, 50)
 	s.TrimBelow(25)
 	if s.Contains(24) || !s.Contains(25) || !s.Contains(45) {
-		t.Fatalf("TrimBelow wrong: %v", s.Blocks(0))
+		t.Fatalf("TrimBelow wrong: %v", s.r)
 	}
 	if got := s.Total(); got != 15 {
 		t.Fatalf("Total after trim = %d, want 15", got)
@@ -88,17 +91,82 @@ func TestRangeSetBlocksOrder(t *testing.T) {
 	s.Add(40, 50)
 	s.Add(0, 10)
 	s.Add(20, 30)
-	all := s.Blocks(0)
-	if len(all) != 3 || all[0].Start != 0 || all[2].Start != 40 {
-		t.Fatalf("Blocks(0) = %v", all)
-	}
-	top := s.Blocks(2)
+	top := s.AppendBlocks(nil, 2)
 	if len(top) != 2 || top[0].Start != 40 || top[1].Start != 20 {
-		t.Fatalf("Blocks(2) = %v, want highest first", top)
+		t.Fatalf("AppendBlocks(nil, 2) = %v, want highest first", top)
 	}
-	full := s.Blocks(5)
-	if len(full) != 3 || full[0].Start != 40 {
-		t.Fatalf("Blocks(5) = %v", full)
+	full := s.AppendBlocks(top[:1], 5)
+	if len(full) != 4 || full[0].Start != 40 || full[1].Start != 40 || full[3].Start != 0 {
+		t.Fatalf("AppendBlocks onto one block = %v, want it kept and all three after it", full)
+	}
+}
+
+// blocksBefore is RangeSet.Blocks as it was before AppendBlocks replaced
+// it (for max > 0): a fresh slice per call.
+func blocksBefore(s *RangeSet, max int) []packet.SackBlock {
+	if max >= len(s.r) {
+		out := make([]packet.SackBlock, len(s.r))
+		copy(out, s.r)
+		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+			out[i], out[j] = out[j], out[i]
+		}
+		return out
+	}
+	out := make([]packet.SackBlock, 0, max)
+	for i := len(s.r) - 1; i >= 0 && len(out) < max; i-- {
+		out = append(out, s.r[i])
+	}
+	return out
+}
+
+// TestAppendBlocksEqualsBlocks: on random sets, the blocks an ACK carries
+// — order and truncation — are the ones the allocating form reported.
+func TestAppendBlocksEqualsBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	truncated := 0
+	for round := 0; round < 200; round++ {
+		var s RangeSet
+		for n := rng.Intn(14); n > 0; n-- {
+			start := int64(rng.Intn(400))
+			s.Add(start, start+1+int64(rng.Intn(12)))
+		}
+		for _, max := range []int{1, 3, 4, 8} {
+			var pkt packet.Packet
+			got, want := s.AppendBlocks(pkt.SackBuf(), max), blocksBefore(&s, max)
+			if !slices.Equal(got, want) {
+				t.Fatalf("set %v: AppendBlocks(%d) = %v, Blocks gave %v", s.r, max, got, want)
+			}
+			if len(got) < s.Len() {
+				truncated++
+			}
+		}
+	}
+	if truncated == 0 {
+		t.Fatal("no set held more blocks than max: truncation not exercised")
+	}
+}
+
+// TestAckSackBlocksAllocateNothing: the SACK blocks of an ACK built on a
+// recycled packet go into the backing the packet kept through its Pool,
+// and Put hands the next user an empty one.
+func TestAckSackBlocksAllocateNothing(t *testing.T) {
+	var s RangeSet
+	s.Add(10, 20)
+	s.Add(30, 40)
+	s.Add(50, 60)
+	pool := packet.NewPool()
+	ack := func() {
+		pkt := pool.Get()
+		pkt.Sack = s.AppendBlocks(pkt.SackBuf(), packet.SackBufBlocks)
+		pool.Put(pkt)
+	}
+	ack() // the packet's first use makes the backing
+	if allocs := testing.AllocsPerRun(100, ack); allocs != 0 {
+		t.Fatalf("an ACK with 3 SACK blocks on a recycled packet allocated %v times", allocs)
+	}
+	pkt := pool.Get()
+	if buf := pkt.SackBuf(); pkt.Sack != nil || len(buf) != 0 || buf[:3][0] != (packet.SackBlock{}) || buf[:3][2] != (packet.SackBlock{}) {
+		t.Fatalf("a recycled packet came back with Sack %v and backing %v", pkt.Sack, buf[:3])
 	}
 }
 
@@ -151,7 +219,7 @@ func TestRangeSetVsModel(t *testing.T) {
 				return false
 			}
 			// Invariant: blocks sorted, disjoint, non-adjacent.
-			blocks := s.Blocks(0)
+			blocks := s.r
 			for i, b := range blocks {
 				if b.Start >= b.End {
 					return false

@@ -82,7 +82,9 @@ func (r *Receiver) Handle(pkt *packet.Packet) {
 	ack.Type = packet.Ack
 	ack.TC = r.cfg.TrafficClass
 	ack.Ack = r.rcvNxt
-	ack.Sack = r.received.Blocks(r.cfg.MaxSackBlocks)
+	if !r.received.Empty() {
+		ack.Sack = r.received.AppendBlocks(ack.SackBuf(), r.cfg.MaxSackBlocks)
+	}
 	ack.ECE = pkt.CE
 	ack.Mark = r.tlt.TakeAckMark()
 	if !pkt.IsRetx && pkt.SentAt > 0 {

@@ -3,6 +3,7 @@ package tcp
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tlt/internal/fabric"
@@ -87,7 +88,7 @@ func TestScoreboardsRecycleBySize(t *testing.T) {
 		var segs []segment
 		for i := 0; i < n; i++ {
 			if len(segs) == cap(segs) {
-				segs = b.grow(segs, 10)
+				segs = b.Grow(segs, 10)
 			}
 			segs = append(segs, segment{start: int64(i), end: int64(i + 1)})
 		}
@@ -97,16 +98,27 @@ func TestScoreboardsRecycleBySize(t *testing.T) {
 	if cap(segs) != 128 || segs[99].start != 99 {
 		t.Fatalf("100 segments ended on capacity %d, last %+v; want 128 and the segments kept", cap(segs), segs[99])
 	}
-	b.give(segs)
-	if allocs := testing.AllocsPerRun(3, func() { b.give(fill(100)) }); allocs != 0 {
+	b.Give(segs)
+	refill := func(n int) float64 { return testing.AllocsPerRun(3, func() { b.Give(fill(n)) }) }
+	if allocs := refill(100); allocs != 0 {
 		t.Fatalf("a second flow of the same size allocated %v times", allocs)
 	}
 	b.Trim() // every size was taken since the last Trim: all stay
-	b.give(fill(10))
-	b.Trim() // only the smallest was
-	for k, free := range b.free {
-		if want := map[int]int{4: 1}[k]; len(free) != want {
-			t.Fatalf("after a Trim that followed a 10-segment flow, %d backings of capacity %d are free, want %d", len(free), 1<<k, want)
-		}
+	if allocs := refill(100); allocs != 0 {
+		t.Fatalf("after a Trim that followed a 100-segment flow, the next one allocated %v times", allocs)
+	}
+	b.Trim()
+	b.Give(fill(10))
+	b.Trim() // only the smallest was taken
+	if allocs := refill(10); allocs != 0 {
+		t.Fatalf("after a Trim that followed a 10-segment flow, the next one allocated %v times", allocs)
+	}
+	// Capacities 32, 64 and 128 were dropped: one run makes them anew.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.Give(fill(100))
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 3 {
+		t.Fatalf("after a Trim that followed a 10-segment flow, a 100-segment flow allocated %d times, want its three larger backings", allocs)
 	}
 }

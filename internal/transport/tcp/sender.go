@@ -562,7 +562,7 @@ func (s *Sender) ccOnAck(pkt *packet.Packet, newly int64) {
 // flow may fill at once, instead of doubling its way up from one.
 func (s *Sender) pushSeg(seg segment) int {
 	if len(s.segs) == cap(s.segs) {
-		s.segs = s.boards.grow(s.segs, s.cfg.InitWindowSegs)
+		s.segs = s.boards.Grow(s.segs, s.cfg.InitWindowSegs)
 	}
 	s.segs = append(s.segs, seg)
 	return len(s.segs) - 1
@@ -890,7 +890,7 @@ func (s *Sender) complete() {
 func (s *Sender) retire() {
 	s.done = true
 	if s.boards != nil {
-		s.boards.give(s.segs)
+		s.boards.Give(s.segs)
 		s.segs, s.head = nil, 0
 	}
 	s.rtoDeadline = 0
