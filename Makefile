@@ -1,10 +1,11 @@
 # Build/test/profile pipeline. The committed PGO profile lives at
 # cmd/tltsim/default.pgo, where the Go toolchain picks it up
 # automatically (-pgo=auto is the default) for every build of tltsim;
-# `make pgo` regenerates it from the two representative workloads (the
-# fig5 closed-loop smoke and the streaming scale-sweep smoke — together
-# they cover the wheel drain, the switch datapath, and the transport
-# tick paths that dominate CPU). The sidecar default.pgo.meta records
+# `make pgo` regenerates it from three representative workloads (the
+# fig5 closed-loop smoke, the fig6 RoCE smoke and the streaming
+# scale-sweep smoke — together they cover the wheel drain, the switch
+# datapath with its INT stamping, the TCP and RoCE queue-pair transports
+# and the tick paths that dominate CPU). The sidecar default.pgo.meta records
 # the CHANGES.md line count at generation time; `make pgo-check` (and
 # CI) fail once the profile is more than PGO_MAX_AGE PRs stale.
 
@@ -37,20 +38,22 @@ benchmark:
 ab:
 	bash scripts/ab.sh $(PARENT) $(CHANGE) --workload $(W)
 
-# Capture CPU profiles from the two smoke workloads CI gates on, merge
+# Capture CPU profiles from the three smoke workloads, merge
 # them into the committed default.pgo, and stamp the staleness sidecar.
 # Commit both files after running this. (Iterating is fine: the capture
 # runs already benefit from the previous profile; Go PGO is stable
 # under that feedback.)
-# The two captures go to a mktemp -d directory (honours TMPDIR), removed
+# The captures go to a mktemp -d directory (honours TMPDIR), removed
 # on the way out, so the recipe needs no writable /tmp.
 pgo:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; set -x; \
 	$(GO) run ./cmd/tltsim -exp fig5 -bg 60 -seeds 1 -points 2 -procs 1 \
 		-cpuprofile "$$dir/fig5.pb.gz"; \
+	$(GO) run ./cmd/tltsim -exp fig6 -bg 32 -seeds 1 -procs 1 \
+		-cpuprofile "$$dir/fig6.pb.gz"; \
 	$(GO) run ./cmd/tltsim -exp scale-sweep -bg 25000 -points 1 -seeds 1 -procs 1 -shards 4 \
 		-cpuprofile "$$dir/scale.pb.gz"; \
-	$(GO) tool pprof -proto "$$dir/fig5.pb.gz" "$$dir/scale.pb.gz" > $(PGO)
+	$(GO) tool pprof -proto "$$dir/fig5.pb.gz" "$$dir/fig6.pb.gz" "$$dir/scale.pb.gz" > $(PGO)
 	echo "changes_lines=$$(wc -l < CHANGES.md)" > $(PGO_META)
 	@echo "wrote $(PGO) + $(PGO_META); commit both"
 

@@ -14,10 +14,10 @@ import (
 
 // An arena is the memory a grid worker slot carries from one cell to the
 // next. A figure is hundreds of cells on the same fabric, and each cell's
-// warm-up — packets, event nodes, NIC and switch queues, demux tables,
-// TCP endpoints, RoCE queue pairs and their scoreboards — grows to much
-// the same size, so a slot pays that growth once instead of once per
-// cell. The arena is the slot's token in RunGrid's semaphore: holding it
+// warm-up — packets and their extensions, event nodes, NIC and switch
+// queues, demux tables, TCP endpoints, RoCE queue pairs and their
+// scoreboards — grows to much the same size, so a slot pays that growth
+// once instead of once per cell. The arena is the slot's token in RunGrid's semaphore: holding it
 // is both the right to run and the memory to run in, and it changes
 // goroutines only through that channel. A cell run outside a grid gets a
 // private arena (RunConfig.arena), so every driver has the one code path.
@@ -55,9 +55,9 @@ type arena struct {
 // running cell. Between the barriers of a sharded run only the goroutine
 // driving that shard touches it.
 type shardMem struct {
-	sched  sim.Mem          // event-node chunks, mailbox buffers
-	pkts   []*packet.Packet // free packets, zeroed
-	fabric fabric.Mem       // host and switch-queue buffers
+	sched  sim.Mem      // event-node chunks, mailbox buffers
+	pkts   packet.Stock // free packets and their extensions, zeroed
+	fabric fabric.Mem   // host and switch-queue buffers
 
 	// took says which families' lists below the running cell has taken
 	// from: only those does it trim.
@@ -189,7 +189,7 @@ func (a *arena) attach(net *topo.Network) {
 	for i, p := range net.Pools {
 		m := a.shards[i]
 		p.Adopt(m.pkts)
-		m.pkts = nil
+		m.pkts = packet.Stock{}
 	}
 	for i, h := range net.Hosts {
 		h.Adopt(&a.shards[shardOf(net.HostShard, i)].fabric)

@@ -96,13 +96,15 @@ func isolationCells(t *testing.T, shards int) (as, bs []RunConfig) {
 // TestArenaIsolation is the property arena recycling rests on: what a
 // cell computes does not depend on what its grid slot ran before. Every B
 // is run on a fresh slot and on a slot that has just run a different
-// cell, at shards 1 and 4, a TCP one and a RoCE one under the auditor
-// (pool audit on recycled packets included); then all cells go through an
-// 8-slot grid twice over, where slots, borrowed shard workers and
-// hand-offs through the semaphore are whatever the scheduler makes them.
-// Every rendering must equal the fresh one.
+// cell, at shards 1 and 4, a TCP one and two RoCE ones under the auditor
+// (pool audit on recycled packets and extensions included: hpcc after
+// dcqcn-sack takes over SACK extensions, dcqcn-sack after hpcc INT ones);
+// then all cells go through an 8-slot grid twice over, where slots,
+// borrowed shard workers and hand-offs through the semaphore are whatever
+// the scheduler makes them. Every rendering must equal the fresh one.
 //
-// Mutation-checked: it fails when packet.Pool.Put stops zeroing, when
+// Mutation-checked: it fails when packet.Pool.Put stops zeroing, when an
+// ACK's INT echo aliases the data packet's extension, when
 // fabric.Host.Release stops clearing idx, when tcp.Sender.Reset stops
 // re-initialising a field (rtoEst), and when Reset and Clear both carry
 // one over that a finished sender holds (alpha, lostEdge, nextAlphaSeq;
@@ -113,7 +115,7 @@ func isolationCells(t *testing.T, shards int) (as, bs []RunConfig) {
 func TestArenaIsolation(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		as, bs := isolationCells(t, shards)
-		bs[1].Audit, bs[7].Audit = true, true
+		bs[1].Audit, bs[5].Audit, bs[7].Audit = true, true, true
 		fresh := make([]string, len(bs))
 		for i, b := range bs {
 			fresh[i] = renderCell(Run(b))

@@ -74,14 +74,13 @@ func (h *Host) NICTx() *Tx { return h.tx }
 // SetPool installs the packet free-list this host allocates from.
 func (h *Host) SetPool(p *packet.Pool) { h.pool = p }
 
+// Pool returns the packet free-list the host allocates from (nil: none),
+// which the packets it sends take their extensions from.
+func (h *Host) Pool() *packet.Pool { return h.pool }
+
 // NewPacket returns a zeroed packet for the transport to fill and Send.
 // Pooled when a free-list is installed, heap-allocated otherwise.
-func (h *Host) NewPacket() *packet.Packet {
-	if h.pool != nil {
-		return h.pool.Get()
-	}
-	return &packet.Packet{}
-}
+func (h *Host) NewPacket() *packet.Packet { return h.pool.Get() }
 
 // QueuedPackets returns the NIC backlog length.
 func (h *Host) QueuedPackets() int { return len(h.queue) - h.pop }
@@ -199,24 +198,17 @@ func (h *Host) dequeue() (*packet.Packet, int) {
 	return pkt, size
 }
 
-// recycle returns a fully-consumed packet to the free list.
-func (h *Host) recycle(pkt *packet.Packet) {
-	if h.pool != nil {
-		h.pool.Put(pkt)
-	}
-}
-
 // Receive implements Device: demultiplex to the flow's endpoint, or react
 // to PFC control frames.
 func (h *Host) Receive(pkt *packet.Packet, inPort int) {
 	switch pkt.Type {
 	case packet.Pause:
 		h.tx.Pause()
-		h.recycle(pkt)
+		h.pool.Put(pkt)
 		return
 	case packet.Resume:
 		h.tx.Resume()
-		h.recycle(pkt)
+		h.pool.Put(pkt)
 		return
 	}
 	if h.Trace != nil {
@@ -231,5 +223,5 @@ func (h *Host) Receive(pkt *packet.Packet, inPort int) {
 	// Either way the packet's life ends here: handlers copy what they
 	// keep (no transport retains the pointer past Handle), so it can go
 	// back on the free-list.
-	h.recycle(pkt)
+	h.pool.Put(pkt)
 }

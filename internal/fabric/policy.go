@@ -339,7 +339,7 @@ func (sw *Switch) EmitPause(port int) {
 	if sw.Audit != nil {
 		sw.Audit.OnPFC(sw, port, true)
 	}
-	pf := sw.newControl()
+	pf := sw.pool.Get()
 	pf.Type = packet.Pause
 	pf.Src = sw.id
 	sw.ports[port].tx.DeliverControl(pf)
@@ -351,7 +351,7 @@ func (sw *Switch) EmitResume(port int) {
 	if sw.Audit != nil {
 		sw.Audit.OnPFC(sw, port, false)
 	}
-	pf := sw.newControl()
+	pf := sw.pool.Get()
 	pf.Type = packet.Resume
 	pf.Src = sw.id
 	sw.ports[port].tx.DeliverControl(pf)

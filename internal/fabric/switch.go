@@ -149,12 +149,14 @@ func (c *Counters) TotalDrops() int64 {
 }
 
 // swEnt is one queued packet plus the byte accounting popFront needs:
-// carrying size and color in the FIFO entry keeps the pop path off the
-// packet's (long since evicted) cache line.
+// carrying size, color and the ingress port (for per-ingress PFC
+// accounting) in the FIFO entry keeps the pop path off the packet's (long
+// since evicted) cache line. in fits the padding: the entry stays 16 bytes.
 type swEnt struct {
 	pkt *packet.Packet
 	sz  int32
 	red bool
+	in  uint16
 }
 
 // swQueue is one egress FIFO (one traffic class of one port).
@@ -169,11 +171,12 @@ type swQueue struct {
 	maxRedBytes int64
 }
 
-// push appends pkt to the FIFO. The caller passes the wire size (already
-// computed for admission) so the hot path sizes each packet exactly once.
-func (q *swQueue) push(pkt *packet.Packet, sz int64) {
+// push appends pkt, arrived on ingress port in, to the FIFO. The caller
+// passes the wire size (already computed for admission) so the hot path
+// sizes each packet exactly once.
+func (q *swQueue) push(pkt *packet.Packet, sz int64, in int) {
 	red := pkt.Mark.Color() == packet.Red
-	q.queue = append(q.queue, swEnt{pkt: pkt, sz: int32(sz), red: red})
+	q.queue = append(q.queue, swEnt{pkt: pkt, sz: int32(sz), red: red, in: uint16(in)})
 	q.bytes += sz
 	if red {
 		q.red += sz
@@ -186,11 +189,11 @@ func (q *swQueue) push(pkt *packet.Packet, sz int64) {
 	}
 }
 
-// popFront removes and returns the head packet and its wire size (stored
-// at push time, then reused by the dequeue accounting).
-func (q *swQueue) popFront() (*packet.Packet, int64) {
+// popFront removes and returns the head packet, its wire size (stored at
+// push time, then reused by the dequeue accounting) and its ingress port.
+func (q *swQueue) popFront() (*packet.Packet, int64, int) {
 	if q.pop >= len(q.queue) {
-		return nil, 0
+		return nil, 0, 0
 	}
 	e := q.queue[q.pop]
 	q.queue[q.pop] = swEnt{}
@@ -210,7 +213,7 @@ func (q *swQueue) popFront() (*packet.Packet, int64) {
 	if e.red {
 		q.red -= sz
 	}
-	return e.pkt, sz
+	return e.pkt, sz, int(e.in)
 }
 
 // swPort is one egress port: a set of class queues behind a transmitter.
@@ -335,22 +338,6 @@ func (sw *Switch) ID() packet.NodeID { return sw.id }
 // SetPool installs the packet free-list the switch recycles dropped
 // packets to and draws PFC control frames from.
 func (sw *Switch) SetPool(p *packet.Pool) { sw.pool = p }
-
-// recycle returns a packet whose life ended inside the switch (admission
-// drop, consumed control frame) to the free list.
-func (sw *Switch) recycle(pkt *packet.Packet) {
-	if sw.pool != nil {
-		sw.pool.Put(pkt)
-	}
-}
-
-// newControl returns a zeroed packet for a PFC frame.
-func (sw *Switch) newControl() *packet.Packet {
-	if sw.pool != nil {
-		return sw.pool.Get()
-	}
-	return &packet.Packet{}
-}
 
 // Config returns the switch configuration.
 func (sw *Switch) Config() SwitchConfig { return sw.cfg }
@@ -499,7 +486,7 @@ func (sw *Switch) attach(port int, tx *Tx) {
 	if sw.cfg.INT {
 		tx.onTransmit = func(pkt *packet.Packet) {
 			if pkt.Type == packet.Data {
-				if pkt.AppendINT(packet.INTHop{
+				if pkt.AppendINT(sw.pool, packet.INTHop{
 					QueueBytes: p.totalBytes(),
 					TxBytes:    tx.TxBytes,
 					Timestamp:  sw.sim.Now(),
@@ -531,17 +518,17 @@ func (sw *Switch) Receive(pkt *packet.Packet, inPort int) {
 		if pkt.Type != packet.Pause && pkt.Type != packet.Resume {
 			sw.Ctr.DropSwitchFail++
 		}
-		sw.recycle(pkt)
+		sw.pool.Put(pkt)
 		return
 	}
 	switch pkt.Type {
 	case packet.Pause:
 		sw.pauseRx(inPort)
-		sw.recycle(pkt)
+		sw.pool.Put(pkt)
 		return
 	case packet.Resume:
 		sw.resumeRx(inPort)
-		sw.recycle(pkt)
+		sw.pool.Put(pkt)
 		return
 	}
 
@@ -598,7 +585,7 @@ func (sw *Switch) enqueue(pkt *packet.Packet, inPort, egress int) {
 		if sw.Audit != nil {
 			sw.Audit.OnDrop(sw, egress, tc, pkt, reason, q.bytes, free)
 		}
-		sw.recycle(pkt)
+		sw.pool.Put(pkt)
 		return
 	}
 
@@ -634,9 +621,8 @@ func (sw *Switch) enqueue(pkt *packet.Packet, inPort, egress int) {
 		sw.Ctr.EnqRed++
 	}
 
-	pkt.EnqIngress = inPort
 	sw.used += size
-	q.push(pkt, size)
+	q.push(pkt, size, inPort)
 	if sw.Audit != nil {
 		sw.Audit.OnEnqueue(sw, egress, tc, pkt)
 	}
@@ -662,7 +648,7 @@ func (sw *Switch) dequeue(port int) (*packet.Packet, int) {
 	p := sw.ports[port]
 	var pkt *packet.Packet
 	var size int64
-	tc := 0
+	tc, in := 0, 0
 	for i := 0; i < len(p.qs); i++ {
 		cls := p.rr
 		q := &p.qs[cls]
@@ -670,7 +656,7 @@ func (sw *Switch) dequeue(port int) (*packet.Packet, int) {
 		if p.rr == len(p.qs) {
 			p.rr = 0
 		}
-		if pkt, size = q.popFront(); pkt != nil {
+		if pkt, size, in = q.popFront(); pkt != nil {
 			tc = cls
 			break
 		}
@@ -684,7 +670,7 @@ func (sw *Switch) dequeue(port int) (*packet.Packet, int) {
 	}
 
 	if sw.fc != nil {
-		sw.fc.OnDequeue(pkt.EnqIngress, port, tc, size)
+		sw.fc.OnDequeue(in, port, tc, size)
 	}
 	return pkt, int(size)
 }
@@ -760,7 +746,7 @@ func (sw *Switch) flushPort(port int, reason DropReason, credit bool) int64 {
 	for c := range p.qs {
 		q := &p.qs[c]
 		for {
-			pkt, size := q.popFront()
+			pkt, size, in := q.popFront()
 			if pkt == nil {
 				break
 			}
@@ -773,9 +759,9 @@ func (sw *Switch) flushPort(port int, reason DropReason, credit bool) int64 {
 				sw.Audit.OnDrop(sw, port, c, pkt, reason, q.bytes, sw.bufLimit-sw.used)
 			}
 			if credit && sw.fc != nil {
-				sw.fc.OnDequeue(pkt.EnqIngress, port, c, size)
+				sw.fc.OnDequeue(in, port, c, size)
 			}
-			sw.recycle(pkt)
+			sw.pool.Put(pkt)
 		}
 	}
 	return n

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"testing"
+	"unsafe"
 
 	"tlt/internal/packet"
 	"tlt/internal/sim"
@@ -13,6 +14,14 @@ func mkPkt(seq int64, mark packet.Mark) *packet.Packet {
 	return &packet.Packet{Flow: 1, Type: packet.Data, Seq: seq, Len: 1000, Mark: mark}
 }
 
+// TestSwEntSize: a queue entry carries the ingress port in what was its
+// padding, so the FIFO entry stays 16 bytes.
+func TestSwEntSize(t *testing.T) {
+	if size := unsafe.Sizeof(swEnt{}); size != 16 {
+		t.Fatalf("swEnt is %d bytes, want 16", size)
+	}
+}
+
 // TestSwQueueShiftCompaction drives the pop index past the 1024
 // threshold with a longer tail still queued, forcing the in-place shift
 // path, and verifies FIFO order and byte accounting survive it.
@@ -21,7 +30,7 @@ func TestSwQueueShiftCompaction(t *testing.T) {
 	const total = 3000
 	for i := 0; i < total; i++ {
 		p := mkPkt(int64(i), packet.Unimportant)
-		q.push(p, int64(p.WireSize()))
+		q.push(p, int64(p.WireSize()), i%7)
 	}
 	wantBytes := q.bytes
 	perPkt := wantBytes / total
@@ -31,9 +40,12 @@ func TestSwQueueShiftCompaction(t *testing.T) {
 	// has demonstrably fired.
 	popped := 0
 	for popped < 2000 {
-		p, sz := q.popFront()
+		p, sz, in := q.popFront()
 		if p == nil {
 			t.Fatalf("queue empty after %d pops", popped)
+		}
+		if in != popped%7 {
+			t.Fatalf("pop %d returned ingress %d, want %d", popped, in, popped%7)
 		}
 		if p.Seq != int64(popped) {
 			t.Fatalf("pop %d returned seq %d: FIFO order broken", popped, p.Seq)
@@ -51,12 +63,12 @@ func TestSwQueueShiftCompaction(t *testing.T) {
 	}
 	// Drain the rest: order must continue exactly where it left off.
 	for ; popped < total; popped++ {
-		p, _ := q.popFront()
+		p, _, _ := q.popFront()
 		if p == nil || p.Seq != int64(popped) {
 			t.Fatalf("post-shift pop %d = %+v", popped, p)
 		}
 	}
-	if p, _ := q.popFront(); p != nil {
+	if p, _, _ := q.popFront(); p != nil {
 		t.Fatal("queue should be empty")
 	}
 	if q.bytes != 0 || q.red != 0 {
@@ -77,11 +89,11 @@ func TestSwQueueInterleavedAroundReset(t *testing.T) {
 		// more and drain again: the reset boundary is crossed twice.
 		for i := 0; i < 7; i++ {
 			p := mkPkt(seq, marks[seq%2])
-			q.push(p, int64(p.WireSize()))
+			q.push(p, int64(p.WireSize()), 0)
 			seq++
 		}
 		for {
-			p, _ := q.popFront()
+			p, _, _ := q.popFront()
 			if p == nil {
 				break
 			}

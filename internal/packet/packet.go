@@ -4,7 +4,9 @@
 // byte-stream segments, RoCE-family PSN-numbered messages, and the control
 // plane (ACK, NACK, CNP, PFC PAUSE/RESUME). Switches only inspect the
 // fields a commodity chip could see: size, priority, color (derived from a
-// DSCP-like mark), and ECN bits.
+// DSCP-like mark), and ECN bits. Those and the transport's sequence
+// fields are the packet's 80-byte header; SACK blocks and HPCC's INT
+// stack, which few packets carry, are extensions it takes from its Pool.
 package packet
 
 import (
@@ -118,11 +120,11 @@ type INTHop struct {
 	RateBps    int64    // port line rate
 }
 
-// MaxINTHops is the inline telemetry capacity of a packet. Leaf-spine
-// paths traverse at most three switches (ToR→spine→ToR), so five inline
-// slots cover every topology in the repository with headroom; deeper
-// fabrics spill to a heap-allocated overflow slice (counted by the
-// switch so the fallback never hides silently).
+// MaxINTHops is the inline capacity of a packet's INT extension.
+// Leaf-spine paths traverse at most three switches (ToR→spine→ToR), so
+// five slots cover every topology in the repository with headroom; deeper
+// fabrics spill to a heap-allocated overflow slice (counted by the switch
+// so the fallback never hides silently).
 const MaxINTHops = 5
 
 // HeaderBytes is the modeled per-packet overhead (Ethernet+IP+TCP-ish).
@@ -130,6 +132,12 @@ const HeaderBytes = 48
 
 // Packet is the unit moved through the fabric. Packets are passed by
 // pointer and owned by the receiver once delivered.
+//
+// The struct is the header: 80 bytes, with every field a switch or a
+// transport reads on a plain data packet or ACK in the first 64
+// (TestPacketHeader). SACK blocks and the INT stack are extensions a
+// packet takes from its Pool the first time it needs one and gives back at
+// Put; Snapshot copies them.
 type Packet struct {
 	Flow     FlowID
 	Src, Dst NodeID
@@ -141,11 +149,13 @@ type Packet struct {
 	// ports; class 0 is the TLT class in incremental deployments (§5.3).
 	TC uint8
 
-	// intN is the inline INT hop count, or intSpilled once the stack
-	// overflowed into intOv. It lives up here, packed with the other
-	// byte-wide fields, so WireSize resolves the common no-spill case
-	// from the packet's first cache line without touching intOv.
-	intN uint8
+	// ECN state.
+	ECT bool // ECN-capable transport
+	CE  bool // congestion experienced (set by switches)
+	ECE bool // echo of CE back to the sender (in ACKs)
+
+	IsRetx  bool // retransmission (diagnostics)
+	LastPkt bool // RoCE: last packet of the message
 
 	// Seq/Len: for TCP-family Data, the byte offset and payload length.
 	// For RoCE-family Data, Seq is the PSN and Len the payload bytes.
@@ -154,137 +164,131 @@ type Packet struct {
 
 	// Ack: cumulative acknowledgment (TCP: next expected byte; RoCE
 	// SACK/IRN: next expected PSN). For Nack, the expected PSN.
-	Ack  int64
-	Sack []SackBlock
-	// sackBuf is the backing a packet keeps for its SACK blocks from one
-	// use to the next (SackBuf); Pool.Put empties it.
-	sackBuf *[SackBufBlocks]SackBlock
-
-	// ECN state.
-	ECT bool // ECN-capable transport
-	CE  bool // congestion experienced (set by switches)
-	ECE bool // echo of CE back to the sender (in ACKs)
-
-	// CnpFlow: for Cnp packets, which flow to throttle (RoCE).
-	// PFC fields: PausePrio/PauseOn for Pause/Resume.
-	PausePrio int
+	Ack int64
 
 	// Echoed timestamp for RTT sampling: receiver copies SentAt of the
 	// packet that triggered this ACK.
-	SentAt  sim.Time
-	EchoTS  sim.Time
-	IsRetx  bool // retransmission (diagnostics)
-	LastPkt bool // RoCE: last packet of the message
+	SentAt sim.Time
+	EchoTS sim.Time
 
-	// EnqIngress records the switch ingress port while buffered, for
-	// per-ingress PFC accounting. Internal to fabric.
-	EnqIngress int
-
-	// INT telemetry (HPCC). Appended per hop on Data, echoed on Ack.
-	// The hot path stores hops in the fixed inline array (no heap
-	// traffic); paths deeper than MaxINTHops spill to intOv (and intN,
-	// declared near the top of the struct, becomes intSpilled). Access
-	// goes through AppendINT/INTHops/CopyINTFrom so the representation
-	// stays private. The bulky hop array sits last so the
-	// frequently-read header fields stay within the struct's first two
-	// cache lines.
-	intOv   []INTHop
-	intHops [MaxINTHops]INTHop
+	sack *sackExt // nil until SackBuf
+	hops *intExt  // nil until AppendINT or CopyINTFrom
 }
 
-// SackBufBlocks is the capacity of the SACK backing a packet keeps: the
-// most blocks any receiver in the repository reports.
+// SackBufBlocks is the capacity of a SACK extension: the most blocks any
+// receiver in the repository reports.
 const SackBufBlocks = 8
 
-// SackBuf returns an empty slice on the packet's own SACK backing, for
-// the receiver filling p.Sack to append to. The backing stays with the
-// packet through its Pool, so an ACK on a recycled packet allocates
-// nothing; whoever keeps a packet past its Put copies the blocks
-// (Snapshot).
-func (p *Packet) SackBuf() []SackBlock {
-	if p.sackBuf == nil {
-		p.sackBuf = new([SackBufBlocks]SackBlock)
-	}
-	return p.sackBuf[:0]
+// sackExt is a packet's SACK extension: its blocks are blocks[:n].
+type sackExt struct {
+	blocks [SackBufBlocks]SackBlock
+	n      int64 // the field audit mode stamps, like a packet's Seq
 }
 
-// Snapshot returns a copy of p that stays valid after p is recycled.
+// intExt is a packet's INT extension: its hops are hops[:n] in path
+// order, or ov once the stack overflowed the inline array.
+type intExt struct {
+	hops [MaxINTHops]INTHop
+	n    int64 // the field audit mode stamps
+	ov   []INTHop
+}
+
+// SackBuf returns an empty slice on the packet's SACK extension, taken
+// from pool on first use, for a receiver to append its blocks to and pass
+// to SetSack: an ACK on a recycled packet allocates nothing.
+func (p *Packet) SackBuf(pool *Pool) []SackBlock {
+	if p.sack == nil {
+		p.sack = pool.sackExt()
+	}
+	return p.sack.blocks[:0]
+}
+
+// SetSack makes blocks, appended to the slice SackBuf returned, the
+// packet's SACK blocks.
+func (p *Packet) SetSack(blocks []SackBlock) {
+	p.sack.n = int64(copy(p.sack.blocks[:], blocks))
+}
+
+// Sack returns the packet's SACK blocks. The slice aliases the extension,
+// which goes back to the pool with the packet: whoever keeps the blocks
+// past Handle copies them (Snapshot).
+func (p *Packet) Sack() []SackBlock {
+	if p.sack == nil {
+		return nil
+	}
+	return p.sack.blocks[:p.sack.n]
+}
+
+// Snapshot returns a copy of p that stays valid after p is recycled: the
+// header by value and extensions of its own, which no pool knows of.
 func (p *Packet) Snapshot() Packet {
 	c := *p
-	c.Sack, c.sackBuf = slices.Clone(p.Sack), nil
+	c.sack, c.hops = nil, nil
+	if p.sack != nil {
+		c.SetSack(append(c.SackBuf(nil), p.Sack()...))
+	}
+	c.CopyINTFrom(nil, p)
 	return c
 }
 
-// intSpilled in intN marks a packet whose INT stack overflowed the
-// inline array; the authoritative hop list is then intOv.
-const intSpilled = MaxINTHops + 1
-
-// AppendINT records one telemetry hop, reporting whether the packet had
-// to spill to the heap-allocated overflow slice (path deeper than
-// MaxINTHops).
-func (p *Packet) AppendINT(h INTHop) (spilled bool) {
-	if p.intN < MaxINTHops {
-		p.intHops[p.intN] = h
-		p.intN++
+// AppendINT records one telemetry hop on the packet's INT extension, taken
+// from pool on first use, reporting whether the stack had to spill to the
+// heap-allocated overflow slice (path deeper than MaxINTHops).
+func (p *Packet) AppendINT(pool *Pool, h INTHop) (spilled bool) {
+	x := p.hops
+	if x == nil {
+		x = pool.intExt()
+		p.hops = x
+	}
+	if x.n < MaxINTHops {
+		x.hops[x.n] = h
+		x.n++
 		return false
 	}
-	if p.intN == MaxINTHops {
-		p.intOv = append(make([]INTHop, 0, 2*MaxINTHops), p.intHops[:]...)
-		p.intN = intSpilled
+	if x.ov == nil {
+		x.ov = append(make([]INTHop, 0, 2*MaxINTHops), x.hops[:]...)
 	}
-	p.intOv = append(p.intOv, h)
+	x.ov = append(x.ov, h)
 	return true
 }
 
 // NumINT returns the number of telemetry hops carried.
-func (p *Packet) NumINT() int {
-	if p.intN <= MaxINTHops {
-		return int(p.intN)
-	}
-	return len(p.intOv)
-}
+func (p *Packet) NumINT() int { return len(p.INTHops()) }
 
 // INTHops returns the telemetry hops in path order. The returned slice
-// aliases packet-internal storage: handlers copy what they keep, exactly
+// aliases the packet's extension: handlers copy what they keep, exactly
 // as with the packet itself.
 func (p *Packet) INTHops() []INTHop {
-	if p.intN <= MaxINTHops {
-		return p.intHops[:p.intN]
+	switch x := p.hops; {
+	case x == nil:
+		return nil
+	case x.ov != nil:
+		return x.ov
+	default:
+		return x.hops[:x.n]
 	}
-	return p.intOv
 }
 
-// CopyINTFrom copies src's telemetry into p (an ACK echoing the data
-// packet's INT stack). Inline hops copy by value — only the occupied
-// slots, so an INT-free echo costs nothing; only a spilled source forces
-// a fresh overflow allocation. Either way the echo path stays safe under
-// packet recycling without sharing backing arrays.
-func (p *Packet) CopyINTFrom(src *Packet) {
-	if src.intN > MaxINTHops {
-		p.intOv = append(p.intOv[:0], src.intOv...)
-		p.intN = intSpilled
-		return
+// CopyINTFrom gives p, which carries no telemetry yet, a copy of src's (an
+// ACK echoing the data packet's INT stack) on an extension of its own
+// taken from pool — never src's, which goes back to the pool with src. An
+// INT-free source costs nothing; only a spilled one allocates.
+func (p *Packet) CopyINTFrom(pool *Pool, src *Packet) {
+	if s := src.hops; s != nil {
+		p.hops = pool.intExt()
+		*p.hops = intExt{hops: s.hops, n: s.n, ov: slices.Clone(s.ov)}
 	}
-	for i := 0; i < int(src.intN); i++ {
-		p.intHops[i] = src.intHops[i]
-	}
-	p.intN = src.intN
-	p.intOv = nil
 }
 
 // WireSize returns the packet's size on the wire in bytes.
 func (p *Packet) WireSize() int {
-	n := p.Len + HeaderBytes
 	// INT metadata occupies real header space (HPCC: ~8B per hop).
-	n += 8 * p.NumINT()
-	return n
+	return p.Len + HeaderBytes + 8*p.NumINT()
 }
 
 // IsControl reports whether the packet is a pure control packet (no
 // payload): ACK/NACK/CNP/PFC. TLT always marks these important.
-func (p *Packet) IsControl() bool {
-	return p.Type != Data
-}
+func (p *Packet) IsControl() bool { return p.Type != Data }
 
 // Important reports whether the packet travels as green (protected).
 func (p *Packet) Important() bool { return p.Mark.Color() == Green }

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// withExts gives pkt one SACK block and one INT hop, each on an
+// extension from pool.
+func withExts(pool *Pool, pkt *Packet) {
+	pkt.SetSack(append(pkt.SackBuf(pool), SackBlock{0, 10}))
+	pkt.AppendINT(pool, INTHop{QueueBytes: 1})
+}
+
 func TestPoolRecyclesZeroed(t *testing.T) {
 	p := NewPool()
 	a := p.Get()
@@ -13,9 +20,10 @@ func TestPoolRecyclesZeroed(t *testing.T) {
 	}
 	a.Flow = 7
 	a.Type = Ack
-	a.Sack = []SackBlock{{0, 10}}
-	a.AppendINT(INTHop{QueueBytes: 1})
-	sack := a.Sack
+	withExts(p, a)
+	if p.ExtsOut() != 2 {
+		t.Fatalf("%d extensions out, want the SACK and the INT one", p.ExtsOut())
+	}
 	p.Put(a)
 
 	b := p.Get()
@@ -25,13 +33,15 @@ func TestPoolRecyclesZeroed(t *testing.T) {
 	if p.Reuses != 1 || p.Puts != 1 {
 		t.Fatalf("reuses = %d puts = %d, want 1/1", p.Reuses, p.Puts)
 	}
-	if b.Flow != 0 || b.Type != Data || b.Sack != nil || b.NumINT() != 0 {
-		t.Fatalf("recycled packet not zeroed: %+v", b)
+	if !reflect.DeepEqual(*b, Packet{}) || p.ExtsOut() != 0 {
+		t.Fatalf("recycled packet not zeroed: %+v, %d extensions out", b, p.ExtsOut())
 	}
-	// The old backing array must be untouched: an in-flight alias (trace
-	// event, echoed INT) may still read it.
-	if sack[0].End != 10 {
-		t.Fatalf("freed packet's slice backing array was mutated: %+v", sack)
+	// The extensions come back empty: the next packet to take them sees
+	// only what it writes.
+	b.SetSack(append(b.SackBuf(p), SackBlock{20, 30}))
+	b.AppendINT(p, INTHop{QueueBytes: 2})
+	if len(b.Sack()) != 1 || b.NumINT() != 1 || b.INTHops()[0].QueueBytes != 2 || p.ExtsOut() != 2 {
+		t.Fatalf("reused extensions carry %v and %v, %d out", b.Sack(), b.INTHops(), p.ExtsOut())
 	}
 }
 
@@ -51,23 +61,25 @@ func TestPoolLIFO(t *testing.T) {
 	}
 }
 
-// A pool's free packets pass to the next pool zeroed, and only the ones
-// the next pool had to draw on pass further: Release trims to the
-// low-water mark.
+// A pool's free packets and extensions pass to the next pool zeroed, and
+// only the ones the next pool had to draw on pass further: Release trims
+// each list to its low-water mark.
 func TestPoolAdoptReleaseTrimsToUse(t *testing.T) {
 	a := NewPool()
 	var pkts []*Packet
 	for i := 0; i < 5; i++ {
 		p := a.Get()
 		p.Flow, p.Seq = 9, int64(i+1)
+		withExts(a, p)
 		pkts = append(pkts, p)
 	}
 	for _, p := range pkts {
 		a.Put(p)
 	}
 	handed := a.Release()
-	if len(handed) != 5 || a.FreeLen() != 0 {
-		t.Fatalf("Release handed %d packets and left %d, want 5 and 0", len(handed), a.FreeLen())
+	if len(handed.pkts) != 5 || len(handed.sacks) != 5 || len(handed.ints) != 5 || a.FreeLen() != 0 || a.ExtsOut() != 0 {
+		t.Fatalf("Release handed %d packets, %d+%d extensions and left %d, want 5, 5+5 and 0",
+			len(handed.pkts), len(handed.sacks), len(handed.ints), a.FreeLen())
 	}
 
 	b := NewPool()
@@ -79,6 +91,10 @@ func TestPoolAdoptReleaseTrimsToUse(t *testing.T) {
 	if b.News != 0 || b.Reuses != 2 {
 		t.Fatalf("news=%d reuses=%d, want 0 and 2: adopted packets are recycled ones", b.News, b.Reuses)
 	}
+	x.AppendINT(b, INTHop{QueueBytes: 3}) // and one INT extension
+	if x.NumINT() != 1 || b.ExtsOut() != 1 {
+		t.Fatalf("an adopted INT extension came with %d hops, %d out", x.NumINT(), b.ExtsOut())
+	}
 	b.Put(x)
 	z := b.Get() // the free list is a stack: x again, not a third adopted packet
 	if z != x {
@@ -86,16 +102,31 @@ func TestPoolAdoptReleaseTrimsToUse(t *testing.T) {
 	}
 	b.Put(z)
 	b.Put(y)
-	if got := b.Release(); len(got) != 2 {
-		t.Fatalf("Release handed on %d packets, want the 2 this pool used", len(got))
+	if got := b.Release(); len(got.pkts) != 2 || len(got.sacks) != 0 || len(got.ints) != 1 {
+		t.Fatalf("Release handed on %d packets, %d+%d extensions, want the 2 and 0+1 this pool used",
+			len(got.pkts), len(got.sacks), len(got.ints))
 	}
 }
 
-// Audit mode covers adopted packets: a stale pointer into one is caught
-// at Get, and Release hands packets on without the poison.
+// mustPanic runs f and fails unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// Audit mode covers adopted packets and extensions: a stale pointer into
+// one is caught when it is taken again, two packets sharing an extension
+// are caught at the second Put, and Release hands everything on without
+// the stamps.
 func TestPoolAuditCoversAdopted(t *testing.T) {
 	a := NewPool()
 	p, q := a.Get(), a.Get()
+	withExts(a, p)
 	a.Put(p)
 	a.Put(q)
 	b := NewPool()
@@ -105,21 +136,46 @@ func TestPoolAuditCoversAdopted(t *testing.T) {
 	if (got != p && got != q) || got.Seq != 0 {
 		t.Fatalf("audited Get of an adopted packet returned %+v", got)
 	}
+	withExts(b, got)
+	if len(got.Sack()) != 1 || got.NumINT() != 1 {
+		t.Fatalf("audited adopted extensions carry %v and %v", got.Sack(), got.INTHops())
+	}
 	b.Put(got)
-	for _, pkt := range b.Release() {
+	rel := b.Release()
+	for _, pkt := range rel.pkts {
 		if !reflect.DeepEqual(*pkt, Packet{}) {
 			t.Fatalf("released packet still carries audit state: %+v", pkt)
 		}
 	}
+	if len(rel.sacks) != 1 || len(rel.ints) != 1 || rel.sacks[0].n != 0 || !reflect.DeepEqual(*rel.ints[0], intExt{hops: rel.ints[0].hops}) {
+		t.Fatalf("released extensions %+v %+v, want one of each, empty", rel.sacks, rel.ints)
+	}
 
 	c := NewPool()
-	c.Adopt([]*Packet{p})
+	c.Adopt(Stock{pkts: []*Packet{p}})
 	c.EnableAudit()
 	p.Flow, p.Seq = 3, 77 // write through a pointer kept from the last run
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Get of an adopted packet mutated on the free list did not panic")
-		}
-	}()
-	c.Get()
+	mustPanic(t, "Get of an adopted packet mutated on the free list", func() { c.Get() })
+
+	// An extension written through a stale alias while on the free list.
+	d := NewPool()
+	d.Adopt(rel)
+	d.EnableAudit()
+	rel.sacks[0].n = 1
+	mustPanic(t, "taking an adopted SACK extension mutated on the free list", func() { d.Get().SackBuf(d) })
+	pkt := d.Get()
+	pkt.AppendINT(d, INTHop{})
+	ext := pkt.hops
+	d.Put(pkt)
+	ext.n = 2 // a write through a stale alias
+	mustPanic(t, "taking an INT extension mutated on the free list", func() { d.Get().AppendINT(d, INTHop{}) })
+
+	// Two packets sharing one extension: the second Put returns it twice.
+	e := NewPool()
+	e.EnableAudit()
+	x, y := e.Get(), e.Get()
+	x.AppendINT(e, INTHop{})
+	y.hops = x.hops
+	e.Put(x)
+	mustPanic(t, "a double Put of an INT extension", func() { e.Put(y) })
 }

@@ -36,7 +36,7 @@ func (e Event) String() string {
 		}
 	case packet.Ack:
 		fmt.Fprintf(&b, " ack=%d", p.Ack)
-		for _, s := range p.Sack {
+		for _, s := range p.Sack() {
 			fmt.Fprintf(&b, " sack=%d-%d", s.Start, s.End)
 		}
 		if p.ECE {

@@ -165,3 +165,20 @@ func TestUntracedRunIdenticalAndHookFree(t *testing.T) {
 		t.Fatal("traced run recorded no events")
 	}
 }
+
+// TestTracerEventsOutliveRecycling: an event keeps the SACK blocks its
+// packet carried when it was recorded, although the packet and its SACK
+// extension went back to the pool and carried other blocks since — the
+// lines Dump prints at the end are the ones streamed as they happened.
+func TestTracerEventsOutliveRecycling(t *testing.T) {
+	var streamed, dumped bytes.Buffer
+	tr := New(0).Stream(&streamed)
+	runScenario(t, tr)
+	if !strings.Contains(streamed.String(), " sack=") {
+		t.Fatal("the incast produced no SACK blocks; recycling not exercised")
+	}
+	tr.Dump(&dumped)
+	if dumped.String() != streamed.String() {
+		t.Fatal("recorded events changed after their packets were recycled")
+	}
+}

@@ -178,22 +178,14 @@ func TestSackRecoversLostRetransmission(t *testing.T) {
 		t.Fatalf("initial sends = %d", len(bh.got))
 	}
 	// "PSN 9 arrived, 0..8 lost": SACK 9 with its echoed send time.
-	c.Sender.Handle(&packet.Packet{
-		Flow: 1, Type: packet.Ack, Ack: 0,
-		Sack:   []packet.SackBlock{{Start: 9, End: 10}},
-		EchoTS: bh.sentAt(9, 1),
-	})
+	c.Sender.Handle(sackAck(packet.SackBlock{Start: 9, End: 10}, bh.sentAt(9, 1)))
 	s.Run(s.Now() + 50*sim.Microsecond) // retransmissions of 0..8 go out
 	if got := bh.count(0); got != 2 {
 		t.Fatalf("PSN0 transmissions = %d, want original + retransmission", got)
 	}
 	// "The retransmission of 8 arrived but 0..7's retransmissions were
 	// lost": the echo of retx-8 proves everything sent before it is gone.
-	c.Sender.Handle(&packet.Packet{
-		Flow: 1, Type: packet.Ack, Ack: 0,
-		Sack:   []packet.SackBlock{{Start: 8, End: 10}},
-		EchoTS: bh.sentAt(8, 2),
-	})
+	c.Sender.Handle(sackAck(packet.SackBlock{Start: 8, End: 10}, bh.sentAt(8, 2)))
 	s.Run(s.Now() + 50*sim.Microsecond)
 	if got := bh.count(0); got != 3 {
 		t.Fatalf("PSN0 transmissions = %d, want a second retransmission", got)
@@ -205,4 +197,12 @@ func TestSackRecoversLostRetransmission(t *testing.T) {
 		t.Fatal("test ran past the static RTO; recovery was not timeout-less")
 	}
 	_ = c
+}
+
+// sackAck is an ACK with cumulative point 0 selectively acknowledging b,
+// echoing the send time echo.
+func sackAck(b packet.SackBlock, echo sim.Time) *packet.Packet {
+	p := &packet.Packet{Flow: 1, Type: packet.Ack, EchoTS: echo}
+	p.SetSack(append(p.SackBuf(nil), b))
+	return p
 }

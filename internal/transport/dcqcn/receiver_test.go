@@ -94,8 +94,8 @@ func TestSelectiveReceiverSackBlocks(t *testing.T) {
 	if last.Ack != 1 {
 		t.Fatalf("cum = %d", last.Ack)
 	}
-	if len(last.Sack) != 2 {
-		t.Fatalf("sack = %v", last.Sack)
+	if len(last.Sack()) != 2 {
+		t.Fatalf("sack = %v", last.Sack())
 	}
 	if r.Delivered() != 1 {
 		t.Fatalf("delivered = %d", r.Delivered())

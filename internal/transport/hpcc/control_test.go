@@ -21,7 +21,7 @@ func isolated(t *testing.T) (*sim.Sim, *Sender) {
 
 func intAck(cum int64, q int64, txBytes int64, at sim.Time) *packet.Packet {
 	pkt := &packet.Packet{Flow: 1, Type: packet.Ack, Ack: cum}
-	pkt.AppendINT(packet.INTHop{
+	pkt.AppendINT(nil, packet.INTHop{
 		QueueBytes: q, TxBytes: txBytes, Timestamp: at, RateBps: 40e9,
 	})
 	return pkt

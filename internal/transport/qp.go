@@ -184,9 +184,6 @@ func (q *QPSender) length(psn int64) int {
 // wire size.
 func (q *QPSender) Transmit(psn int64, isRetx bool, mark packet.Mark) int64 {
 	now := q.S.Now()
-	// Field-by-field fill: NewPacket returns a zeroed struct, and a
-	// composite-literal assignment would copy the whole INT-array-bearing
-	// packet through a stack temporary on every send.
 	pkt := q.host.NewPacket()
 	pkt.Flow, pkt.Dst = q.flow.ID, q.flow.Dst
 	pkt.Type = packet.Data
@@ -267,7 +264,7 @@ func (q *QPSender) OnAck(pkt *packet.Packet) (open, newLoss bool) {
 	}
 	progressed := q.Board.Ack(pkt.Ack)
 	hadLoss := q.Board.HasLoss()
-	q.Board.Sack(pkt.Sack)
+	q.Board.Sack(pkt.Sack())
 	if lostBefore > 0 {
 		q.Board.RackMark(lostBefore)
 	}
@@ -429,7 +426,7 @@ func (r *QPReceiver) Handle(pkt *packet.Packet) {
 	}
 	ack := r.control(packet.Ack, r.Cum)
 	if !r.rcv.Empty() {
-		ack.Sack = r.rcv.AppendBlocks(ack.SackBuf(), packet.SackBufBlocks)
+		ack.SetSack(r.rcv.AppendBlocks(ack.SackBuf(r.host.Pool()), packet.SackBufBlocks))
 	}
 	if m := r.win.TakeAckMark(); m != packet.Unimportant {
 		ack.Mark = m
@@ -439,9 +436,9 @@ func (r *QPReceiver) Handle(pkt *packet.Packet) {
 	// lost (the per-OOO-arrival NACK behaviour of commercial RoCE NICs).
 	ack.EchoTS = pkt.SentAt
 	if r.echoINT {
-		// Echo the INT stack by value: the ACK must not alias storage
-		// inside pkt, which goes back on the free list when Handle returns.
-		ack.CopyINTFrom(pkt)
+		// Echo the INT stack on the ACK's own extension: pkt's goes back
+		// on the free list with pkt when Handle returns.
+		ack.CopyINTFrom(r.host.Pool(), pkt)
 	}
 	r.reply(ack)
 }

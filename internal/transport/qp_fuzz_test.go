@@ -37,8 +37,9 @@ func (a *alternation) OnImportantClear(f packet.FlowID, now sim.Time) {
 // any RoCE transport and checks what loss recovery owes whatever the
 // loss pattern: the flow terminates, a completed message arrived whole
 // and was announced once, window-mode TLT keeps at most one important
-// packet in flight, and the sender scoreboard's counters stay consistent
-// with its per-PSN state at every packet event. Run with
+// packet in flight, the sender scoreboard's counters stay consistent
+// with its per-PSN state at every packet event, and once the run drains
+// every packet and extension is back on the pool. Run with
 //
 //	go test -run '^$' -fuzz FuzzRoCERecovery ./internal/transport/
 func FuzzRoCERecovery(f *testing.F) {
@@ -52,8 +53,26 @@ func FuzzRoCERecovery(f *testing.F) {
 		pkts := (flow.Size + transport.MSS - 1) / transport.MSS
 		s, n := roceStar()
 		loss := seededLoss(seed, int(dropPct%50))
-		n.Hosts[0].NICTx().DropWhen(loss(0))
-		n.Hosts[1].NICTx().DropWhen(loss(1))
+		// A packet lost on the wire is never Put: it takes its extensions
+		// with it.
+		var lostPkts, lostExts int
+		lose := func(drop func(*packet.Packet) bool) func(*packet.Packet) bool {
+			return func(p *packet.Packet) bool {
+				if !drop(p) {
+					return false
+				}
+				lostPkts++
+				if p.Sack() != nil {
+					lostExts++
+				}
+				if p.NumINT() > 0 {
+					lostExts++
+				}
+				return true
+			}
+		}
+		n.Hosts[0].NICTx().DropWhen(lose(loss(0)))
+		n.Hosts[1].NICTx().DropWhen(lose(loss(1)))
 
 		audit := &alternation{t: t}
 		rec := stats.NewRecorder()
@@ -88,6 +107,13 @@ func FuzzRoCERecovery(f *testing.F) {
 		}
 		if window := name == "dcqcn-irn" || name == "hpcc"; tlt && window && audit.sends == 0 {
 			t.Fatal("window-mode TLT flow sent no important packet")
+		}
+		// The run has drained: every packet and every extension is back on
+		// the pool but the ones lost on the wire.
+		pool := n.Pool
+		if live := int(pool.News + pool.Reuses - pool.Puts); live != lostPkts || pool.ExtsOut() != lostExts {
+			t.Fatalf("drained run: %d packets and %d extensions off the pool, %d and %d lost on the wire",
+				live, pool.ExtsOut(), lostPkts, lostExts)
 		}
 	})
 }

@@ -16,6 +16,7 @@ import (
 	"tlt/internal/transport"
 	"tlt/internal/transport/dcqcn"
 	"tlt/internal/transport/hpcc"
+	"tlt/internal/transport/tcp"
 )
 
 // roceTransports are the four RoCE variants the paper evaluates, in the
@@ -117,9 +118,11 @@ func traceHash(n *topo.Network, h io.Writer) {
 	for _, host := range n.Hosts {
 		id := host.ID()
 		host.Trace = func(now sim.Time, dir string, p *packet.Packet) {
-			fmt.Fprintf(h, "%v h%d %s flow=%d src=%d dst=%d type=%d mark=%d tc=%d seq=%d len=%d ack=%d sack=%v ect=%v ce=%v ece=%v prio=%d sent=%v echo=%v retx=%v last=%v int=%v\n",
-				now, id, dir, p.Flow, p.Src, p.Dst, p.Type, p.Mark, p.TC, p.Seq, p.Len, p.Ack, p.Sack,
-				p.ECT, p.CE, p.ECE, p.PausePrio, p.SentAt, p.EchoTS, p.IsRetx, p.LastPkt, p.INTHops())
+			// prio=0 is the PFC priority the packet no longer carries,
+			// printed so the hashes taken before its removal still hold.
+			fmt.Fprintf(h, "%v h%d %s flow=%d src=%d dst=%d type=%d mark=%d tc=%d seq=%d len=%d ack=%d sack=%v ect=%v ce=%v ece=%v prio=0 sent=%v echo=%v retx=%v last=%v int=%v\n",
+				now, id, dir, p.Flow, p.Src, p.Dst, p.Type, p.Mark, p.TC, p.Seq, p.Len, p.Ack, p.Sack(),
+				p.ECT, p.CE, p.ECE, p.SentAt, p.EchoTS, p.IsRetx, p.LastPkt, p.INTHops())
 		}
 	}
 }
@@ -135,38 +138,53 @@ var traceSizes = []int64{1, 999, 1_000, 3_500, 8_000, 24_300, 64_000, 150_700}
 // important ACK-clocking duplicates a short last packet, loss-free.
 const clockedTailSize = 30_300
 
+// traceStart starts flow f from host 0 to host 1 of the star and returns
+// its sender's stall snapshot.
+type traceStart func(n *topo.Network, f *transport.Flow, rec *stats.Recorder) func() transport.FlowStatus
+
+// roceStart starts the cell's flows on the named RoCE transport, with
+// backoff enabled (shift ≤ 2). A blackhole cell's flow gives up after
+// MaxRetries = 3, with RTO_low off: an IRN sender whose every packet
+// vanishes re-arms RTO_low before its retransmissions leave, so it never
+// counts a timeout. With a stock, the flows run on its queue pairs
+// instead of new ones.
+func roceStart(name string, tlt, blackhole bool, stock *qpStock) traceStart {
+	o := roceOpts{tlt: core.Config{Enabled: tlt}, backoff: 2}
+	if blackhole {
+		o.maxRetries, o.noLow = 3, true
+	}
+	return func(n *topo.Network, f *transport.Flow, rec *stats.Recorder) func() transport.FlowStatus {
+		return startRoCE(n, name, o, f, rec, stock).status
+	}
+}
+
 // runTraceCase runs one cell and returns SHA-256 over its wire trace and
-// stall snapshots, and its final flow records. A blackhole cell drops every data packet, so
-// its one flow aborts after MaxRetries = 3 (with RTO_low off: an IRN
-// sender whose every packet vanishes re-arms RTO_low before its
-// retransmissions leave, so it never counts a timeout). Seed 0 is the
-// loss-free cell: one flow of clockedTailSize. Any other cell runs four
-// flows concurrently — three seed-chosen sizes and one beyond
-// the window — through seeded 12% loss with backoff enabled (shift ≤ 2).
-// With a stock, the flows run on its queue pairs instead of new ones.
-func runTraceCase(t *testing.T, name string, tlt bool, seed int64, blackhole bool, stock *qpStock) ([]byte, []stats.FlowRecord) {
+// stall snapshots, and its final flow records. A blackhole cell drops every
+// data packet, so its one flow aborts. Seed 0 is the loss-free cell: one
+// flow of clockedTailSize. Any other cell runs four flows concurrently —
+// three seed-chosen sizes and one beyond the window — through seeded 12%
+// loss.
+func runTraceCase(t *testing.T, cell string, seed int64, blackhole bool, start traceStart) ([]byte, []stats.FlowRecord) {
 	t.Helper()
 	s, n := roceStar()
 	rec := stats.NewRecorder()
 	sum := sha256.New()
 	traceHash(n, sum)
-	o := roceOpts{tlt: core.Config{Enabled: tlt}, backoff: 2}
-	var qps []qpEnds
+	var status []func() transport.FlowStatus
 	// Stall snapshots are part of the trace: every sender's FlowStatus
 	// line, every 50 µs through the first 2 ms.
 	for at := 25 * sim.Microsecond; at < 2*sim.Millisecond; at += 50 * sim.Microsecond {
 		s.At(at, func() {
-			for _, qp := range qps {
-				fmt.Fprintln(sum, qp.status())
+			for _, st := range status {
+				fmt.Fprintln(sum, st())
 			}
 		})
 	}
 	if blackhole {
 		n.Hosts[0].NICTx().DropWhen(func(p *packet.Packet) bool { return p.Type == packet.Data })
-		o.maxRetries, o.noLow = 3, true
-		qps = append(qps, startRoCE(n, name, o, &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 24_300}, rec, stock))
+		status = append(status, start(n, &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 24_300}, rec))
 	} else if seed == 0 {
-		qps = append(qps, startRoCE(n, name, o, &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: clockedTailSize}, rec, stock))
+		status = append(status, start(n, &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: clockedTailSize}, rec))
 	} else {
 		loss := seededLoss(seed, 12)
 		n.Hosts[0].NICTx().DropWhen(loss(0))
@@ -177,15 +195,15 @@ func runTraceCase(t *testing.T, name string, tlt bool, seed int64, blackhole boo
 			if id == 4 {
 				size = traceSizes[6+seed%2]
 			}
-			qps = append(qps, startRoCE(n, name, o, &transport.Flow{ID: packet.FlowID(id), Src: 0, Dst: 1, Size: size,
-				Start: sim.Time(rng.Intn(40)) * sim.Microsecond}, rec, stock))
+			status = append(status, start(n, &transport.Flow{ID: packet.FlowID(id), Src: 0, Dst: 1, Size: size,
+				Start: sim.Time(rng.Intn(40)) * sim.Microsecond}, rec))
 		}
 	}
 	s.Run(sim.Second)
 	var out []stats.FlowRecord
 	for _, fr := range rec.Flows {
 		if fr.Done == blackhole || fr.Aborted != blackhole {
-			t.Fatalf("%s: flow %d done=%v aborted=%v", name, fr.Flow.ID, fr.Done, fr.Aborted)
+			t.Fatalf("%s: flow %d done=%v aborted=%v", cell, fr.Flow.ID, fr.Done, fr.Aborted)
 		}
 		r := *fr
 		r.Flow = nil
@@ -228,7 +246,7 @@ func checkParentTraces(t *testing.T, stock func(cell, name string, seed int64) *
 	rebooked := 0
 	reached := map[string]int{} // recovery paths the case table went through
 	check := func(cell, name string, tlt bool, seed int64, blackhole bool) {
-		trace, recs := runTraceCase(t, name, tlt, seed, blackhole, stock(cell, name, seed))
+		trace, recs := runTraceCase(t, cell, seed, blackhole, roceStart(name, tlt, blackhole, stock(cell, name, seed)))
 		for i := range recs {
 			r := &recs[i]
 			reached[name+" timeouts"] += r.Timeouts
@@ -302,4 +320,84 @@ var parentTraceHashes = map[string]string{
 	"hpcc tlt=true seed=3":          "a9422d6f20a5983ef92d39e1b2e83abaa3c762c6c3a82b03c6e69642f7180bef",
 	"hpcc tlt=true loss-free":       "7ff15264ebe31ca704b63a84ad0d9702168e9dff9b91579fcbdf88d06f6f6f4e",
 	"hpcc tlt=true blackhole":       "0efe43dbc27149c30ccd24761af9dea0d2a424eef6f8b70918481ab8cf425334",
+}
+
+// tcpStart starts the cell's flows on law ("tcp" or "dctcp") with
+// variant "base", "tlp" or "tlt", a 200 µs RTOmin and, for a blackhole
+// cell, MaxRetries = 3.
+func tcpStart(law, variant string, blackhole bool) traceStart {
+	cfg := tcp.DefaultConfig()
+	if law == "dctcp" {
+		cfg = tcp.DCTCPConfig()
+	}
+	switch variant {
+	case "tlp":
+		cfg.TLP = true
+	case "tlt":
+		cfg.TLT = core.Config{Enabled: true}
+	}
+	cfg.RTO.Min = 200 * sim.Microsecond
+	if blackhole {
+		cfg.RTO.MaxRetries = 3
+	}
+	return func(n *topo.Network, f *transport.Flow, rec *stats.Recorder) func() transport.FlowStatus {
+		return tcp.StartFlow(n.Sim, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil).Sender.FlowStatus
+	}
+}
+
+// TestTCPWireTraceMatchesParent is the RoCE harness's tcp leg: the same
+// hash over every header both hosts saw — SACK blocks and INT stamps
+// included — stall snapshots and flow records, for {tcp, dctcp} × {base,
+// TLP, TLT} × 3 seeds of seeded 12% loss and one black-holed abort, pinned
+// to what 7a81ca5 produced before packet.Packet was split into a header
+// and extensions.
+func TestTCPWireTraceMatchesParent(t *testing.T) {
+	reached := map[string]int{}
+	check := func(cell string, seed int64, blackhole bool, start traceStart) {
+		trace, recs := runTraceCase(t, cell, seed, blackhole, start)
+		for _, r := range recs {
+			reached["timeouts"] += r.Timeouts
+			reached["fastrecov"] += r.FastRecov
+			reached["clocks"] += r.ClockSends
+		}
+		if got, want := hashWithRecords(trace, recs), parentTCPTraceHashes[cell]; got != want {
+			t.Errorf("%s: wire trace + records hash %s, parent's %s", cell, got, want)
+		}
+	}
+	for _, law := range []string{"tcp", "dctcp"} {
+		for _, variant := range []string{"base", "tlp", "tlt"} {
+			for seed := int64(1); seed <= 3; seed++ {
+				check(fmt.Sprintf("%s+%s seed=%d", law, variant, seed), seed, false, tcpStart(law, variant, false))
+			}
+		}
+	}
+	check("tcp+base blackhole", 0, true, tcpStart("tcp", "base", true))
+	for _, path := range []string{"timeouts", "fastrecov", "clocks"} {
+		if reached[path] == 0 {
+			t.Errorf("case table too gentle: no cell reached %q", path)
+		}
+	}
+}
+
+// parentTCPTraceHashes were taken at 7a81ca5 by running this test there.
+var parentTCPTraceHashes = map[string]string{
+	"tcp+base seed=1":    "5c5542f439521c61077b36e5724b8cc5903eeb17a11079a2d1fe5d9893ce7324",
+	"tcp+base seed=2":    "511ee8bed13bfd67f844e9ed70c72fc4ee03fa5aea79571a47c5ed2762e0e0c6",
+	"tcp+base seed=3":    "e636acb925bede063ac1cadca98a67dfdf54fa8920cd577195c8d5b7c27d6caa",
+	"tcp+tlp seed=1":     "590d80bec30ff1411a2b115ad7dfdfbf2c1769abc8ca27b360c2d074c6a35719",
+	"tcp+tlp seed=2":     "66ae5b50821fcde0348243877a7464fe1e4aef7e7eff40a24f0c1204720e8f8c",
+	"tcp+tlp seed=3":     "f41dc1a5e32714f86644789d8be6247a8341d5e5248196cf92d5a98673d74628",
+	"tcp+tlt seed=1":     "95b623648711a31d1d5c4c3daa691ab8f635e8eb0efef8abbdc148765e0779f2",
+	"tcp+tlt seed=2":     "779d0247266414e966cd7920daf1f9de28b85202297e49ff68fdf49a7c7e0467",
+	"tcp+tlt seed=3":     "46431c54f2ff367698015a954c14e29adc3e7c54fd8b7b4ec3453b1902aeef92",
+	"dctcp+base seed=1":  "12a0c4d3e4a9cf55c728edd644788ac1d896f61a0732e47026d73bf71558f430",
+	"dctcp+base seed=2":  "b0d992f72d8796480c949f5faa96982ffd71774f437252bf8557b4c1bd89f30b",
+	"dctcp+base seed=3":  "e7280bfef2ddf1eb298eab067d51d66c38ee406b7e5fc759758f15441ed0c10e",
+	"dctcp+tlp seed=1":   "3dcf9b8f52f2d87f57bee5e80f6bac14100c074673c6484e278da9f8081af10c",
+	"dctcp+tlp seed=2":   "c21d889112dac13a40c1fa72483399f7f5680e7c0924f1c111d58056df826182",
+	"dctcp+tlp seed=3":   "5a7ea3a67aca14d0aa635cdbd4e14070db67d5927bd5d9ed6d4f5454981838f8",
+	"dctcp+tlt seed=1":   "ae7b6afcc7b903f818411198b390dd997661cc24da6cb827cdc4f94be3981e53",
+	"dctcp+tlt seed=2":   "1b266897f6ba8b5103254427568dceba96e82ee47f0f800aec8ac443640f8203",
+	"dctcp+tlt seed=3":   "8d575ff73c3d3b606d3f88e75a66ace4500221a0fe1fddb64ab4224a87315d8c",
+	"tcp+base blackhole": "d1e0b1d34941f525034d162c2f11c87d2e7ff489621d28ee47d135abb5dcbad0",
 }

@@ -132,7 +132,7 @@ func TestAppendBlocksEqualsBlocks(t *testing.T) {
 		}
 		for _, max := range []int{1, 3, 4, 8} {
 			var pkt packet.Packet
-			got, want := s.AppendBlocks(pkt.SackBuf(), max), blocksBefore(&s, max)
+			got, want := s.AppendBlocks(pkt.SackBuf(nil), max), blocksBefore(&s, max)
 			if !slices.Equal(got, want) {
 				t.Fatalf("set %v: AppendBlocks(%d) = %v, Blocks gave %v", s.r, max, got, want)
 			}
@@ -147,8 +147,8 @@ func TestAppendBlocksEqualsBlocks(t *testing.T) {
 }
 
 // TestAckSackBlocksAllocateNothing: the SACK blocks of an ACK built on a
-// recycled packet go into the backing the packet kept through its Pool,
-// and Put hands the next user an empty one.
+// recycled packet go into an extension from the packet's Pool, and Put
+// takes it back: the next packet carries no blocks and holds nothing.
 func TestAckSackBlocksAllocateNothing(t *testing.T) {
 	var s RangeSet
 	s.Add(10, 20)
@@ -157,16 +157,19 @@ func TestAckSackBlocksAllocateNothing(t *testing.T) {
 	pool := packet.NewPool()
 	ack := func() {
 		pkt := pool.Get()
-		pkt.Sack = s.AppendBlocks(pkt.SackBuf(), packet.SackBufBlocks)
+		pkt.SetSack(s.AppendBlocks(pkt.SackBuf(pool), packet.SackBufBlocks))
+		if len(pkt.Sack()) != 3 {
+			t.Fatalf("ACK carries %v", pkt.Sack())
+		}
 		pool.Put(pkt)
 	}
-	ack() // the packet's first use makes the backing
+	ack() // the first use makes the packet and its extension
 	if allocs := testing.AllocsPerRun(100, ack); allocs != 0 {
 		t.Fatalf("an ACK with 3 SACK blocks on a recycled packet allocated %v times", allocs)
 	}
 	pkt := pool.Get()
-	if buf := pkt.SackBuf(); pkt.Sack != nil || len(buf) != 0 || buf[:3][0] != (packet.SackBlock{}) || buf[:3][2] != (packet.SackBlock{}) {
-		t.Fatalf("a recycled packet came back with Sack %v and backing %v", pkt.Sack, buf[:3])
+	if pkt.Sack() != nil || pool.ExtsOut() != 0 || len(pkt.SackBuf(pool)) != 0 {
+		t.Fatalf("a recycled packet came back with Sack %v, %d extensions out", pkt.Sack(), pool.ExtsOut())
 	}
 }
 

@@ -74,16 +74,13 @@ func (r *Receiver) Handle(pkt *packet.Packet) {
 		r.received.TrimBelow(r.rcvNxt)
 	}
 
-	// Field-by-field fill on the zeroed pooled packet; a composite
-	// literal would copy the whole INT-array-bearing struct through a
-	// stack temporary on every ACK.
 	ack := r.host.NewPacket()
 	ack.Flow, ack.Dst = r.flow.ID, r.flow.Src
 	ack.Type = packet.Ack
 	ack.TC = r.cfg.TrafficClass
 	ack.Ack = r.rcvNxt
 	if !r.received.Empty() {
-		ack.Sack = r.received.AppendBlocks(ack.SackBuf(), r.cfg.MaxSackBlocks)
+		ack.SetSack(r.received.AppendBlocks(ack.SackBuf(r.host.Pool()), r.cfg.MaxSackBlocks))
 	}
 	ack.ECE = pkt.CE
 	ack.Mark = r.tlt.TakeAckMark()

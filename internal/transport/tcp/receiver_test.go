@@ -53,12 +53,12 @@ func TestReceiverCumulativeAndSack(t *testing.T) {
 	if last.Ack != 1000 {
 		t.Fatalf("cum ack = %d", last.Ack)
 	}
-	if len(last.Sack) != 2 {
-		t.Fatalf("sack blocks = %v", last.Sack)
+	if len(last.Sack()) != 2 {
+		t.Fatalf("sack blocks = %v", last.Sack())
 	}
 	// Highest block first.
-	if last.Sack[0].Start != 4000 || last.Sack[1].Start != 2000 {
-		t.Fatalf("sack order = %v", last.Sack)
+	if last.Sack()[0].Start != 4000 || last.Sack()[1].Start != 2000 {
+		t.Fatalf("sack order = %v", last.Sack())
 	}
 	// Fill the first hole: cum jumps over the contiguous range.
 	r.Handle(seg(1000, 1000, packet.Unimportant, false))
@@ -145,7 +145,7 @@ func TestReceiverSackBlockCap(t *testing.T) {
 	}
 	s.RunAll()
 	last := cat.acks[len(cat.acks)-1]
-	if len(last.Sack) != 2 {
-		t.Fatalf("sack blocks = %d, want cap 2", len(last.Sack))
+	if len(last.Sack()) != 2 {
+		t.Fatalf("sack blocks = %d, want cap 2", len(last.Sack()))
 	}
 }

@@ -76,7 +76,7 @@ func runAB(t *testing.T, c resetCase, recycle bool) ([]string, stats.FlowRecord)
 				return
 			}
 			seen = append(seen, fmt.Sprintf("%v h%d %s type=%d seq=%d len=%d ack=%d sack=%v mark=%d ce=%v ece=%v ect=%v retx=%v sent=%v echo=%v",
-				now, id, dir, p.Type, p.Seq, p.Len, p.Ack, p.Sack, p.Mark, p.CE, p.ECE, p.ECT, p.IsRetx, p.SentAt, p.EchoTS))
+				now, id, dir, p.Type, p.Seq, p.Len, p.Ack, p.Sack(), p.Mark, p.CE, p.ECE, p.ECT, p.IsRetx, p.SentAt, p.EchoTS))
 		}
 	}
 

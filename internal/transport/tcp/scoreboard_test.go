@@ -34,7 +34,7 @@ func TestScoreboardFollowsWindow(t *testing.T) {
 		id := host.ID()
 		host.Trace = func(now sim.Time, dir string, p *packet.Packet) {
 			fmt.Fprintf(h, "%d h%d %s %d %d %d %d %d %v %d %v %v %v %v %v\n", now, id, dir,
-				p.Flow, p.Type, p.Seq, p.Len, p.Ack, p.Sack, p.Mark, p.IsRetx, p.SentAt, p.EchoTS, p.CE, p.ECE)
+				p.Flow, p.Type, p.Seq, p.Len, p.Ack, p.Sack(), p.Mark, p.IsRetx, p.SentAt, p.EchoTS, p.CE, p.ECE)
 		}
 	}
 	const size = 30_000_000

@@ -487,7 +487,7 @@ func (s *Sender) onAck(pkt *packet.Packet) {
 		newly = pkt.Ack - s.sndUna
 		s.advanceUna(pkt.Ack)
 	}
-	s.applySack(pkt.Sack)
+	s.applySack(pkt.Sack())
 	if rackOK {
 		s.rackMark(impSentAt)
 	}
@@ -639,9 +639,6 @@ func (s *Sender) transmitSeg(i int, isRetx bool, mark packet.Mark) {
 		}
 		s.rec.RetxPackets++
 	}
-	// Field-by-field fill: NewPacket returns a zeroed struct, and a
-	// composite-literal assignment would redundantly copy the whole
-	// (INT-array-bearing) packet through a stack temporary.
 	pkt := s.host.NewPacket()
 	pkt.Flow, pkt.Dst = s.flow.ID, s.flow.Dst
 	pkt.Type = packet.Data
