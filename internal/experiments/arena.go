@@ -70,7 +70,7 @@ type shardMem struct {
 	snd    freeList[sndSlab]
 	rcv    freeList[rcvSlab]
 	slot   freeList[rcvSlot]
-	boards tcp.Scoreboards
+	boards transport.ByteBoards
 
 	// Finished RoCE queue pairs, taken at set-up and returned at release.
 	// The two laws embed the same transport.QPSender but keep a list
@@ -374,7 +374,7 @@ func (a *arena) startDCQCN(net *topo.Network, f *transport.Flow, cfg dcqcn.Confi
 	snd, rcv := sm.dcqcn.snd.pop(), rm.dcqcn.rcv.pop()
 	if snd == nil {
 		snd = new(dcqcn.Sender)
-		snd.ShareBoards(&sm.dcqcn.boards)
+		snd.Board.Share(&sm.dcqcn.boards)
 	}
 	if rcv == nil {
 		rcv = new(dcqcn.Receiver)
@@ -392,7 +392,7 @@ func (a *arena) startHPCC(net *topo.Network, f *transport.Flow, cfg hpcc.Config,
 	snd, rcv := sm.hpcc.snd.pop(), rm.hpcc.rcv.pop()
 	if snd == nil {
 		snd = new(hpcc.Sender)
-		snd.ShareBoards(&sm.hpcc.boards)
+		snd.Board.Share(&sm.hpcc.boards)
 	}
 	if rcv == nil {
 		rcv = new(hpcc.Receiver)
@@ -410,7 +410,7 @@ func (m *shardMem) sender() *sndSlab {
 	if sl == nil {
 		sl = new(sndSlab)
 		sl.doneFn = sl.done
-		sl.snd.ShareScoreboards(&m.boards)
+		sl.snd.Board.Share(&m.boards)
 	}
 	return sl
 }

@@ -42,10 +42,11 @@ func renderCell(r *Result) string {
 // state worth leaking; the next two end with flows unfinished — a frozen
 // NIC, a dead spine — so the slot takes back memory from a network that
 // stopped mid-flight. The first five Bs follow those three in turn, RoCE
-// Bs after TCP As included. The last three are RoCE after RoCE, where the
+// Bs after TCP As included. The next three are RoCE after RoCE, where the
 // queue pairs themselves pass from A to B: hpcc after a lossy dcqcn-sack
 // mix, dcqcn-irn after go-back-N senders that a dead spine made give up,
-// dcqcn-sack after hpcc.
+// dcqcn-sack after hpcc. The last two follow hpcc too: a TCP B, and an
+// hpcc B that takes over the INT extensions with no audit stamp between.
 func isolationCells(t *testing.T, shards int) (as, bs []RunConfig) {
 	t.Helper()
 	plan := func(spec string) *chaos.Plan {
@@ -69,6 +70,8 @@ func isolationCells(t *testing.T, shards int) (as, bs []RunConfig) {
 		{Transport: "hpcc", TLT: true},
 		{Transport: "dcqcn-irn", TLT: true},
 		{Transport: "dcqcn-sack", TLT: true},
+		{Transport: "dctcp", TLT: true},
+		{Transport: "hpcc"},
 	} {
 		bs = append(bs, RunConfig{Variant: v, Traffic: traffic(12, 2), Seed: 5, Shards: shards, Faults: &chaos.Plan{}})
 	}
@@ -84,6 +87,7 @@ func isolationCells(t *testing.T, shards int) (as, bs []RunConfig) {
 		RunConfig{Variant: Variant{Transport: "dcqcn", MaxRetries: 3}, Traffic: traffic(16, 2), Seed: 4,
 			Faults: plan("swfail:switch=13,at=20us,dur=0"), Horizon: 30 * sim.Millisecond},
 		RunConfig{Variant: Variant{Transport: "hpcc", TLT: true}, Traffic: traffic(16, 4), Seed: 2})
+	as = append(as, as[7], as[7])
 	for i := range as {
 		as[i].Shards = shards
 		if as[i].Faults == nil {
@@ -98,17 +102,21 @@ func isolationCells(t *testing.T, shards int) (as, bs []RunConfig) {
 // is run on a fresh slot and on a slot that has just run a different
 // cell, at shards 1 and 4, a TCP one and two RoCE ones under the auditor
 // (pool audit on recycled packets and extensions included: hpcc after
-// dcqcn-sack takes over SACK extensions, dcqcn-sack after hpcc INT ones);
-// then all cells go through an 8-slot grid twice over, where slots,
-// borrowed shard workers and hand-offs through the semaphore are whatever
-// the scheduler makes them. Every rendering must equal the fresh one.
+// dcqcn-sack takes over SACK extensions, dcqcn-sack after hpcc INT ones)
+// and the rest without, so that no audit stamp wipes what a recycled
+// extension carries over; then all cells go through an 8-slot grid twice
+// over, where slots, borrowed shard workers and hand-offs through the
+// semaphore are whatever the scheduler makes them. Every rendering must
+// equal the fresh one, and after every cell the slot must hold the
+// extensions its packets carried.
 //
-// Mutation-checked: it fails when packet.Pool.Put stops zeroing, when an
+// Mutation-checked: it fails when packet.Pool.Put stops zeroing, stops
+// returning the SACK extension or stops emptying the INT one, when an
 // ACK's INT echo aliases the data packet's extension, when
 // fabric.Host.Release stops clearing idx, when tcp.Sender.Reset stops
 // re-initialising a field (rtoEst), and when Reset and Clear both carry
-// one over that a finished sender holds (alpha, lostEdge, nextAlphaSeq;
-// for a queue pair dcqcn's rate, hpcc's window, the receiver's Cum).
+// one over that a finished sender holds (alpha, Board, nextAlphaSeq; for
+// a queue pair dcqcn's rate, hpcc's window, the receiver's Cum).
 // A field Reset alone carries over is zeroed by Clear between cells;
 // that case, which only recycling inside a cell can show, is
 // tcp.TestResetEqualsFresh's and transport's TestQPResetEqualsFresh's.
@@ -126,11 +134,14 @@ func TestArenaIsolation(t *testing.T) {
 			a := as[i]
 			a.mem, b.mem = slot, slot
 			ra := Run(a)
+			checkStock(t, slot, a)
 			unfinished += ra.Incomplete
 			if a.Variant.IsRoCE() {
 				gaveUp += ra.Aborted
 			}
-			if got := renderCell(Run(b)); got != fresh[i] {
+			got := renderCell(Run(b))
+			checkStock(t, slot, b)
+			if got != fresh[i] {
 				t.Errorf("shards=%d: %s after %s differs from %s on a fresh slot\n%s", shards,
 					b.Variant.Name(), a.Variant.Name(), b.Variant.Name(), firstDiff(got, fresh[i]))
 			}
@@ -157,6 +168,22 @@ func TestArenaIsolation(t *testing.T) {
 					i, cells[i].Variant.Name(), firstDiff(got, want[i]))
 			}
 		}
+	}
+}
+
+// checkStock checks that a slot which just ran rc holds extensions of
+// every kind rc's packets carried: SACK blocks on every transport but
+// go-back-N dcqcn, INT stacks on hpcc.
+func checkStock(t *testing.T, slot *arena, rc RunConfig) {
+	t.Helper()
+	sacks, ints := 0, 0
+	for _, m := range slot.shards {
+		_, s, i := m.pkts.Len()
+		sacks, ints = sacks+s, ints+i
+	}
+	if tr := rc.Variant.Transport; (tr != "dcqcn" && sacks == 0) || (tr == "hpcc" && ints == 0) {
+		t.Errorf("after %s, the slot holds %d SACK and %d INT extensions: the pool lost the ones its packets carried",
+			rc.Variant.Name(), sacks, ints)
 	}
 }
 

@@ -52,6 +52,9 @@ type Stock struct {
 	ints  []*intExt
 }
 
+// Len returns how many packets, SACK and INT extensions s holds (tests).
+func (s Stock) Len() (pkts, sacks, ints int) { return len(s.pkts), len(s.sacks), len(s.ints) }
+
 // poisonSeq is stamped under audit mode into the Seq of a free packet and
 // the count of a free extension; one whose stamp was clobbered before it
 // left the free list was written through a stale pointer (use-after-put).

@@ -6,12 +6,12 @@ import (
 )
 
 // Backings is a free list of scoreboard backing arrays, shared by the
-// senders of one event loop (tcp's segments, the RoCE PktBoards). A sender
-// takes a backing when its flow first transmits, trades it for the next
-// size up each time its window outgrows it, and gives it back when the
-// flow ends. The arrays a run needs therefore follow its flows in flight,
-// not the flows it carries, whatever order mice and elephants come in —
-// and pass, like the senders themselves, from one run to the next.
+// boards of one event loop (PktBoards, ByteBoards). A board takes a
+// backing when its flow first transmits, trades it for the next size up
+// each time its window outgrows it, and gives it back when the flow ends.
+// The arrays a run needs therefore follow its flows in flight, not the
+// flows it carries, whatever order mice and elephants come in — and pass,
+// like the senders themselves, from one run to the next.
 // Capacities are powers of two, one list per power. A backing comes back
 // as it was left: T should hold no pointers. The zero value is ready; not
 // safe for concurrent use.
@@ -19,9 +19,6 @@ type Backings[T any] struct {
 	free [32][][]T // free[k]: backings of capacity 1<<k
 	low  [32]int   // shortest free[k] has been since the last Trim
 }
-
-// PktBoards is the free list PktBoards of one event loop share.
-type PktBoards = Backings[PktState]
 
 // Grow returns s on a backing with room for at least one more element
 // and at least floor in all: twice the old one, which goes back on its

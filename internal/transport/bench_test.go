@@ -39,7 +39,6 @@ func BenchmarkPktBoardAckSack(b *testing.B) {
 			board.OnSent(p, false, sim.Time(p))
 		}
 		board.Sack([]packet.SackBlock{{Start: 512, End: 1024}})
-		board.ApplyLostEdge()
 		for board.NextRetx() >= 0 {
 			board.OnSent(board.NextRetx(), true, 2000)
 		}

@@ -134,14 +134,14 @@ func TestLateEchoScansFromTheLaterImportantPacket(t *testing.T) {
 	b := &snd.Board
 	// The important packets so far: the message's tail, then PSN 0 again.
 	first, second := b.State(b.Nxt-1).LastSent, b.State(0).LastSent
-	if second != 50*sim.Microsecond || !b.State(2).Retx || b.State(3).Retx || b.Nxt != 12 {
+	if second != 50*sim.Microsecond || !b.State(2).Retx() || b.State(3).Retx() || b.Nxt != 12 {
 		t.Fatalf("500 ns after the RTO: psn 0 last sent at %v, board %+v; want three retransmissions out", second, b)
 	}
 
 	// The presumed-lost packet's echo: nothing was sent before it, but the
 	// machine is free again and marks PSN 3, which leaves at once.
 	echo(0, first)
-	if !b.State(3).Retx || b.State(3).LastSent != s.Now() || !snd.Win.InFlight() || b.PendingRetx() != 8 {
+	if !b.State(3).Retx() || b.State(3).LastSent != s.Now() || !snd.Win.InFlight() || b.PendingRetx() != 8 {
 		t.Fatalf("after the late echo: psn 3 %+v, important in flight %v, %d await retransmission; want a third important packet out",
 			b.State(3), snd.Win.InFlight(), b.PendingRetx())
 	}
@@ -150,7 +150,7 @@ func TestLateEchoScansFromTheLaterImportantPacket(t *testing.T) {
 	// time: PSNs 1 and 2, sent in between, are invalidated — 1 leaves
 	// again at once, 2 waits its turn — and PSN 3 keeps its own.
 	echo(1, second)
-	if p1, p2, p3 := b.State(1), b.State(2), b.State(3); p1.LastSent != s.Now() || p2.Retx || !p2.Lost || !p3.Retx {
+	if p1, p2, p3 := b.State(1), b.State(2), b.State(3); p1.LastSent != s.Now() || p2.Retx() || !p2.Lost() || !p3.Retx() {
 		t.Fatalf("after the second echo: psn 1 %+v, psn 2 %+v, psn 3 %+v; want the retransmissions sent before psn 3's invalidated",
 			p1, p2, p3)
 	}

@@ -41,9 +41,6 @@ func TestPktBoardSackAndLossEdge(t *testing.T) {
 	if b.LostEdge != 5 {
 		t.Fatalf("LostEdge = %d, want 5", b.LostEdge)
 	}
-	if !b.ApplyLostEdge() {
-		t.Fatal("should mark new losses")
-	}
 	if !b.HasLoss() || b.PendingRetx() != 5 {
 		t.Fatalf("pending retx = %d, want 5 (PSNs 0-4)", b.PendingRetx())
 	}
@@ -76,24 +73,23 @@ func TestPktBoardRackMark(t *testing.T) {
 	b := sentBoard(5, 0) // sent at times 0..4
 	// Retransmit PSN 1 at t=10.
 	b.Sack([]packet.SackBlock{{Start: 3, End: 5}})
-	b.ApplyLostEdge()
 	b.OnSent(1, true, 10)
 	st := b.State(1)
-	if !st.Retx {
+	if !st.Retx() {
 		t.Fatal("PSN1 should be marked retx")
 	}
 	// An echo proving time 20 round-tripped invalidates everything
 	// unsacked sent before t=20, including the PSN1 retransmission.
 	b.RackMark(20)
 	st = b.State(1)
-	if st.Retx {
+	if st.Retx() {
 		t.Fatal("stale retransmission not invalidated")
 	}
 	if got := b.PendingRetx(); got != 3 {
 		t.Fatalf("pending retx = %d, want 3 (PSNs 0,1,2)", got)
 	}
 	// Sacked packets are never marked lost.
-	if b.State(3).Lost || b.State(4).Lost {
+	if b.State(3).Lost() || b.State(4).Lost() {
 		t.Fatal("sacked packets marked lost")
 	}
 }

@@ -66,7 +66,6 @@ type QPSender struct {
 	host *fabric.Host
 	flow *Flow
 	law  qpLaw
-	mss  int
 	rto  *RTOConfig // the law's own copy; read only
 
 	// Where StartQP has an abort booked; nil on a sender wired by hand.
@@ -75,12 +74,15 @@ type QPSender struct {
 
 	rtoDeadline sim.Time   // lazy RTO: 0 = disarmed, which an open flow never is
 	rtoEv       *sim.Event // tick event, created at first arm and kept across Reset
-	backoff     uint       // exponential backoff shift (only if rto.MaxBackoffShift > 0)
-	retries     int        // consecutive full-RTO rounds without forward progress
-	rtoPending  bool
-	rtoIsLow    bool // armed with RTOLow
-	done        bool
-	aborted     bool
+
+	// Packed into two words, so hpcc.Sender fits its allocation size class.
+	mss        int32
+	retries    int32 // consecutive full-RTO rounds without forward progress
+	backoff    uint8 // exponential backoff shift (only if rto.MaxBackoffShift > 0)
+	rtoPending bool
+	rtoIsLow   bool // armed with RTOLow
+	done       bool
+	aborted    bool
 }
 
 // packets returns how many mss-sized packets carry size bytes; an empty
@@ -100,10 +102,11 @@ func (q *QPSender) Reset(law qpLaw, host *fabric.Host, flow *Flow, mss int, rto 
 	if q.rtoEv != nil && q.rtoEv.Scheduled() {
 		panic("transport: Reset of queue pair with its RTO tick still scheduled")
 	}
-	q.Board.Reset(packets(flow.Size, mss))
+	n := packets(flow.Size, mss)
+	q.Board.Reset(n, int(min(n, 64)), false)
 	*q = QPSender{
 		S: host.Sim(), Board: q.Board, Rec: rec,
-		host: host, flow: flow, law: law, mss: mss, rto: rto,
+		host: host, flow: flow, law: law, mss: int32(mss), rto: rto,
 		rtoEv: q.rtoEv,
 	}
 }
@@ -124,14 +127,9 @@ func (q *QPSender) Clear() {
 	if q.rtoEv != nil && q.rtoEv.Scheduled() {
 		q.rtoEv = nil
 	}
-	q.Board.Reset(0)
+	q.Board.Reset(0, 0, false)
 	*q = QPSender{Board: q.Board, rtoEv: q.rtoEv}
 }
-
-// ShareBoards makes the sender take its scoreboard's backing from b for
-// each flow and return it when the flow ends, instead of keeping its own.
-// Call it before the sender's first flow; b belongs to its event loop.
-func (q *QPSender) ShareBoards(b *PktBoards) { q.Board.mem = b }
 
 // Done reports sender-side completion, successful or not.
 func (q *QPSender) Done() bool { return q.done }
@@ -140,7 +138,7 @@ func (q *QPSender) Done() bool { return q.done }
 func (q *QPSender) Aborted() bool { return q.aborted }
 
 // Retries returns the consecutive timeouts without progress (for tests).
-func (q *QPSender) Retries() int { return q.retries }
+func (q *QPSender) Retries() int { return int(q.retries) }
 
 func (q *QPSender) sender() *QPSender { return q }
 
@@ -177,7 +175,7 @@ func (q *QPSender) length(psn int64) int {
 	if psn == q.Board.N-1 {
 		return int(q.flow.Size - psn*int64(q.mss))
 	}
-	return q.mss
+	return int(q.mss)
 }
 
 // Transmit puts psn on the wire carrying mark, books it, and returns its
@@ -209,16 +207,13 @@ func (q *QPSender) Transmit(psn int64, isRetx bool, mark packet.Mark) int64 {
 }
 
 // MoreAfter reports whether another transmission could immediately follow
-// psn: a pending retransmission above it or, when fresh says the law would
+// psn: another pending retransmission (when isRetx, psn is the board's
+// NextRetx, so any other lies above it) or, when fresh says the law would
 // allow one, unsent data right behind it. TLT marks the packet after which
 // nothing follows (the burst tail).
 func (q *QPSender) MoreAfter(psn int64, isRetx, fresh bool) bool {
-	if isRetx {
-		for p := psn + 1; p < q.Board.Nxt; p++ {
-			if st := q.Board.State(p); st.Lost && !st.Retx {
-				return true
-			}
-		}
+	if isRetx && q.Board.PendingRetx() > 1 {
+		return true
 	}
 	return fresh && psn+1 < q.Board.N && psn+1 >= q.Board.Nxt
 }
@@ -268,7 +263,6 @@ func (q *QPSender) OnAck(pkt *packet.Packet) (open, newLoss bool) {
 	if lostBefore > 0 {
 		q.Board.RackMark(lostBefore)
 	}
-	q.Board.ApplyLostEdge()
 	newLoss = !hadLoss && q.Board.HasLoss()
 	if q.Board.Complete() {
 		q.finish(false)
@@ -316,7 +310,7 @@ func (q *QPSender) rtoTick() {
 	} else {
 		q.Rec.Timeouts++
 		q.retries++
-		if q.rto.MaxRetries > 0 && q.retries >= q.rto.MaxRetries {
+		if q.rto.MaxRetries > 0 && int(q.retries) >= q.rto.MaxRetries {
 			// IB retry-count exhaustion surfaces as a completion error
 			// rather than retrying into a black hole forever.
 			q.finish(true)
@@ -324,7 +318,7 @@ func (q *QPSender) rtoTick() {
 		}
 		// RoCE static timers do not back off by default (IB verbs);
 		// MaxBackoffShift opts a QP into exponential backoff.
-		if q.backoff < q.rto.MaxBackoffShift {
+		if uint(q.backoff) < q.rto.MaxBackoffShift {
 			q.backoff++
 		}
 	}
@@ -336,7 +330,7 @@ func (q *QPSender) finish(aborted bool) {
 	q.done, q.aborted = true, aborted
 	q.rtoDeadline = 0
 	q.law.Quiesce()
-	q.Board.release()
+	q.Board.Release()
 	if aborted {
 		q.Win.Reset()
 		// The abort is booked on the sender's shard, completion on the

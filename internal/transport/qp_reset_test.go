@@ -40,7 +40,7 @@ func (k *qpStock) dcqcnConn() *dcqcn.Conn {
 	} else {
 		c = &dcqcn.Conn{Sender: new(dcqcn.Sender), Receiver: new(dcqcn.Receiver)}
 		if k.boards != nil {
-			c.Sender.ShareBoards(k.boards)
+			c.Sender.Board.Share(k.boards)
 		}
 	}
 	k.out.dcqcn = append(k.out.dcqcn, c)
@@ -54,7 +54,7 @@ func (k *qpStock) hpccPair() (*hpcc.Sender, *hpcc.Receiver) {
 	} else {
 		p = hpccPair{new(hpcc.Sender), new(hpcc.Receiver)}
 		if k.boards != nil {
-			p.snd.ShareBoards(k.boards)
+			p.snd.Board.Share(k.boards)
 		}
 	}
 	k.out.hpcc = append(k.out.hpcc, p)

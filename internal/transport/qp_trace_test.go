@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tlt/internal/core"
@@ -323,7 +324,8 @@ var parentTraceHashes = map[string]string{
 }
 
 // tcpStart starts the cell's flows on law ("tcp" or "dctcp") with
-// variant "base", "tlp" or "tlt", a 200 µs RTOmin and, for a blackhole
+// variant "base", "tlp", "tlt" or one of Fig. 17's clock ablations
+// "tlt-1byte" and "tlt-fullmtu", a 200 µs RTOmin and, for a blackhole
 // cell, MaxRetries = 3.
 func tcpStart(law, variant string, blackhole bool) traceStart {
 	cfg := tcp.DefaultConfig()
@@ -335,6 +337,10 @@ func tcpStart(law, variant string, blackhole bool) traceStart {
 		cfg.TLP = true
 	case "tlt":
 		cfg.TLT = core.Config{Enabled: true}
+	case "tlt-1byte":
+		cfg.TLT = core.Config{Enabled: true, Clock: core.ClockOneByte}
+	case "tlt-fullmtu":
+		cfg.TLT = core.Config{Enabled: true, Clock: core.ClockFullMTU}
 	}
 	cfg.RTO.Min = 200 * sim.Microsecond
 	if blackhole {
@@ -350,15 +356,31 @@ func tcpStart(law, variant string, blackhole bool) traceStart {
 // included — stall snapshots and flow records, for {tcp, dctcp} × {base,
 // TLP, TLT} × 3 seeds of seeded 12% loss and one black-holed abort, pinned
 // to what 7a81ca5 produced before packet.Packet was split into a header
-// and extensions.
+// and extensions. Fig. 17's two clock ablations (dctcp, 3 seeds each) and
+// one dctcp+TLT cell whose hash also covers every delivery sample (Fig.
+// 16) are pinned to 494e097, the last tree with a scoreboard of tcp's own.
 func TestTCPWireTraceMatchesParent(t *testing.T) {
 	reached := map[string]int{}
 	check := func(cell string, seed int64, blackhole bool, start traceStart) {
+		var samples *stats.Reservoir
+		if strings.HasSuffix(cell, " delivery") {
+			start = withDeliverySamples(start, &samples)
+		}
 		trace, recs := runTraceCase(t, cell, seed, blackhole, start)
 		for _, r := range recs {
 			reached["timeouts"] += r.Timeouts
 			reached["fastrecov"] += r.FastRecov
 			reached["clocks"] += r.ClockSends
+			if strings.Contains(cell, "-1byte") {
+				reached["1-byte clocks"] += r.ClockSends
+			}
+			if strings.Contains(cell, "-fullmtu") {
+				reached["full-MTU clocks"] += r.ClockSends
+			}
+		}
+		if samples != nil {
+			reached["delivery samples"] += int(samples.Seen())
+			trace = fmt.Appendf(trace, "%v", samples.Samples())
 		}
 		if got, want := hashWithRecords(trace, recs), parentTCPTraceHashes[cell]; got != want {
 			t.Errorf("%s: wire trace + records hash %s, parent's %s", cell, got, want)
@@ -372,32 +394,58 @@ func TestTCPWireTraceMatchesParent(t *testing.T) {
 		}
 	}
 	check("tcp+base blackhole", 0, true, tcpStart("tcp", "base", true))
-	for _, path := range []string{"timeouts", "fastrecov", "clocks"} {
+	for _, variant := range []string{"tlt-1byte", "tlt-fullmtu"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			check(fmt.Sprintf("dctcp+%s seed=%d", variant, seed), seed, false, tcpStart("dctcp", variant, false))
+		}
+	}
+	check("dctcp+tlt seed=1 delivery", 1, false, tcpStart("dctcp", "tlt", false))
+	for _, path := range []string{"timeouts", "fastrecov", "clocks", "1-byte clocks", "full-MTU clocks", "delivery samples"} {
 		if reached[path] == 0 {
 			t.Errorf("case table too gentle: no cell reached %q", path)
 		}
 	}
 }
 
-// parentTCPTraceHashes were taken at 7a81ca5 by running this test there.
+// withDeliverySamples wraps start so that the cell's recorder collects
+// delivery samples — all of them: the reservoir never fills — into *to.
+func withDeliverySamples(start traceStart, to **stats.Reservoir) traceStart {
+	return func(n *topo.Network, f *transport.Flow, rec *stats.Recorder) func() transport.FlowStatus {
+		if rec.DeliverySamples == nil {
+			rec.DeliverySamples = stats.NewReservoir(1<<20, 1)
+			*to = rec.DeliverySamples
+		}
+		return start(n, f, rec)
+	}
+}
+
+// parentTCPTraceHashes were taken at 7a81ca5 by running this test there;
+// the clock-ablation and delivery cells at 494e097.
 var parentTCPTraceHashes = map[string]string{
-	"tcp+base seed=1":    "5c5542f439521c61077b36e5724b8cc5903eeb17a11079a2d1fe5d9893ce7324",
-	"tcp+base seed=2":    "511ee8bed13bfd67f844e9ed70c72fc4ee03fa5aea79571a47c5ed2762e0e0c6",
-	"tcp+base seed=3":    "e636acb925bede063ac1cadca98a67dfdf54fa8920cd577195c8d5b7c27d6caa",
-	"tcp+tlp seed=1":     "590d80bec30ff1411a2b115ad7dfdfbf2c1769abc8ca27b360c2d074c6a35719",
-	"tcp+tlp seed=2":     "66ae5b50821fcde0348243877a7464fe1e4aef7e7eff40a24f0c1204720e8f8c",
-	"tcp+tlp seed=3":     "f41dc1a5e32714f86644789d8be6247a8341d5e5248196cf92d5a98673d74628",
-	"tcp+tlt seed=1":     "95b623648711a31d1d5c4c3daa691ab8f635e8eb0efef8abbdc148765e0779f2",
-	"tcp+tlt seed=2":     "779d0247266414e966cd7920daf1f9de28b85202297e49ff68fdf49a7c7e0467",
-	"tcp+tlt seed=3":     "46431c54f2ff367698015a954c14e29adc3e7c54fd8b7b4ec3453b1902aeef92",
-	"dctcp+base seed=1":  "12a0c4d3e4a9cf55c728edd644788ac1d896f61a0732e47026d73bf71558f430",
-	"dctcp+base seed=2":  "b0d992f72d8796480c949f5faa96982ffd71774f437252bf8557b4c1bd89f30b",
-	"dctcp+base seed=3":  "e7280bfef2ddf1eb298eab067d51d66c38ee406b7e5fc759758f15441ed0c10e",
-	"dctcp+tlp seed=1":   "3dcf9b8f52f2d87f57bee5e80f6bac14100c074673c6484e278da9f8081af10c",
-	"dctcp+tlp seed=2":   "c21d889112dac13a40c1fa72483399f7f5680e7c0924f1c111d58056df826182",
-	"dctcp+tlp seed=3":   "5a7ea3a67aca14d0aa635cdbd4e14070db67d5927bd5d9ed6d4f5454981838f8",
-	"dctcp+tlt seed=1":   "ae7b6afcc7b903f818411198b390dd997661cc24da6cb827cdc4f94be3981e53",
-	"dctcp+tlt seed=2":   "1b266897f6ba8b5103254427568dceba96e82ee47f0f800aec8ac443640f8203",
-	"dctcp+tlt seed=3":   "8d575ff73c3d3b606d3f88e75a66ace4500221a0fe1fddb64ab4224a87315d8c",
-	"tcp+base blackhole": "d1e0b1d34941f525034d162c2f11c87d2e7ff489621d28ee47d135abb5dcbad0",
+	"tcp+base seed=1":           "5c5542f439521c61077b36e5724b8cc5903eeb17a11079a2d1fe5d9893ce7324",
+	"tcp+base seed=2":           "511ee8bed13bfd67f844e9ed70c72fc4ee03fa5aea79571a47c5ed2762e0e0c6",
+	"tcp+base seed=3":           "e636acb925bede063ac1cadca98a67dfdf54fa8920cd577195c8d5b7c27d6caa",
+	"tcp+tlp seed=1":            "590d80bec30ff1411a2b115ad7dfdfbf2c1769abc8ca27b360c2d074c6a35719",
+	"tcp+tlp seed=2":            "66ae5b50821fcde0348243877a7464fe1e4aef7e7eff40a24f0c1204720e8f8c",
+	"tcp+tlp seed=3":            "f41dc1a5e32714f86644789d8be6247a8341d5e5248196cf92d5a98673d74628",
+	"tcp+tlt seed=1":            "95b623648711a31d1d5c4c3daa691ab8f635e8eb0efef8abbdc148765e0779f2",
+	"tcp+tlt seed=2":            "779d0247266414e966cd7920daf1f9de28b85202297e49ff68fdf49a7c7e0467",
+	"tcp+tlt seed=3":            "46431c54f2ff367698015a954c14e29adc3e7c54fd8b7b4ec3453b1902aeef92",
+	"dctcp+base seed=1":         "12a0c4d3e4a9cf55c728edd644788ac1d896f61a0732e47026d73bf71558f430",
+	"dctcp+base seed=2":         "b0d992f72d8796480c949f5faa96982ffd71774f437252bf8557b4c1bd89f30b",
+	"dctcp+base seed=3":         "e7280bfef2ddf1eb298eab067d51d66c38ee406b7e5fc759758f15441ed0c10e",
+	"dctcp+tlp seed=1":          "3dcf9b8f52f2d87f57bee5e80f6bac14100c074673c6484e278da9f8081af10c",
+	"dctcp+tlp seed=2":          "c21d889112dac13a40c1fa72483399f7f5680e7c0924f1c111d58056df826182",
+	"dctcp+tlp seed=3":          "5a7ea3a67aca14d0aa635cdbd4e14070db67d5927bd5d9ed6d4f5454981838f8",
+	"dctcp+tlt seed=1":          "ae7b6afcc7b903f818411198b390dd997661cc24da6cb827cdc4f94be3981e53",
+	"dctcp+tlt seed=2":          "1b266897f6ba8b5103254427568dceba96e82ee47f0f800aec8ac443640f8203",
+	"dctcp+tlt seed=3":          "8d575ff73c3d3b606d3f88e75a66ace4500221a0fe1fddb64ab4224a87315d8c",
+	"tcp+base blackhole":        "d1e0b1d34941f525034d162c2f11c87d2e7ff489621d28ee47d135abb5dcbad0",
+	"dctcp+tlt-1byte seed=1":    "acfa4eabb3bef4ebecb89e8ffdaf5006799e81ee77d4f1ef7e3e7fc5f646622d",
+	"dctcp+tlt-1byte seed=2":    "db355adee0f4d05b5d97045634e752f813e483cc66ff255b03ba7e6e7bfc651f",
+	"dctcp+tlt-1byte seed=3":    "8d575ff73c3d3b606d3f88e75a66ace4500221a0fe1fddb64ab4224a87315d8c",
+	"dctcp+tlt-fullmtu seed=1":  "4203c433f1ac0bde404ffdf7214ced19868dade98895f4b0813946881146b73a",
+	"dctcp+tlt-fullmtu seed=2":  "b9ff596a00301a5d420136e32a7e28f323cc5ee34127269b70f9a2126b2f6ec1",
+	"dctcp+tlt-fullmtu seed=3":  "8d575ff73c3d3b606d3f88e75a66ace4500221a0fe1fddb64ab4224a87315d8c",
+	"dctcp+tlt seed=1 delivery": "fce24414e9e4810425b0ac5e9df072ebde75d95f9bc7f4f3890d787b4ffc084a",
 }

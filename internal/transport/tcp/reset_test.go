@@ -98,10 +98,10 @@ func runAB(t *testing.T, c resetCase, recycle bool) ([]string, stats.FlowRecord)
 	snd := new(Sender)
 	// Half the recycled cases also trade scoreboards through a shared
 	// list, the way a grid slot's senders do.
-	var boards Scoreboards
+	var boards transport.ByteBoards
 	shared := recycle && c.seed%2 == 0
 	if shared {
-		snd.ShareScoreboards(&boards)
+		snd.Board.Share(&boards)
 	}
 	snd.Reset(src, fa, c.cfg, fra, rec, nil)
 	rcv := NewReceiver(s, dst, fa, c.cfg)
@@ -136,7 +136,7 @@ func runAB(t *testing.T, c resetCase, recycle bool) ([]string, stats.FlowRecord)
 	if !frb.Done && !frb.Aborted {
 		t.Fatalf("%s (recycle=%v): flow B neither completed nor aborted", c.name, recycle)
 	}
-	if shared && snd.segs != nil {
+	if shared && snd.Board.Cap() != 0 {
 		t.Fatalf("%s: a finished sender kept the scoreboard it shares", c.name)
 	}
 	out := *frb

@@ -50,7 +50,7 @@ func TestScoreboardFollowsWindow(t *testing.T) {
 	var watch func()
 	watch = func() {
 		for _, c := range conns {
-			maxCap = max(maxCap, cap(c.Sender.segs))
+			maxCap = max(maxCap, c.Sender.Board.Cap())
 		}
 		if done, total := rec.CompletedCount(false); done < total {
 			s.After(100*sim.Microsecond, watch)
@@ -79,27 +79,29 @@ func TestScoreboardFollowsWindow(t *testing.T) {
 	}
 }
 
-// Backings trade through a Scoreboards by size: a growing scoreboard gives
-// back each one it outgrows, a later flow climbing the same sizes
+// Boards trade backings through a shared list by size: a growing board
+// gives back each one it outgrows, a later flow climbing the same sizes
 // allocates nothing, and Trim drops the sizes nobody took.
 func TestScoreboardsRecycleBySize(t *testing.T) {
-	var b Scoreboards
-	fill := func(n int) []segment {
-		var segs []segment
-		for i := 0; i < n; i++ {
-			if len(segs) == cap(segs) {
-				segs = b.Grow(segs, 10)
-			}
-			segs = append(segs, segment{start: int64(i), end: int64(i + 1)})
+	var b transport.ByteBoards
+	var board transport.ByteBoard
+	board.Share(&b)
+	fill := func(n int64) {
+		board.Reset(n, 10, false)
+		for seq := int64(0); seq < n; seq++ {
+			board.Send(seq, seq+1, false, 0)
 		}
-		return segs
 	}
-	segs := fill(100)
-	if cap(segs) != 128 || segs[99].start != 99 {
-		t.Fatalf("100 segments ended on capacity %d, last %+v; want 128 and the segments kept", cap(segs), segs[99])
+	give := func(n int64) {
+		fill(n)
+		board.Release()
 	}
-	b.Give(segs)
-	refill := func(n int) float64 { return testing.AllocsPerRun(3, func() { b.Give(fill(n)) }) }
+	fill(100)
+	if board.Cap() != 128 || board.End(99) != 100 {
+		t.Fatalf("100 ranges ended on capacity %d, last ending at %d; want 128 and the ranges kept", board.Cap(), board.End(99))
+	}
+	board.Release()
+	refill := func(n int64) float64 { return testing.AllocsPerRun(3, func() { give(n) }) }
 	if allocs := refill(100); allocs != 0 {
 		t.Fatalf("a second flow of the same size allocated %v times", allocs)
 	}
@@ -108,7 +110,7 @@ func TestScoreboardsRecycleBySize(t *testing.T) {
 		t.Fatalf("after a Trim that followed a 100-segment flow, the next one allocated %v times", allocs)
 	}
 	b.Trim()
-	b.Give(fill(10))
+	give(10)
 	b.Trim() // only the smallest was taken
 	if allocs := refill(10); allocs != 0 {
 		t.Fatalf("after a Trim that followed a 10-segment flow, the next one allocated %v times", allocs)
@@ -116,7 +118,7 @@ func TestScoreboardsRecycleBySize(t *testing.T) {
 	// Capacities 32, 64 and 128 were dropped: one run makes them anew.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	b.Give(fill(100))
+	give(100)
 	runtime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs != 3 {
 		t.Fatalf("after a Trim that followed a 10-segment flow, a 100-segment flow allocated %d times, want its three larger backings", allocs)

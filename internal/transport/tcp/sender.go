@@ -27,18 +27,6 @@ func init() {
 	})
 }
 
-// segment is one MSS-aligned unit of the send scoreboard.
-type segment struct {
-	start, end int64
-	sacked     bool
-	lost       bool
-	retx       bool // a retransmission of this (lost) segment is in flight
-	sampled    bool // delivery-time sample taken
-	everSent   bool
-	firstSent  sim.Time
-	lastSent   sim.Time
-}
-
 // Sender is the sending endpoint of a TCP-family connection.
 type Sender struct {
 	s    *sim.Sim
@@ -50,28 +38,17 @@ type Sender struct {
 	recorder *stats.Recorder
 	onDone   func()
 
-	// Stream state.
-	appLimit int64 // bytes the application has written so far
-	closed   bool  // application finished writing
-	sndUna   int64
-	sndNxt   int64
-
-	segs   []segment
-	head   int          // index of first segment not fully cum-acked
-	boards *Scoreboards // where segs comes from and goes back to; nil: kept across Reset
-
-	// Aggregate scoreboard counters for O(1) pipe computation.
-	sackedB   int64 // sacked bytes in [sndUna, sndNxt)
-	lostB     int64 // lost, unsacked bytes
-	lostRetxB int64 // subset of lostB whose retransmission is in flight
+	// Board is the send scoreboard over the stream's bytes, one range per
+	// segment: Una is the first unacknowledged byte, Nxt the next new one
+	// and N how many the application has written so far.
+	Board  transport.ByteBoard
+	closed bool // application finished writing
 
 	// Congestion control.
 	cwnd          float64
 	ssthresh      float64
 	inRecovery    bool
 	recoveryPoint int64
-	lostEdge      int64 // bytes below this and unsacked are lost (dupthresh=1)
-	edgeApplied   int64 // lostEdge already folded into segment flags up to here
 
 	// DCTCP.
 	alpha        float64
@@ -118,8 +95,8 @@ func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config,
 
 // Reset initialises the sender for flow on host: every piece of state
 // starts from zero or from the arguments, and only the tick events and
-// the scoreboard's (emptied) backing array, or the list it comes from,
-// carry over. It is the only place sender state is initialised, so a
+// the board's (emptied) backing array, or the list it comes from, carry
+// over. It is the only place sender state is initialised, so a
 // recycled sender cannot differ from a fresh one — whichever run, config
 // or network it served before. Resetting a sender that is mid-flow, or
 // whose tick events are still queued, is a caller bug and panics.
@@ -127,13 +104,16 @@ func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config,
 	rec *stats.FlowRecord, recorder *stats.Recorder, onDone func()) {
 	s.mustBeIdle()
 	cfg.TLT.Flow = flow.ID
+	s.Board.Reset(0, cfg.InitWindowSegs, cfg.TLT.Clock == core.ClockOneByte)
+	if recorder != nil && recorder.DeliverySamples != nil {
+		s.Board.SampleDeliveries(host.Sim(), recorder.DeliverySamples)
+	}
 	// The estimator and the TLT machine live in the sender by value; their
 	// constructors inline, so the dereferences allocate nothing.
 	*s = Sender{
 		s: host.Sim(), host: host, flow: flow, cfg: cfg,
 		rec: rec, recorder: recorder, onDone: onDone,
-		segs:     s.segs[:0],
-		boards:   s.boards,
+		Board:    s.Board,
 		cwnd:     float64(cfg.InitWindowSegs * cfg.MSS),
 		ssthresh: cfg.MaxCwndBytes,
 		rtoEst:   *transport.NewRTOEstimator(cfg.RTO),
@@ -144,8 +124,8 @@ func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config,
 }
 
 func (s *Sender) mustBeIdle() {
-	if s.appLimit > 0 && !s.done {
-		panic(fmt.Sprintf("tcp: Reset of sender mid-flow (%d of %d bytes acked)", s.sndUna, s.appLimit))
+	if s.Board.N > 0 && !s.done {
+		panic(fmt.Sprintf("tcp: Reset of sender mid-flow (%d of %d bytes acked)", s.Board.Una, s.Board.N))
 	}
 	if (s.rtoEv != nil && s.rtoEv.Scheduled()) || (s.tlpEv != nil && s.tlpEv.Scheduled()) {
 		panic("tcp: Reset of sender with a tick event still scheduled")
@@ -157,18 +137,13 @@ func (s *Sender) mustBeIdle() {
 // flow, record, recorder, callbacks. It panics where Reset would.
 func (s *Sender) Clear() {
 	s.mustBeIdle()
-	*s = Sender{segs: s.segs[:0], boards: s.boards, rtoEv: s.rtoEv, tlpEv: s.tlpEv}
+	s.Board.Reset(0, 0, false)
+	*s = Sender{Board: s.Board, rtoEv: s.rtoEv, tlpEv: s.tlpEv}
 }
-
-// ShareScoreboards makes the sender draw its scoreboard backing from b
-// for each flow and return it when the flow ends, instead of keeping one
-// of its own from flow to flow. Call it on a sender that has not carried
-// a flow yet; b must belong to the sender's event loop.
-func (s *Sender) ShareScoreboards(b *Scoreboards) { s.boards = b }
 
 // Write appends n bytes to the stream and kicks transmission.
 func (s *Sender) Write(n int64) {
-	s.appLimit += n
+	s.Board.N += n
 	if !s.done {
 		s.output()
 		s.armTimers()
@@ -189,7 +164,7 @@ func (s *Sender) Cwnd() float64 { return s.cwnd }
 func (s *Sender) Alpha() float64 { return s.alpha }
 
 // SndUna returns the first unacknowledged byte (for tests).
-func (s *Sender) SndUna() int64 { return s.sndUna }
+func (s *Sender) SndUna() int64 { return s.Board.Una }
 
 // TLTInFlightImportant reports whether an important packet is outstanding
 // (for invariant tests).
@@ -219,10 +194,10 @@ func (s *Sender) FlowStatus() transport.FlowStatus {
 		State:             state,
 		Done:              s.done,
 		Aborted:           s.aborted,
-		AckedBytes:        s.sndUna,
-		TotalBytes:        s.appLimit,
-		OutstandingBytes:  s.sndNxt - s.sndUna,
-		LostBytes:         s.lostB,
+		AckedBytes:        s.Board.Una,
+		TotalBytes:        s.Board.N,
+		OutstandingBytes:  s.Board.Nxt - s.Board.Una,
+		LostBytes:         s.Board.Lost(),
 		ImportantInFlight: s.tlt.InFlight(),
 		RTOArmed:          s.rtoDeadline > 0,
 		RTODeadline:       s.rtoDeadline,
@@ -247,197 +222,17 @@ func (s *Sender) Handle(pkt *packet.Packet) {
 	s.onAck(pkt)
 }
 
-func (s *Sender) pipe() float64 {
-	return float64((s.sndNxt - s.sndUna) - s.sackedB - (s.lostB - s.lostRetxB))
-}
+func (s *Sender) pipe() float64 { return float64(s.Board.InFlight()) }
 
-func (s *Sender) outstanding() bool { return s.sndUna < s.sndNxt }
-func (s *Sender) unsent() bool      { return s.sndNxt < s.appLimit }
-
-// segAt returns the index of the segment containing seq, or -1.
-func (s *Sender) segAt(seq int64) int {
-	lo, hi := s.head, len(s.segs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.segs[mid].end <= seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.segs) && s.segs[lo].start <= seq && seq < s.segs[lo].end {
-		return lo
-	}
-	return -1
-}
-
-func (s *Sender) markSacked(i int) {
-	seg := &s.segs[i]
-	if seg.sacked {
-		return
-	}
-	n := seg.end - seg.start
-	seg.sacked = true
-	s.sackedB += n
-	if seg.lost {
-		seg.lost = false
-		s.lostB -= n
-		if seg.retx {
-			seg.retx = false
-			s.lostRetxB -= n
-		}
-	}
-	s.sampleDelivery(seg)
-}
-
-func (s *Sender) markLost(i int) {
-	seg := &s.segs[i]
-	if seg.sacked || seg.lost {
-		return
-	}
-	seg.lost = true
-	s.lostB += seg.end - seg.start
-}
-
-func (s *Sender) clearRetx(i int) {
-	seg := &s.segs[i]
-	if seg.retx {
-		seg.retx = false
-		if seg.lost {
-			s.lostRetxB -= seg.end - seg.start
-		}
-	}
-}
-
-func (s *Sender) sampleDelivery(seg *segment) {
-	if seg.sampled || s.recorder == nil || s.recorder.DeliverySamples == nil {
-		return
-	}
-	seg.sampled = true
-	s.recorder.DeliverySamples.Add((s.s.Now() - seg.firstSent).Seconds())
-}
-
-// advanceUna applies a cumulative ACK.
-func (s *Sender) advanceUna(ack int64) {
-	for s.head < len(s.segs) && s.segs[s.head].end <= ack {
-		seg := &s.segs[s.head]
-		n := seg.end - seg.start
-		if seg.sacked {
-			s.sackedB -= n
-		}
-		if seg.lost {
-			s.lostB -= n
-			if seg.retx {
-				s.lostRetxB -= n
-			}
-		}
-		s.sampleDelivery(seg)
-		s.head++
-	}
-	// Partial ACK within a segment (1-byte clock probes advance the
-	// stream by single bytes): shrink the head segment.
-	if s.head < len(s.segs) {
-		seg := &s.segs[s.head]
-		if seg.start < ack {
-			n := ack - seg.start
-			if seg.sacked {
-				s.sackedB -= n
-			}
-			if seg.lost {
-				s.lostB -= n
-				if seg.retx {
-					s.lostRetxB -= n
-				}
-			}
-			seg.start = ack
-		}
-	}
-	s.sndUna = ack
-	if s.lostEdge < ack {
-		s.lostEdge = ack
-	}
-	// Compact once the acked prefix is half the slice: each move is paid
-	// for by the segments acked since the last one, and the backing array
-	// stays proportional to the peak window, not to the flow.
-	if s.head*2 >= len(s.segs) {
-		s.segs = append(s.segs[:0], s.segs[s.head:]...)
-		s.head = 0
-	}
-}
-
-func (s *Sender) applySack(blocks []packet.SackBlock) {
-	for _, b := range blocks {
-		if b.End <= s.sndUna {
-			continue
-		}
-		i := s.segAt(max64(b.Start, s.sndUna))
-		if i < 0 {
-			continue
-		}
-		for ; i < len(s.segs) && s.segs[i].end <= b.End; i++ {
-			s.markSacked(i)
-		}
-		if b.End > s.lostEdge && b.Start > s.sndUna {
-			// bytes below the start of a sacked range are suspect;
-			// with dupthresh=1 they are lost.
-			if b.Start > s.lostEdge {
-				s.lostEdge = b.Start
-			}
-		}
-	}
-}
-
-// applyLostEdge marks unsacked segments below lostEdge lost. Segments
-// below edgeApplied are already settled (lost or sacked), so only the
-// newly exposed span is scanned.
-func (s *Sender) applyLostEdge() {
-	if s.lostEdge <= s.edgeApplied {
-		return
-	}
-	i := s.head
-	if s.edgeApplied > s.sndUna {
-		if j := s.segAt(s.edgeApplied); j >= 0 {
-			i = j
-		}
-	}
-	for ; i < len(s.segs) && s.segs[i].start < s.lostEdge; i++ {
-		s.markLost(i)
-	}
-	s.edgeApplied = s.lostEdge
-}
-
-// rackMark applies TLT's guaranteed loss detection: the echo of an
-// important packet sent at impSentAt proves the path round-tripped, so
-// anything transmitted strictly earlier and still unacknowledged is lost;
-// retransmissions sent before it that remain unacked were lost again and
-// are invalidated so the rescue carries a full MSS. In the 1-byte
-// ablation (Fig. 17) the rescue must ride the clock payload alone, so
-// stale retransmissions are left in place and the stream crawls forward
-// one byte per RTT — the pathology of Figure 3(b).
-func (s *Sender) rackMark(impSentAt sim.Time) {
-	rescueRetx := s.tlt.Mode() != core.ClockOneByte
-	for i := s.head; i < len(s.segs); i++ {
-		seg := &s.segs[i]
-		if !seg.everSent || seg.sacked {
-			continue
-		}
-		if seg.lastSent < impSentAt {
-			if seg.retx && rescueRetx {
-				s.clearRetx(i)
-			}
-			if !seg.retx {
-				s.markLost(i)
-			}
-		}
-	}
-}
+func (s *Sender) outstanding() bool { return s.Board.Una < s.Board.Nxt }
+func (s *Sender) unsent() bool      { return s.Board.Nxt < s.Board.N }
 
 func (s *Sender) maybeEnterRecovery() {
-	if s.inRecovery || s.lostB == 0 {
+	if s.inRecovery || s.Board.Lost() == 0 {
 		return
 	}
 	s.inRecovery = true
-	s.recoveryPoint = s.sndNxt
+	s.recoveryPoint = s.Board.Nxt
 	s.rec.FastRecov++
 	half := s.cwnd / 2
 	if half < 2*float64(s.cfg.MSS) {
@@ -469,6 +264,7 @@ func (s *Sender) onAck(pkt *packet.Packet) {
 	}
 
 	// TLT echo pre-processing (Algorithm 1 ReceiveAck).
+	una := s.Board.Una
 	stale := false
 	var impSentAt sim.Time
 	rackOK := false
@@ -477,28 +273,24 @@ func (s *Sender) onAck(pkt *packet.Packet) {
 		case packet.ImportantEcho:
 			impSentAt, rackOK = s.tlt.OnEcho()
 		case packet.ImportantClockEcho:
-			stale = core.StaleClockEcho(pkt.Mark, pkt.Ack, s.sndUna)
+			stale = core.StaleClockEcho(pkt.Mark, pkt.Ack, una)
 			impSentAt, rackOK = s.tlt.OnEcho()
 		}
 	}
 
-	newly := int64(0)
-	if pkt.Ack > s.sndUna {
-		newly = pkt.Ack - s.sndUna
-		s.advanceUna(pkt.Ack)
-	}
-	s.applySack(pkt.Sack())
+	s.Board.Ack(pkt.Ack)
+	newly := s.Board.Una - una
+	s.Board.Sack(pkt.Sack())
 	if rackOK {
-		s.rackMark(impSentAt)
+		s.Board.RackMark(impSentAt)
 	}
-	s.applyLostEdge()
 	s.maybeEnterRecovery()
 
 	if !stale {
 		s.ccOnAck(pkt, newly)
 	}
 
-	if s.inRecovery && s.sndUna >= s.recoveryPoint {
+	if s.inRecovery && s.Board.Una >= s.recoveryPoint {
 		s.inRecovery = false
 	}
 	if newly > 0 {
@@ -507,7 +299,7 @@ func (s *Sender) onAck(pkt *packet.Packet) {
 		s.tlpFired = false
 	}
 
-	if s.closed && s.sndUna >= s.appLimit {
+	if s.closed && s.Board.Complete() {
 		s.complete()
 		return
 	}
@@ -530,7 +322,7 @@ func (s *Sender) ccOnAck(pkt *packet.Packet, newly int64) {
 		if pkt.ECE {
 			s.ceAcked += newly
 		}
-		if s.sndUna >= s.nextAlphaSeq && s.totAcked > 0 {
+		if s.Board.Una >= s.nextAlphaSeq && s.totAcked > 0 {
 			f := float64(s.ceAcked) / float64(s.totAcked)
 			s.alpha = (1-s.cfg.DctcpG)*s.alpha + s.cfg.DctcpG*f
 			if s.ceAcked > 0 && !s.inRecovery {
@@ -541,7 +333,7 @@ func (s *Sender) ccOnAck(pkt *packet.Packet, newly int64) {
 				s.ssthresh = s.cwnd
 			}
 			s.ceAcked, s.totAcked = 0, 0
-			s.nextAlphaSeq = s.sndNxt
+			s.nextAlphaSeq = s.Board.Nxt
 		}
 	}
 	if s.inRecovery || newly <= 0 {
@@ -557,32 +349,6 @@ func (s *Sender) ccOnAck(pkt *packet.Packet, newly int64) {
 	}
 }
 
-// pushSeg appends a segment to the scoreboard and returns its index. A
-// sender with no backing array starts at the initial window, which any
-// flow may fill at once, instead of doubling its way up from one.
-func (s *Sender) pushSeg(seg segment) int {
-	if len(s.segs) == cap(s.segs) {
-		s.segs = s.boards.Grow(s.segs, s.cfg.InitWindowSegs)
-	}
-	s.segs = append(s.segs, seg)
-	return len(s.segs) - 1
-}
-
-// nextRetxIdx returns the first lost segment without an in-flight
-// retransmission, or -1.
-func (s *Sender) nextRetxIdx() int {
-	if s.lostB <= s.lostRetxB {
-		return -1
-	}
-	for i := s.head; i < len(s.segs); i++ {
-		seg := &s.segs[i]
-		if seg.lost && !seg.retx {
-			return i
-		}
-	}
-	return -1
-}
-
 // output transmits retransmissions then new data while the window allows.
 func (s *Sender) output() {
 	if s.done {
@@ -592,58 +358,37 @@ func (s *Sender) output() {
 		if s.pipe() >= s.cwnd {
 			return
 		}
-		if i := s.nextRetxIdx(); i >= 0 {
-			more := s.moreAfterRetx(i)
-			s.transmitSeg(i, true, s.tlt.TakeMark(!more, s.s.Now()))
+		// TLT marks the burst's tail: the packet after which the window
+		// has no room, or nothing is left to send.
+		if seq := s.Board.NextRetx(); seq >= 0 {
+			n := s.Board.End(seq) - seq
+			more := s.pipe()+float64(n) < s.cwnd && (s.unsent() || s.Board.PendingRetx() > n)
+			s.transmit(seq, 0, true, s.tlt.TakeMark(!more, s.s.Now()))
 			continue
 		}
 		if !s.unsent() {
 			return
 		}
-		n := s.appLimit - s.sndNxt
-		if n > int64(s.cfg.MSS) {
-			n = int64(s.cfg.MSS)
-		}
-		i := s.pushSeg(segment{start: s.sndNxt, end: s.sndNxt + n})
-		s.sndNxt += n
-		more := s.unsent() && s.pipe()+float64(n) < s.cwnd
-		s.transmitSeg(i, false, s.tlt.TakeMark(!more, s.s.Now()))
+		seq := s.Board.Nxt
+		n := min(s.Board.N-seq, int64(s.cfg.MSS))
+		more := seq+n < s.Board.N && s.pipe()+float64(2*n) < s.cwnd
+		s.transmit(seq, seq+n, false, s.tlt.TakeMark(!more, s.s.Now()))
 	}
 }
 
-// moreAfterRetx reports whether further transmission could follow the
-// retransmission of segment i within the current window.
-func (s *Sender) moreAfterRetx(i int) bool {
-	n := s.segs[i].end - s.segs[i].start
-	if s.pipe()+float64(n) >= s.cwnd {
-		return false
-	}
-	// Another retransmission remains if the lost-without-retx byte count
-	// exceeds this segment, or fresh data is waiting.
-	return s.unsent() || s.lostB-s.lostRetxB > n
-}
-
-// transmitSeg puts segment i on the wire.
-func (s *Sender) transmitSeg(i int, isRetx bool, mark packet.Mark) {
-	seg := &s.segs[i]
+// transmit puts the range at seq on the wire — a new one, [seq, end), if
+// seq is Board.Nxt — and returns its length.
+func (s *Sender) transmit(seq, end int64, isRetx bool, mark packet.Mark) int64 {
 	now := s.s.Now()
-	if !seg.everSent {
-		seg.everSent = true
-		seg.firstSent = now
-	}
-	seg.lastSent = now
+	end = s.Board.Send(seq, end, isRetx, now)
 	if isRetx {
-		if seg.lost && !seg.retx {
-			seg.retx = true
-			s.lostRetxB += seg.end - seg.start
-		}
 		s.rec.RetxPackets++
 	}
 	pkt := s.host.NewPacket()
 	pkt.Flow, pkt.Dst = s.flow.ID, s.flow.Dst
 	pkt.Type = packet.Data
 	pkt.TC = s.cfg.TrafficClass
-	pkt.Seq, pkt.Len = seg.start, int(seg.end-seg.start)
+	pkt.Seq, pkt.Len = seq, int(end-seq)
 	pkt.Mark = mark
 	pkt.ECT = s.cfg.ECN
 	if !isRetx {
@@ -652,6 +397,7 @@ func (s *Sender) transmitSeg(i int, isRetx bool, mark packet.Mark) {
 	pkt.IsRetx = isRetx
 	s.accountSend(pkt)
 	s.host.Send(pkt)
+	return end - seq
 }
 
 func (s *Sender) accountSend(pkt *packet.Packet) {
@@ -672,19 +418,17 @@ func (s *Sender) importantClock() {
 
 	// Loss indicated and policy allows: retransmit a full MSS of the
 	// first lost data to speed recovery.
-	if i := s.nextRetxIdx(); i >= 0 && mode != core.ClockOneByte {
+	if seq := s.Board.NextRetx(); seq >= 0 && mode != core.ClockOneByte {
 		s.rec.ClockSends++
-		s.rec.ClockBytes += s.segs[i].end - s.segs[i].start
-		s.transmitSeg(i, true, s.tlt.TakeClockMark(now))
+		s.rec.ClockBytes += s.transmit(seq, 0, true, s.tlt.TakeClockMark(now))
 		return
 	}
 
 	if mode == core.ClockFullMTU {
 		// Redundantly retransmit the first unacked segment in full.
-		if i := s.firstUnackedIdx(); i >= 0 {
+		if seq := s.Board.FirstUnsacked(); seq >= 0 {
 			s.rec.ClockSends++
-			s.rec.ClockBytes += s.segs[i].end - s.segs[i].start
-			s.transmitSeg(i, true, s.tlt.TakeClockMark(now))
+			s.rec.ClockBytes += s.transmit(seq, 0, true, s.tlt.TakeClockMark(now))
 			return
 		}
 	}
@@ -694,19 +438,17 @@ func (s *Sender) importantClock() {
 	if !s.outstanding() && !s.unsent() {
 		return
 	}
-	seq := s.sndUna
-	if seq >= s.sndNxt {
+	seq := s.Board.Una
+	if seq >= s.Board.Nxt {
 		// Nothing outstanding but data unsent (window collapsed to
 		// zero is impossible with cwnd>=1 MSS, but guard anyway):
 		// send 1 byte of new data.
 		if !s.unsent() {
 			return
 		}
-		i := s.pushSeg(segment{start: s.sndNxt, end: s.sndNxt + 1})
-		s.sndNxt++
 		s.rec.ClockSends++
 		s.rec.ClockBytes++
-		s.transmitSeg(i, false, s.tlt.TakeClockMark(now))
+		s.transmit(seq, seq+1, false, s.tlt.TakeClockMark(now))
 		return
 	}
 	pkt := s.host.NewPacket()
@@ -721,15 +463,6 @@ func (s *Sender) importantClock() {
 	s.rec.ClockBytes++
 	s.accountSend(pkt)
 	s.host.Send(pkt)
-}
-
-func (s *Sender) firstUnackedIdx() int {
-	for i := s.head; i < len(s.segs); i++ {
-		if !s.segs[i].sacked {
-			return i
-		}
-	}
-	return -1
 }
 
 func (s *Sender) armTimers() {
@@ -806,22 +539,11 @@ func (s *Sender) onTLP() {
 	// Probe: transmit new data if available, else retransmit the
 	// highest-sequence outstanding segment.
 	if s.unsent() {
-		n := s.appLimit - s.sndNxt
-		if n > int64(s.cfg.MSS) {
-			n = int64(s.cfg.MSS)
-		}
-		i := s.pushSeg(segment{start: s.sndNxt, end: s.sndNxt + n})
-		s.sndNxt += n
-		s.transmitSeg(i, false, s.tlt.TakeMark(false, s.s.Now()))
-	} else if i := s.firstUnackedIdx(); i >= 0 {
+		seq := s.Board.Nxt
+		s.transmit(seq, seq+min(s.Board.N-seq, int64(s.cfg.MSS)), false, s.tlt.TakeMark(false, s.s.Now()))
+	} else if seq := s.Board.LastUnsacked(); seq >= 0 {
 		// Retransmit the last unsacked segment (TLP probes the tail).
-		last := i
-		for j := i; j < len(s.segs); j++ {
-			if !s.segs[j].sacked {
-				last = j
-			}
-		}
-		s.transmitSeg(last, true, packet.Unimportant)
+		s.transmit(seq, 0, true, packet.Unimportant)
 	}
 	s.armRTO()
 }
@@ -845,12 +567,7 @@ func (s *Sender) onRTO() {
 	}
 	// Collapse to loss recovery: everything unsacked is lost; any
 	// retransmission in flight is presumed lost too.
-	s.lostEdge = s.sndNxt
-	s.edgeApplied = s.sndNxt
-	for i := s.head; i < len(s.segs); i++ {
-		s.clearRetx(i)
-		s.markLost(i)
-	}
+	s.Board.MarkAllLost()
 	half := s.pipe() / 2
 	if half < 2*float64(s.cfg.MSS) {
 		half = 2 * float64(s.cfg.MSS)
@@ -858,7 +575,7 @@ func (s *Sender) onRTO() {
 	s.ssthresh = half
 	s.cwnd = float64(s.cfg.MSS)
 	s.inRecovery = true
-	s.recoveryPoint = s.sndNxt
+	s.recoveryPoint = s.Board.Nxt
 	s.tlt.Reset()
 	s.output()
 	s.armRTO()
@@ -881,15 +598,12 @@ func (s *Sender) complete() {
 // (RTOmin and up) can exceed the entire run, turning "done" senders into
 // O(flows) live heap — and would make the sender unfit for Reset.
 //
-// Nothing reads the scoreboard after done, so its backing goes back to
-// the shared list for the next flow that starts; a sender without one
+// Nothing reads the board's entries after done, so its backing goes back
+// to the shared list for the next flow that starts; a sender without one
 // keeps it for its own next flow.
 func (s *Sender) retire() {
 	s.done = true
-	if s.boards != nil {
-		s.boards.Give(s.segs)
-		s.segs, s.head = nil, 0
-	}
+	s.Board.Release()
 	s.rtoDeadline = 0
 	s.tlpDeadline = 0
 	s.rtoTimer.Stop()
@@ -916,10 +630,3 @@ func (s *Sender) abort() {
 
 // Aborted reports whether the sender gave up (for tests).
 func (s *Sender) Aborted() bool { return s.aborted }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
