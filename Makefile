@@ -14,7 +14,7 @@ PGO := cmd/tltsim/default.pgo
 PGO_META := cmd/tltsim/default.pgo.meta
 PGO_MAX_AGE := 3
 
-.PHONY: all build test bench benchmark ab pgo pgo-check
+.PHONY: all build test bench benchmark ab mutants pgo pgo-check
 
 all: build
 
@@ -37,6 +37,12 @@ benchmark:
 # make ab PARENT=HEAD~1 CHANGE=HEAD W=leafspine-roce
 ab:
 	bash scripts/ab.sh $(PARENT) $(CHANGE) --workload $(W)
+
+# The mutant suite (scripts/mutate.sh): each testdata/mutants/*.patch is a
+# seeded bug that the tests its header names must catch. Prints each
+# mutant killed or survived; fails on a survivor not marked equivalent.
+mutants:
+	bash scripts/mutate.sh
 
 # Capture CPU profiles from the three smoke workloads, merge
 # them into the committed default.pgo, and stamp the staleness sidecar.

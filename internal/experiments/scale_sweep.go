@@ -301,7 +301,8 @@ func (w *scaleWalker) spawnSender(fl transport.Flow) {
 	w.stream.Class(fl.FG).Issued++
 	w.stream.Epochs.AddIssued(fl.Start)
 	host := w.net.Hosts[fl.Src]
-	sl.snd.Reset(host, &sl.flow, w.cfg, &sl.rec, nil, sl.doneFn)
+	sl.snd.Reset(host, &sl.flow, w.cfg, &sl.rec, nil, nil)
+	sl.snd.OnComplete = sl.doneFn
 	host.Register(fl.ID, &sl.snd)
 	sl.snd.Write(fl.Size)
 	sl.snd.Close()

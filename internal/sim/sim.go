@@ -281,6 +281,15 @@ func (s *Sim) Schedule(ev *Event, at Time) Timer {
 	return Timer{sim: s, ev: ev, seq: ev.seq}
 }
 
+// Cancel takes a preallocated event (NewKindEvent) off the queue, if it
+// is on it, the way Stop does for the Timer that Schedule returned. A nil
+// event is never queued.
+func (s *Sim) Cancel(ev *Event) {
+	if ev != nil {
+		Timer{s, ev, ev.seq}.Stop()
+	}
+}
+
 // Stop halts the run loop after the current event completes.
 func (s *Sim) Stop() { s.stopped = true }
 

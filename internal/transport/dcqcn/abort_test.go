@@ -10,7 +10,7 @@ import (
 	"tlt/internal/transport"
 )
 
-// blackholeQP builds a sender whose every packet vanishes on the wire.
+// blackholeQP starts a queue pair whose every packet vanishes on the wire.
 func blackholeQP(t *testing.T, cfg Config, size int64) (*sim.Sim, *Sender, *stats.FlowRecord) {
 	t.Helper()
 	s := sim.New()
@@ -20,11 +20,8 @@ func blackholeQP(t *testing.T, cfg Config, size int64) (*sim.Sim, *Sender, *stat
 	atx.DropWhen(func(*packet.Packet) bool { return true })
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: size}
 	rec := stats.NewRecorder()
-	fr := rec.NewFlowRecord(flow)
-	snd := NewSender(s, src, flow, cfg, fr)
-	src.Register(1, snd)
-	s.At(0, snd.Start)
-	return s, snd, fr
+	c := StartFlow(s, src, dst, flow, cfg, rec, nil)
+	return s, c.Sender, rec.Flows[0]
 }
 
 // TestQPAbortAfterMaxRetries: retry-count exhaustion against a black
@@ -34,11 +31,9 @@ func TestQPAbortAfterMaxRetries(t *testing.T) {
 	cfg.RTO.Fixed = sim.Millisecond
 	cfg.RTO.MaxRetries = 4
 	s, snd, fr := blackholeQP(t, cfg, 8_000)
-	aborts := 0
-	snd.OnAbort = func() { aborts++ }
 	s.RunAll()
-	if !snd.Aborted() || aborts != 1 {
-		t.Fatalf("aborted=%v fires=%d, want abort exactly once", snd.Aborted(), aborts)
+	if !snd.Aborted() || !fr.Aborted {
+		t.Fatalf("aborted=%v booked=%v, want it booked", snd.Aborted(), fr.Aborted)
 	}
 	if fr.Timeouts != 4 {
 		t.Fatalf("Timeouts = %d, want exactly MaxRetries=4", fr.Timeouts)

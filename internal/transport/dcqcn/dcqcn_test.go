@@ -86,7 +86,7 @@ func TestCNPThrottlesRate(t *testing.T) {
 	s.Run(500 * sim.Microsecond)
 	slowed := false
 	for _, snd := range snds {
-		if snd.Rate() < 40e9*0.95 {
+		if snd.rate < 40e9*0.95 {
 			slowed = true
 		}
 	}

@@ -19,9 +19,9 @@ func TestCnpCutsRateAndRaisesAlpha(t *testing.T) {
 	s.Run(10 * sim.Microsecond)
 	snd := c.Sender
 
-	before := snd.Rate()
+	before := snd.rate
 	snd.onCnp()
-	after1 := snd.Rate()
+	after1 := snd.rate
 	if after1 >= before {
 		t.Fatalf("rate did not drop: %v -> %v", before, after1)
 	}
@@ -35,8 +35,8 @@ func TestCnpCutsRateAndRaisesAlpha(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		snd.onCnp()
 	}
-	if snd.Rate() < float64(cfg.MinRateBps) {
-		t.Fatalf("rate %v below floor", snd.Rate())
+	if snd.rate < float64(cfg.MinRateBps) {
+		t.Fatalf("rate %v below floor", snd.rate)
 	}
 	if snd.alpha <= cfg.G || snd.alpha > 1 {
 		t.Fatalf("alpha = %v after many CNPs", snd.alpha)
@@ -53,7 +53,7 @@ func TestRateIncreaseStages(t *testing.T) {
 	snd := c.Sender
 
 	snd.onCnp()
-	cutRate := snd.Rate()
+	cutRate := snd.rate
 	target := snd.target
 
 	// Fast recovery: each event halves the gap to the target without
@@ -64,8 +64,8 @@ func TestRateIncreaseStages(t *testing.T) {
 	if snd.target != target {
 		t.Fatalf("fast recovery moved the target: %v -> %v", target, snd.target)
 	}
-	if snd.Rate() <= cutRate || snd.Rate() > target {
-		t.Fatalf("fast recovery rate = %v, want in (%v, %v]", snd.Rate(), cutRate, target)
+	if snd.rate <= cutRate || snd.rate > target {
+		t.Fatalf("fast recovery rate = %v, want in (%v, %v]", snd.rate, cutRate, target)
 	}
 	// Additive stage raises the target by AI per event.
 	snd.increase()
@@ -85,8 +85,8 @@ func TestRateIncreaseStages(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		snd.increase()
 	}
-	if snd.Rate() > float64(cfg.LineRateBps) {
-		t.Fatalf("rate %v above line rate", snd.Rate())
+	if snd.rate > float64(cfg.LineRateBps) {
+		t.Fatalf("rate %v above line rate", snd.rate)
 	}
 }
 

@@ -23,13 +23,6 @@ type Receiver struct {
 	cnpPrimed   bool
 }
 
-// NewReceiver constructs the responder for flow.
-func NewReceiver(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) *Receiver {
-	r := new(Receiver)
-	r.Reset(host, flow, cfg, rec)
-	return r
-}
-
 // Reset initialises the responder for flow on host; see
 // transport.QPReceiver.Reset.
 func (r *Receiver) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {

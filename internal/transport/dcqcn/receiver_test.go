@@ -35,7 +35,8 @@ func rxHarness(t *testing.T, mode Mode) (*sim.Sim, *Receiver, *ctrlCatcher) {
 	fabric.Connect(s, src, 0, dst, 0, 40e9, sim.Microsecond)
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 10_000}
 	rec := stats.NewRecorder().NewFlowRecord(flow)
-	r := NewReceiver(s, dst, flow, DefaultConfig(mode), rec)
+	r := new(Receiver)
+	r.Reset(dst, flow, DefaultConfig(mode), rec)
 	dst.Register(1, r)
 	cat := &ctrlCatcher{}
 	src.Register(1, cat)

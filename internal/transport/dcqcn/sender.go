@@ -39,15 +39,13 @@ type Sender struct {
 	alpha        float64
 	stage        int
 	bytesCtr     int64
-	rpTimer      sim.Timer
-	alphaTimer   sim.Timer
-	rpEv         *sim.Event // preallocated tick events (lazily created)
-	alphaEv      *sim.Event
 
 	// Pacing.
-	nextFree  sim.Time
-	sendTimer sim.Timer
+	nextFree sim.Time
+
+	// The pacer's event, and the rate-increase and alpha-decay timers.
 	sendEv    *sim.Event
+	rp, decay transport.Deadline
 
 	// TLT marking: the rate machine for GBN/SACK (its zero value never
 	// marks); IRN uses the core's window machine (Win).
@@ -55,29 +53,18 @@ type Sender struct {
 	roundStart bool // next retransmission starts a round
 }
 
-// NewSender constructs a queue pair sender. The message is flow.Size
-// bytes, segmented into MSS packets.
-func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) *Sender {
-	snd := new(Sender)
-	snd.Reset(host, flow, cfg, rec)
-	return snd
-}
-
 // Reset initialises the sender for flow on host, in whatever mode cfg
 // says; see transport.QPSender.Reset, which panics on a sender that is
 // mid-flow. Of the rate law only the three tick events carry over.
 func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {
 	cfg.TLT.Flow = flow.ID
-	s.QPSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec)
+	s.QPSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec, nil, nil)
 	*s = Sender{
 		QPSender: s.QPSender,
 		cfg:      cfg,
 		rate:     float64(cfg.LineRateBps),
 		target:   float64(cfg.LineRateBps),
-		rpEv:     s.rpEv, alphaEv: s.alphaEv, sendEv: s.sendEv,
-	}
-	if cfg.Mode == IRN {
-		s.RTOLow, s.NLow = cfg.RTOLow, cfg.NLow
+		sendEv:   s.sendEv, rp: s.rp.Rest(), decay: s.decay.Rest(),
 	}
 	if cfg.TLT.Enabled {
 		if cfg.Mode == IRN {
@@ -92,7 +79,7 @@ func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec 
 // transport.QPSender.Clear.
 func (s *Sender) Clear() {
 	s.QPSender.Clear()
-	*s = Sender{QPSender: s.QPSender, rpEv: s.rpEv, alphaEv: s.alphaEv, sendEv: s.sendEv}
+	*s = Sender{QPSender: s.QPSender, sendEv: s.sendEv, rp: s.rp.Rest(), decay: s.decay.Rest()}
 }
 
 // Start begins transmission.
@@ -108,13 +95,10 @@ func (s *Sender) Describe(fs *transport.FlowStatus) {
 	}
 	fs.Transport = "dcqcn"
 	fs.State = fmt.Sprintf("%s(rate=%.1fGbps)", fs.State, s.rate/1e9)
-	if s.sendTimer.Pending() {
+	if s.sendEv != nil && s.sendEv.Scheduled() {
 		fs.Timers = append(fs.Timers, "pacing-pending")
 	}
 }
-
-// Rate returns the current sending rate in bps (for tests).
-func (s *Sender) Rate() float64 { return s.rate }
 
 // Handle implements fabric.PacketHandler for ACK/NACK/CNP.
 func (s *Sender) Handle(pkt *packet.Packet) {
@@ -131,13 +115,6 @@ func (s *Sender) Handle(pkt *packet.Packet) {
 	}
 }
 
-func (s *Sender) windowOK() bool {
-	if s.cfg.Mode != IRN || s.cfg.BDPPkts <= 0 {
-		return true
-	}
-	return s.Board.InFlight() < s.cfg.BDPPkts
-}
-
 // pickPSN chooses the next PSN to transmit: retransmissions first, then
 // fresh data subject to the IRN window. A go-back-N rewind makes PSNs
 // below maxSent come out of the "fresh" path; they are retransmissions
@@ -146,27 +123,22 @@ func (s *Sender) pickPSN() (psn int64, isRetx, ok bool) {
 	if p := s.Board.NextRetx(); p >= 0 {
 		return p, true, true
 	}
-	if s.Board.Nxt < s.Board.N && s.windowOK() {
+	if irnCap := s.cfg.Mode == IRN && s.cfg.BDPPkts > 0; s.Board.Nxt < s.Board.N && (!irnCap || s.Board.InFlight() < s.cfg.BDPPkts) {
 		return s.Board.Nxt, s.Board.Nxt < s.maxSent, true
 	}
 	return 0, false, false
 }
 
 func (s *Sender) schedule() {
-	if s.Done() || s.sendTimer.Pending() {
+	if s.Done() || (s.sendEv != nil && s.sendEv.Scheduled()) {
 		return
 	}
-	if _, _, ok := s.pickPSN(); !ok {
-		return
+	if _, _, ok := s.pickPSN(); ok {
+		if s.sendEv == nil {
+			s.sendEv = s.S.NewKindEvent(kindSendOne, 0, s)
+		}
+		s.S.Schedule(s.sendEv, max(s.S.Now(), s.nextFree))
 	}
-	at := s.S.Now()
-	if s.nextFree > at {
-		at = s.nextFree
-	}
-	if s.sendEv == nil {
-		s.sendEv = s.S.NewKindEvent(kindSendOne, 0, s)
-	}
-	s.sendTimer = s.S.Schedule(s.sendEv, at)
 }
 
 func (s *Sender) sendOne() {
@@ -255,47 +227,34 @@ func (s *Sender) onNack(pkt *packet.Packet) {
 func (s *Sender) onCnp() {
 	s.target = s.rate
 	s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G
-	s.rate *= 1 - s.alpha/2
-	if s.rate < float64(s.cfg.MinRateBps) {
-		s.rate = float64(s.cfg.MinRateBps)
-	}
+	s.rate = max(s.rate*(1-s.alpha/2), float64(s.cfg.MinRateBps))
 	s.stage = 0
 	s.bytesCtr = 0
-	s.startRateTimers()
-}
-
-func (s *Sender) startRateTimers() {
-	if !s.rpTimer.Pending() {
-		if s.rpEv == nil {
-			s.rpEv = s.S.NewKindEvent(kindRPTick, 0, s)
-		}
-		s.rpTimer = s.S.Schedule(s.rpEv, s.S.Now()+s.cfg.RPTimer)
+	if !s.rp.Pending() {
+		s.rp.Arm(s.S, s.S.Now()+s.cfg.RPTimer, kindRPTick, s)
 	}
-	if !s.alphaTimer.Pending() {
-		if s.alphaEv == nil {
-			s.alphaEv = s.S.NewKindEvent(kindAlphaTick, 0, s)
-		}
-		s.alphaTimer = s.S.Schedule(s.alphaEv, s.S.Now()+s.cfg.AlphaTimer)
+	if !s.decay.Pending() {
+		s.decay.Arm(s.S, s.S.Now()+s.cfg.AlphaTimer, kindAlphaTick, s)
 	}
 }
 
 func (s *Sender) rpTick() {
-	if s.Done() {
+	if !s.rp.Due(s.S) || s.Done() {
 		return
 	}
 	s.increase()
 	if s.rate < float64(s.cfg.LineRateBps)*0.999 {
-		s.rpTimer = s.S.Schedule(s.rpEv, s.S.Now()+s.cfg.RPTimer)
+		s.rp.Arm(s.S, s.S.Now()+s.cfg.RPTimer, kindRPTick, s)
 	}
 }
 
 func (s *Sender) alphaTick() {
-	if s.Done() {
+	if !s.decay.Due(s.S) || s.Done() {
 		return
 	}
 	s.alpha *= 1 - s.cfg.G
 	if s.alpha > 1e-4 {
-		s.alphaTimer = s.S.Schedule(s.alphaEv, s.S.Now()+s.cfg.AlphaTimer)
+		s.decay.Arm(s.S, s.S.Now()+s.cfg.AlphaTimer, kindAlphaTick, s)
 	}
 }
 
@@ -312,13 +271,18 @@ func (s *Sender) increase() {
 	default:
 		s.target += s.cfg.HAIBps
 	}
-	if s.target > line {
-		s.target = line
+	s.target = min(s.target, line)
+	s.rate = min((s.target+s.rate)/2, line)
+}
+
+// Timeout implements the core's timeout: the static RTO or, while fewer
+// than NLow packets of an IRN queue pair are in flight, RTO_low — IRN's
+// cheap recovery path for tiny outstanding windows (Mittal et al.).
+func (s *Sender) Timeout() (sim.Time, bool) {
+	if s.cfg.Mode == IRN && s.cfg.RTOLow > 0 && s.Board.InFlight() < s.cfg.NLow {
+		return s.cfg.RTOLow, true
 	}
-	s.rate = (s.target + s.rate) / 2
-	if s.rate > line {
-		s.rate = line
-	}
+	return s.cfg.RTO.Fixed, false
 }
 
 // Recover implements the core's RTO hook: rewind (go-back-N) or mark
@@ -337,7 +301,33 @@ func (s *Sender) Recover() {
 
 // Quiesce stops the pacer and the rate timers of a finished flow.
 func (s *Sender) Quiesce() {
-	for _, t := range []sim.Timer{s.sendTimer, s.rpTimer, s.alphaTimer} {
-		t.Stop()
-	}
+	s.S.Cancel(s.sendEv)
+	s.rp.Stop(s.S)
+	s.decay.Stop(s.S)
+}
+
+// Conn bundles the two ends of a queue pair.
+type Conn struct {
+	Sender   *Sender
+	Receiver *Receiver
+}
+
+// StartFlow creates a queue pair carrying flow.Size bytes from src to dst
+// starting at flow.Start; see transport.StartQP.
+func StartFlow(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
+	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) *Conn {
+	c := &Conn{new(Sender), new(Receiver)}
+	StartFlowOn(*c, src, dst, flow, cfg, recorder, onDone)
+	return c
+}
+
+// StartFlowOn is StartFlow on endpoints the caller supplies: new ones, or
+// ones whose previous flow has finished (Sender.Reset panics otherwise).
+// Nothing of what they did before shows in the flow they carry now.
+func StartFlowOn(c Conn, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
+	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
+	rec := recorder.NewFlowRecord(flow)
+	c.Sender.Reset(src, flow, cfg, rec)
+	c.Receiver.Reset(dst, flow, cfg, rec)
+	transport.StartQP(c.Sender, c.Receiver, recorder, onDone)
 }

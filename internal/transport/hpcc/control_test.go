@@ -29,13 +29,13 @@ func intAck(cum int64, q int64, txBytes int64, at sim.Time) *packet.Packet {
 
 func TestHPCCWindowShrinksOnHighUtilization(t *testing.T) {
 	_, snd := isolated(t)
-	w0 := snd.Window()
+	w0 := snd.w
 	// Two ACKs with a large standing queue and near-line tx rate: the
 	// measured utilization exceeds eta and the window must multiply down.
 	snd.Handle(intAck(1, 200_000, 1_000_000, 10*sim.Microsecond))
 	snd.Handle(intAck(2, 200_000, 1_050_000, 20*sim.Microsecond))
-	if snd.Window() >= w0 {
-		t.Fatalf("window %v did not shrink from %v under congestion", snd.Window(), w0)
+	if snd.w >= w0 {
+		t.Fatalf("window %v did not shrink from %v under congestion", snd.w, w0)
 	}
 }
 
@@ -44,7 +44,7 @@ func TestHPCCWindowRecoversWhenIdle(t *testing.T) {
 	// Congest first.
 	snd.Handle(intAck(1, 300_000, 1_000_000, 10*sim.Microsecond))
 	snd.Handle(intAck(2, 300_000, 1_050_000, 20*sim.Microsecond))
-	low := snd.Window()
+	low := snd.w
 	// Now empty queue, low tx rate: utilization far below eta;
 	// additive increase (and MIMD toward wc) must grow the window.
 	ts := 30 * sim.Microsecond
@@ -54,8 +54,8 @@ func TestHPCCWindowRecoversWhenIdle(t *testing.T) {
 		ts += 10 * sim.Microsecond
 		tx += 1000 // trickle: ~0.8% utilization
 	}
-	if snd.Window() <= low {
-		t.Fatalf("window %v did not recover from %v", snd.Window(), low)
+	if snd.w <= low {
+		t.Fatalf("window %v did not recover from %v", snd.w, low)
 	}
 }
 
@@ -65,12 +65,12 @@ func TestHPCCWindowClamps(t *testing.T) {
 	for i := int64(1); i < 50; i++ {
 		snd.Handle(intAck(i, 10_000_000, 1_000_000+i*1000, sim.Time(i*10)*sim.Microsecond))
 	}
-	if snd.Window() < float64(snd.cfg.MSS) {
-		t.Fatalf("window %v below 1 MSS", snd.Window())
+	if snd.w < float64(snd.cfg.MSS) {
+		t.Fatalf("window %v below 1 MSS", snd.w)
 	}
 	// And never above the initial (line-rate) window.
-	if snd.Window() > snd.winit {
-		t.Fatalf("window %v above winit %v", snd.Window(), snd.winit)
+	if snd.w > snd.winit {
+		t.Fatalf("window %v above winit %v", snd.w, snd.winit)
 	}
 }
 

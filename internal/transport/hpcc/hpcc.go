@@ -62,13 +62,6 @@ type Sender struct {
 // packet accumulated so the sender can run the HPCC control law.
 type Receiver = transport.QPReceiver
 
-// NewSender constructs an HPCC sender for flow.
-func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) *Sender {
-	snd := new(Sender)
-	snd.Reset(host, flow, cfg, rec)
-	return snd
-}
-
 // Reset initialises the sender for flow on host; see
 // transport.QPSender.Reset, which panics on a sender that is mid-flow. Of
 // the window law only the emptied backing of the last INT stack carries
@@ -76,7 +69,7 @@ func NewSender(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config, 
 func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {
 	winit := float64(cfg.LineRateBps/8) * cfg.BaseRTT.Seconds()
 	cfg.TLT.Flow = flow.ID
-	s.QPSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec)
+	s.QPSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec, nil, nil)
 	*s = Sender{QPSender: s.QPSender, cfg: cfg, winit: winit, w: winit, wc: winit, lastINT: s.lastINT[:0]}
 	// Always present: a disabled config yields a machine that never marks.
 	s.Win = *core.NewWindowSender(cfg.TLT)
@@ -119,9 +112,6 @@ func (s *Sender) Describe(fs *transport.FlowStatus) {
 	fs.Transport = "hpcc"
 	fs.State = fmt.Sprintf("%s(w=%.0fB)", fs.State, s.w)
 }
-
-// Window returns the current window in bytes (for tests).
-func (s *Sender) Window() float64 { return s.w }
 
 // Handle implements fabric.PacketHandler.
 func (s *Sender) Handle(pkt *packet.Packet) {
@@ -168,10 +158,7 @@ func (s *Sender) measureInflight(hops []packet.INTHop) float64 {
 				continue
 			}
 			txRate := float64(h.TxBytes-prev.TxBytes) * 8 / dt
-			qlen := h.QueueBytes
-			if prev.QueueBytes < qlen {
-				qlen = prev.QueueBytes
-			}
+			qlen := min(h.QueueBytes, prev.QueueBytes)
 			b := float64(h.RateBps)
 			uPrime := float64(qlen)*8/(b*tSec) + txRate/b
 			if uPrime > u {
@@ -182,9 +169,7 @@ func (s *Sender) measureInflight(hops []packet.INTHop) float64 {
 	}
 	// First ACK (or hop-count change): no rate delta is computable; the
 	// EWMA simply keeps its prior value via tau=T and u=0 above.
-	if tau > tSec {
-		tau = tSec
-	}
+	tau = min(tau, tSec)
 	s.u = s.u*(1-tau/tSec) + u*(tau/tSec)
 	s.lastINT = append(s.lastINT[:0], hops...)
 	return s.u
@@ -204,12 +189,7 @@ func (s *Sender) computeWind(u float64, updateWc bool) {
 			s.wc = s.w
 		}
 	}
-	if s.w < float64(s.cfg.MSS) {
-		s.w = float64(s.cfg.MSS)
-	}
-	if s.w > s.winit {
-		s.w = s.winit
-	}
+	s.w = min(max(s.w, float64(s.cfg.MSS)), s.winit)
 }
 
 // output fills the window: retransmissions first, then fresh data.
@@ -230,6 +210,9 @@ func (s *Sender) output() {
 		s.Transmit(psn, isRetx, s.Win.TakeMark(!more, s.S.Now()))
 	}
 }
+
+// Timeout implements the core's timeout: HPCC's static RTO.
+func (s *Sender) Timeout() (sim.Time, bool) { return s.cfg.RTO.Fixed, false }
 
 // Recover implements the core's RTO hook: everything outstanding is lost
 // and goes out again as far as the window allows.

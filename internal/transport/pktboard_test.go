@@ -131,3 +131,25 @@ func TestPktBoardFirstUnsacked(t *testing.T) {
 		t.Fatalf("FirstUnsacked = %d, want -1", got)
 	}
 }
+
+// TestBoardResetForgetsKeepStale: keepStale belongs to one flow. After a
+// flow on the 1-byte clock, a board Reset for a flow without it must let
+// RackMark invalidate a retransmission in flight again.
+func TestBoardResetForgetsKeepStale(t *testing.T) {
+	var b ByteBoard
+	b.Reset(0, 4, true)
+	b.N = 1_000
+	b.Send(0, 1_000, false, 1)
+	b.Ack(1_000)
+	b.Reset(3_000, 4, false)
+	for seq := int64(0); seq < 3_000; seq += 1_000 {
+		b.Send(seq, seq+1_000, false, sim.Time(10+seq/1_000))
+	}
+	b.MarkAllLost()
+	b.Send(0, 0, true, 20) // the retransmission in flight
+	b.RackMark(30)
+	if b.State(0).Retx() || b.PendingRetx() != 3_000 {
+		t.Fatalf("RackMark after Reset(keepStale=false) kept the retransmission in flight: %+v, %d await retransmission",
+			b.State(0), b.PendingRetx())
+	}
+}

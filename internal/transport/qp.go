@@ -10,22 +10,26 @@ import (
 	"tlt/internal/stats"
 )
 
-// kindRTOTick drives the lazy RTO tick through a static handler on a
-// preallocated per-sender event (no closure boxing per arm); kindQPStart
-// is StartQP's one-shot start.
+// kindRTOTick fires a sender's lazy RTO tick through a static handler on
+// its preallocated event; kindStart is Launch's one-shot start.
 var (
-	kindRTOTick = sim.NewKind(func(_, arg any) { arg.(*QPSender).rtoTick() })
-	kindQPStart = sim.NewKind(func(_, arg any) { arg.(*QPSender).law.Start() })
+	kindRTOTick = sim.NewKind(func(_, arg any) { arg.(interface{ rtoTick() }).rtoTick() })
+	kindStart   = sim.NewKind(func(_, arg any) { arg.(Law).Start() })
 )
 
-// qpLaw is the congestion law a QPSender is embedded in: the places where
-// the reliability core has to call back into it.
-type qpLaw interface {
+// Law is the congestion law a Sender is embedded in — tcp's NewReno and
+// DCTCP, DCQCN's rate, HPCC's window: the places where the reliability
+// core calls back into it.
+type Law interface {
 	// Start begins transmission, at the flow's start time.
 	Start()
-	// Recover runs when the RTO fired and the flow goes on (the timeout is
-	// already counted): mark or rewind the board, re-arm, resend — in the
-	// law's own order, which the event sequence depends on.
+	// Timeout returns the retransmission timeout to arm, before backoff;
+	// zero disarms the timer. A low timeout (IRN's RTO_low) is never
+	// backed off, and its expiry is not counted as a timeout.
+	Timeout() (rto sim.Time, low bool)
+	// Recover runs when the RTO fired and the flow goes on (the timeout
+	// is already counted): mark or rewind the board, re-arm, resend — in
+	// the law's own order, which the event sequence depends on.
 	Recover()
 	// Quiesce stops the law's own timers: the flow completed or aborted.
 	Quiesce()
@@ -34,56 +38,48 @@ type qpLaw interface {
 	Describe(*FlowStatus)
 }
 
-// QPSender is the reliability half of a RoCE queue pair sending one
-// message: the packet scoreboard, the static retransmission timer with
-// retry, backoff and abort, ACK intake, the packet fill with its
-// FlowRecord accounting, and TLT's important ACK-clocking. What to send
-// next and when — pacing, windows, rate or window control — is the law's:
-// dcqcn.Sender and hpcc.Sender embed a QPSender and drive it.
-type QPSender struct {
+// Sender is the reliability core of every sender in the tree: the
+// scoreboard, the lazy RTO with retry, backoff and abort, ACK intake with
+// TLT's guaranteed loss detection, transmit accounting, the important
+// ACK-clock and the end of the flow. What to send next and when is the
+// law's: tcp.Sender, dcqcn.Sender and hpcc.Sender embed a Sender and
+// drive it. X is what its board keeps of a range's first send.
+type Sender[X stamp[X]] struct {
 	S     *sim.Sim
-	Board PktBoard
+	Board Board[X]
 	Rec   *stats.FlowRecord
 
-	// Win is the window-based TLT marking machine (§5.1) of IRN and
+	// Win is the window-based TLT marking machine (§5.1) of tcp, IRN and
 	// HPCC. Its zero value never marks: rate-marked and TLT-less queue
 	// pairs leave it alone.
 	Win core.WindowSender
 
-	// RTOLow, when set, replaces the static timeout while fewer than NLow
-	// packets are in flight: IRN's cheap recovery path for tiny
-	// outstanding windows (Mittal et al.). It is never backed off, and
-	// its expirations are not timeouts. It sits with the timer rather
-	// than in dcqcn because ACK progress re-arms from in here.
-	RTOLow sim.Time
-	NLow   int64
-
-	// OnAbort fires once when the queue pair exhausts RTO.MaxRetries
-	// consecutive timeouts without progress (IB retry-count exceeded).
-	// May be nil.
-	OnAbort func()
-
 	host *fabric.Host
 	flow *Flow
-	law  qpLaw
-	rto  *RTOConfig // the law's own copy; read only
+	law  Law
+	cfg  *RTOConfig // the law's own copy; read only
 
-	// Where StartQP has an abort booked; nil on a sender wired by hand.
+	// Where an abort is booked; nil books nothing.
 	recorder *stats.Recorder
 	onDone   func(*stats.FlowRecord)
 
-	rtoDeadline sim.Time   // lazy RTO: 0 = disarmed, which an open flow never is
-	rtoEv       *sim.Event // tick event, created at first arm and kept across Reset
+	timer Deadline // the RTO
 
 	// Packed into two words, so hpcc.Sender fits its allocation size class.
-	mss        int32
-	retries    int32 // consecutive full-RTO rounds without forward progress
-	backoff    uint8 // exponential backoff shift (only if rto.MaxBackoffShift > 0)
-	rtoPending bool
-	rtoIsLow   bool // armed with RTOLow
-	done       bool
-	aborted    bool
+	mss      int32
+	retries  int32 // consecutive full-RTO rounds without forward progress
+	backoff  uint8 // exponential backoff shift, capped at cfg.MaxBackoffShift
+	rtoIsLow bool  // armed with a low timeout
+	done     bool
+	aborted  bool
 }
+
+type (
+	// QPSender is the RoCE queue pairs' core, over packet sequence numbers.
+	QPSender = Sender[noStamp]
+	// ByteSender is tcp's core, over the bytes of its stream.
+	ByteSender = Sender[firstSent]
+)
 
 // packets returns how many mss-sized packets carry size bytes; an empty
 // message still takes one.
@@ -91,119 +87,143 @@ func packets(size int64, mss int) int64 {
 	return max(1, (size+int64(mss)-1)/int64(mss))
 }
 
-// Reset sets the core up for flow, segmented into mss-byte packets, under
-// the law that embeds it. It is the only place sender state is
+// Reset sets the core up for flow under law, segmented into mss-byte
+// packets, with the timeouts of rto, booking an abort on recorder and
+// handing the record to onDone. It is the only place sender state is
 // initialised: everything starts from zero or from the arguments, and only
 // the tick event and the board's emptied backing (or the list it comes
-// from) carry over, so a recycled queue pair cannot differ from a new one.
-// A sender that is mid-flow, or whose tick is still queued, panics.
-func (q *QPSender) Reset(law qpLaw, host *fabric.Host, flow *Flow, mss int, rto *RTOConfig, rec *stats.FlowRecord) {
-	q.mustBeOver()
-	if q.rtoEv != nil && q.rtoEv.Scheduled() {
-		panic("transport: Reset of queue pair with its RTO tick still scheduled")
+// from) carry over, so a recycled sender cannot differ from a new one. A
+// sender that is mid-flow, or whose tick is still queued, panics.
+func (c *Sender[X]) Reset(law Law, host *fabric.Host, flow *Flow, mss int, rto *RTOConfig,
+	rec *stats.FlowRecord, recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
+	c.mustBeOver()
+	if c.timer.Pending() {
+		panic("transport: Reset of sender with its RTO tick still scheduled")
 	}
 	n := packets(flow.Size, mss)
-	q.Board.Reset(n, int(min(n, 64)), false)
-	*q = QPSender{
-		S: host.Sim(), Board: q.Board, Rec: rec,
-		host: host, flow: flow, law: law, mss: int32(mss), rto: rto,
-		rtoEv: q.rtoEv,
+	c.Board.Reset(n, int(min(n, 64)), false)
+	*c = Sender[X]{
+		S: host.Sim(), Board: c.Board, Rec: rec,
+		host: host, flow: flow, law: law, cfg: rto, mss: int32(mss),
+		recorder: recorder, onDone: onDone,
+		timer: c.timer.Rest(),
 	}
 }
 
-func (q *QPSender) mustBeOver() {
-	if q.rtoDeadline != 0 {
-		panic(fmt.Sprintf("transport: Reset of queue pair mid-flow (%d of %d packets acked)", q.Board.Una, q.Board.N))
+func (c *Sender[X]) mustBeOver() {
+	if c.Board.N > 0 && !c.done {
+		panic(fmt.Sprintf("transport: Reset of sender mid-flow (%d of %d acked)", c.Board.Una, c.Board.N))
 	}
 }
 
 // Clear zeroes a finished sender down to what Reset carries over, so one
 // parked between runs pins nothing of the run it served. Its simulator is
-// dead by then: finish leaves the lazy RTO tick to fire as a no-op rather
-// than stop it, a run that ends first leaves it queued for good, and Clear
-// lets go of that event. It panics on a sender that is mid-flow.
-func (q *QPSender) Clear() {
-	q.mustBeOver()
-	if q.rtoEv != nil && q.rtoEv.Scheduled() {
-		q.rtoEv = nil
+// dead by then; a tick it left queued goes with it. It panics on a sender
+// that is mid-flow.
+func (c *Sender[X]) Clear() {
+	c.mustBeOver()
+	if c.timer.Pending() {
+		c.timer.ev = nil
 	}
-	q.Board.Reset(0, 0, false)
-	*q = QPSender{Board: q.Board, rtoEv: q.rtoEv}
+	c.Board.Reset(0, 0, false)
+	*c = Sender[X]{Board: c.Board, timer: c.timer.Rest()}
 }
 
 // Done reports sender-side completion, successful or not.
-func (q *QPSender) Done() bool { return q.done }
+func (c *Sender[X]) Done() bool { return c.done }
 
-// Aborted reports whether the queue pair gave up (for tests).
-func (q *QPSender) Aborted() bool { return q.aborted }
+// Aborted reports whether the sender gave up.
+func (c *Sender[X]) Aborted() bool { return c.aborted }
 
-// Retries returns the consecutive timeouts without progress (for tests).
-func (q *QPSender) Retries() int { return int(q.retries) }
+// Retries and Backoff return the consecutive timeouts without progress
+// and the backoff shift (for tests).
+func (c *Sender[X]) Retries() int { return int(c.retries) }
+func (c *Sender[X]) Backoff() int { return int(c.backoff) }
 
-func (q *QPSender) sender() *QPSender { return q }
+// Launch has the law Start at the flow's start time.
+func (c *Sender[X]) Launch() { c.S.PostKind(c.flow.Start, kindStart, 0, c.law) }
+
+// Flow and Recorder return the flow and the recorder its abort goes to.
+func (c *Sender[X]) Flow() *Flow               { return c.flow }
+func (c *Sender[X]) Recorder() *stats.Recorder { return c.recorder }
+
+func (c *Sender[X]) sender() *Sender[X] { return c }
 
 // FlowStatus implements StatusReporter for stall reports.
-func (q *QPSender) FlowStatus() FlowStatus {
-	mss := int64(q.mss)
+func (c *Sender[X]) FlowStatus() FlowStatus {
+	mss := int64(c.mss)
 	fs := FlowStatus{
-		Flow:              q.flow.ID,
+		Flow:              c.flow.ID,
 		State:             "open",
-		Done:              q.done,
-		Aborted:           q.aborted,
-		AckedBytes:        min(q.Board.Una*mss, q.flow.Size),
-		TotalBytes:        q.flow.Size,
-		OutstandingBytes:  q.Board.InFlight() * mss,
-		LostBytes:         q.Board.PendingRetx() * mss,
-		ImportantInFlight: q.Win.InFlight(),
-		RTOArmed:          q.rtoDeadline > 0,
-		RTODeadline:       q.rtoDeadline,
+		Done:              c.done,
+		Aborted:           c.aborted,
+		AckedBytes:        min(c.Board.Una*mss, c.flow.Size),
+		TotalBytes:        c.flow.Size,
+		OutstandingBytes:  c.Board.InFlight() * mss,
+		LostBytes:         c.Board.PendingRetx() * mss,
+		ImportantInFlight: c.Win.InFlight(),
+		RTOArmed:          c.timer.At > 0,
+		RTODeadline:       c.timer.At,
 	}
 	switch {
-	case q.aborted:
+	case c.aborted:
 		fs.State = "aborted"
-	case q.done:
+	case c.done:
 		fs.State = "done"
-	case q.Board.HasLoss():
+	case c.Board.HasLoss():
 		fs.State = "loss-recovery"
 	}
-	q.law.Describe(&fs)
+	c.law.Describe(&fs)
 	return fs
 }
 
-// length returns psn's payload bytes: the last packet carries what is left.
-func (q *QPSender) length(psn int64) int {
-	if psn == q.Board.N-1 {
-		return int(q.flow.Size - psn*int64(q.mss))
-	}
-	return int(q.mss)
+// Data returns a data packet of the flow carrying n bytes at seq, marked
+// mark, for the law to finish and Send.
+func (c *Sender[X]) Data(seq int64, n int, mark packet.Mark) *packet.Packet {
+	pkt := c.host.NewPacket()
+	pkt.Flow, pkt.Dst = c.flow.ID, c.flow.Dst
+	pkt.Type = packet.Data
+	pkt.Seq, pkt.Len = seq, n
+	pkt.Mark = mark
+	return pkt
 }
 
-// Transmit puts psn on the wire carrying mark, books it, and returns its
-// wire size.
-func (q *QPSender) Transmit(psn int64, isRetx bool, mark packet.Mark) int64 {
-	now := q.S.Now()
-	pkt := q.host.NewPacket()
-	pkt.Flow, pkt.Dst = q.flow.ID, q.flow.Dst
-	pkt.Type = packet.Data
-	pkt.Seq, pkt.Len = psn, q.length(psn)
-	pkt.Mark = mark
+// Send books data packet pkt on the flow record, puts it on the wire and
+// returns its wire size.
+func (c *Sender[X]) Send(pkt *packet.Packet) int64 {
+	c.Rec.SentPackets++
+	size := int64(pkt.WireSize())
+	c.Rec.TotalBytes += size
+	if pkt.Important() {
+		c.Rec.ImpPackets++
+		c.Rec.ImpBytes += size
+	}
+	c.host.Send(pkt)
+	return size
+}
+
+// length returns psn's payload bytes: the last packet carries what is left.
+func (c *Sender[X]) length(psn int64) int {
+	if psn == c.Board.N-1 {
+		return int(c.flow.Size - psn*int64(c.mss))
+	}
+	return int(c.mss)
+}
+
+// Transmit puts packet psn of a queue pair's message on the wire carrying
+// mark, books it, and returns its wire size.
+func (c *Sender[X]) Transmit(psn int64, isRetx bool, mark packet.Mark) int64 {
+	now := c.S.Now()
+	pkt := c.Data(psn, c.length(psn), mark)
 	pkt.ECT = true
 	pkt.SentAt = now
 	pkt.IsRetx = isRetx
-	pkt.LastPkt = psn == q.Board.N-1
-	q.Board.OnSent(psn, isRetx, now)
+	pkt.LastPkt = psn == c.Board.N-1
+	c.Board.OnSent(psn, isRetx, now)
 	if isRetx {
-		q.Rec.RetxPackets++
+		c.Rec.RetxPackets++
 	}
-	q.Rec.SentPackets++
-	size := int64(pkt.WireSize())
-	q.Rec.TotalBytes += size
-	if pkt.Important() {
-		q.Rec.ImpPackets++
-		q.Rec.ImpBytes += size
-	}
-	q.host.Send(pkt)
-	return size
+	return c.Send(pkt)
 }
 
 // MoreAfter reports whether another transmission could immediately follow
@@ -211,142 +231,183 @@ func (q *QPSender) Transmit(psn int64, isRetx bool, mark packet.Mark) int64 {
 // NextRetx, so any other lies above it) or, when fresh says the law would
 // allow one, unsent data right behind it. TLT marks the packet after which
 // nothing follows (the burst tail).
-func (q *QPSender) MoreAfter(psn int64, isRetx, fresh bool) bool {
-	if isRetx && q.Board.PendingRetx() > 1 {
+func (c *Sender[X]) MoreAfter(psn int64, isRetx, fresh bool) bool {
+	if isRetx && c.Board.PendingRetx() > 1 {
 		return true
 	}
-	return fresh && psn+1 < q.Board.N && psn+1 >= q.Board.Nxt
+	return fresh && psn+1 < c.Board.N && psn+1 >= c.Board.Nxt
 }
 
-// ImportantClock keeps one important packet in flight when the law cannot
-// send: it retransmits the first lost packet — or duplicates the first
-// unsacked one — at once, marked ImportantClockData, bypassing window and
-// pacing. It returns the wire size sent, 0 if nothing is outstanding.
-func (q *QPSender) ImportantClock() int64 {
-	psn := q.Board.NextRetx()
+// ImportantClock keeps one important packet of a queue pair in flight
+// when the law cannot send: it retransmits the first lost packet, or
+// duplicates the first unsacked one, past window and pacing. It returns
+// the wire size sent, 0 if nothing is outstanding.
+func (c *Sender[X]) ImportantClock() int64 {
+	psn := c.Board.NextRetx()
 	isRetx := psn >= 0
 	if !isRetx {
-		if psn = q.Board.FirstUnsacked(); psn < 0 {
+		if psn = c.Board.FirstUnsacked(); psn < 0 {
 			return 0
 		}
-		q.Rec.RetxPackets++ // redundant duplicate of an outstanding PSN
+		c.Rec.RetxPackets++ // redundant duplicate of an outstanding PSN
 	}
-	q.Rec.ClockSends++
-	q.Rec.ClockBytes += int64(q.length(psn))
-	return q.Transmit(psn, isRetx, q.Win.TakeClockMark(q.S.Now()))
+	c.Rec.ClockSends++
+	c.Rec.ClockBytes += int64(c.length(psn))
+	return c.Transmit(psn, isRetx, c.Win.TakeClockMark(c.S.Now()))
 }
 
-// OnAck folds one ACK into the scoreboard — or a go-back-N NACK, which
-// acknowledges everything below the PSN it asks for. open is false when
-// that completed the flow. newLoss reports the start of a loss episode:
-// no packet awaited retransmission before this ACK's selective
-// information was applied, and one does now.
-func (q *QPSender) OnAck(pkt *packet.Packet) (open, newLoss bool) {
-	// Every ACK proves its data packet round-tripped: anything sent
-	// strictly earlier and still unacknowledged — including stale
-	// retransmissions — is lost (commercial RoCE NACK semantics), and an
-	// important echo proves the same of the important packet in flight
-	// (TLT's guaranteed loss detection). Marking is monotone in the time
-	// scanned from, so one scan from the later of the two serves both.
-	// They differ when an echo outlives the RTO that presumed its packet
-	// lost: the machine then holds the send time of a later one.
-	lostBefore := pkt.EchoTS
+// Intake folds one ACK into the scoreboard: cumulative point, SACK blocks
+// and TLT's guaranteed loss detection — an important echo proves lost
+// every unacknowledged packet sent strictly before the important one, as
+// lostBefore, if set, does of those sent before it. One RackMark from the
+// later of the two serves both; they differ when an echo outlives the RTO
+// that presumed its packet lost. Progress resets backoff and retries
+// (Karn). newLoss reports that a loss episode began: no packet awaited
+// retransmission before the SACK blocks were applied, and one does now.
+func (c *Sender[X]) Intake(pkt *packet.Packet, lostBefore sim.Time) (progressed, newLoss bool) {
 	switch pkt.Mark {
 	case packet.ImportantEcho, packet.ImportantClockEcho:
-		if impSentAt, ok := q.Win.OnEcho(); ok {
+		if impSentAt, ok := c.Win.OnEcho(); ok {
 			lostBefore = max(lostBefore, impSentAt)
 		}
 	}
-	progressed := q.Board.Ack(pkt.Ack)
-	hadLoss := q.Board.HasLoss()
-	q.Board.Sack(pkt.Sack())
+	progressed = c.Board.Ack(pkt.Ack)
+	hadLoss := c.Board.HasLoss()
+	c.Board.Sack(pkt.Sack())
 	if lostBefore > 0 {
-		q.Board.RackMark(lostBefore)
+		c.Board.RackMark(lostBefore)
 	}
-	newLoss = !hadLoss && q.Board.HasLoss()
-	if q.Board.Complete() {
-		q.finish(false)
+	if progressed {
+		c.backoff, c.retries = 0, 0
+	}
+	return progressed, !hadLoss && c.Board.HasLoss()
+}
+
+// OnAck is a queue pair's ACK intake — or a go-back-N NACK's, which
+// acknowledges everything below the PSN it asks for. Every ACK proves its
+// data packet round-tripped, so anything sent strictly earlier is lost
+// (commercial RoCE NACK semantics). open is false when the ACK completed
+// the flow; progress re-arms the RTO.
+func (c *Sender[X]) OnAck(pkt *packet.Packet) (open, newLoss bool) {
+	progressed, newLoss := c.Intake(pkt, pkt.EchoTS)
+	if c.Board.Complete() {
+		c.Finish(false)
 		return false, newLoss
 	}
 	if progressed {
-		q.backoff = 0
-		q.retries = 0 // Karn: forward progress resets the give-up counter
-		q.ArmRTO()
+		c.ArmRTO()
 	}
 	return true, newLoss
 }
 
-// ArmRTO (re)starts the retransmission timer from now. The deadline is
-// lazy: one tick event stays queued and re-posts itself while the
-// deadline keeps moving out.
-func (q *QPSender) ArmRTO() {
-	rto := q.rto.Fixed << q.backoff
-	q.rtoIsLow = q.RTOLow > 0 && q.Board.InFlight() < q.NLow
-	if q.rtoIsLow {
-		rto = q.RTOLow
+// ArmRTO (re)starts the retransmission timer from now with the law's
+// timeout, backed off unless it is a low one.
+func (c *Sender[X]) ArmRTO() {
+	rto, low := c.law.Timeout()
+	if c.done || rto == 0 {
+		c.timer.At = 0
+		return
 	}
-	q.rtoDeadline = q.S.Now() + rto
-	if !q.rtoPending {
-		q.rtoPending = true
-		if q.rtoEv == nil {
-			q.rtoEv = q.S.NewKindEvent(kindRTOTick, 0, q)
-		}
-		q.S.Schedule(q.rtoEv, q.rtoDeadline)
+	if c.rtoIsLow = low; !low {
+		rto <<= c.backoff
 	}
+	c.timer.Arm(c.S, c.S.Now()+rto, kindRTOTick, c)
 }
 
-func (q *QPSender) rtoTick() {
-	q.rtoPending = false
-	if q.done {
+// StopRTO disarms the timer and takes its tick off the queue, so a
+// finished sender is not pinned in memory until its deadline passes.
+// Queue pairs let the tick fire as a no-op instead.
+func (c *Sender[X]) StopRTO() { c.timer.Stop(c.S) }
+
+func (c *Sender[X]) rtoTick() {
+	if !c.timer.Due(c.S) {
 		return
 	}
-	if q.S.Now() < q.rtoDeadline {
-		q.rtoPending = true
-		q.S.Schedule(q.rtoEv, q.rtoDeadline)
-		return
-	}
-	if q.rtoIsLow {
-		q.Rec.RTOLowFires++
+	if c.rtoIsLow {
+		c.Rec.RTOLowFires++
 	} else {
-		q.Rec.Timeouts++
-		q.retries++
-		if q.rto.MaxRetries > 0 && int(q.retries) >= q.rto.MaxRetries {
-			// IB retry-count exhaustion surfaces as a completion error
+		c.Rec.Timeouts++
+		c.retries++
+		if c.cfg.MaxRetries > 0 && int(c.retries) >= c.cfg.MaxRetries {
+			// Retry-count exhaustion surfaces as a completion error
 			// rather than retrying into a black hole forever.
-			q.finish(true)
+			c.Finish(true)
 			return
 		}
-		// RoCE static timers do not back off by default (IB verbs);
-		// MaxBackoffShift opts a QP into exponential backoff.
-		if uint(q.backoff) < q.rto.MaxBackoffShift {
-			q.backoff++
+		if uint(c.backoff) < c.cfg.MaxBackoffShift {
+			c.backoff++
 		}
 	}
-	q.law.Recover()
+	c.law.Recover()
 }
 
-// finish ends the flow: everything acknowledged, or given up.
-func (q *QPSender) finish(aborted bool) {
-	q.done, q.aborted = true, aborted
-	q.rtoDeadline = 0
-	q.law.Quiesce()
-	q.Board.Release()
+// Finish ends the flow: everything acknowledged, or given up. The board's
+// backing goes back to its list. An abort is booked here, on the sender's
+// shard; completion on the receiver's (see stats.FlowRecord).
+func (c *Sender[X]) Finish(aborted bool) {
+	c.done, c.aborted = true, aborted
+	c.timer.At = 0
+	c.law.Quiesce()
+	c.Board.Release()
 	if aborted {
-		q.Win.Reset()
-		// The abort is booked on the sender's shard, completion on the
-		// receiver's; each touches only its own side of the record (see
-		// stats.FlowRecord).
-		if q.recorder != nil && !q.Rec.Aborted {
-			q.recorder.FlowAborted(q.Rec, q.S.Now())
-			if q.onDone != nil {
-				q.onDone(q.Rec)
+		c.Win.Reset()
+		if c.recorder != nil && !c.Rec.Aborted {
+			c.recorder.FlowAborted(c.Rec, c.S.Now())
+			if c.onDone != nil {
+				c.onDone(c.Rec)
 			}
-		}
-		if q.OnAbort != nil {
-			q.OnAbort()
 		}
 	}
 }
+
+// Deadline is a lazy timer on one preallocated event: re-arming it only
+// moves At, and the event re-posts itself while the deadline keeps moving
+// out, so per-ACK restarts touch neither the queue nor the event node.
+// The event's handler must call Due first.
+type Deadline struct {
+	At     sim.Time   // 0: disarmed
+	ev     *sim.Event // created at first arm and kept across Reset
+	queued bool       // ev is on the queue
+}
+
+// Arm sets the deadline to at, queueing the event — k on arg — unless it
+// already is.
+func (d *Deadline) Arm(s *sim.Sim, at sim.Time, k sim.EventKind, arg any) {
+	d.At = at
+	if !d.queued {
+		if d.ev == nil {
+			d.ev = s.NewKindEvent(k, 0, arg)
+		}
+		d.queued = true
+		s.Schedule(d.ev, at)
+	}
+}
+
+// Due reports whether an armed deadline has come, and re-posts the event
+// for one that has moved out.
+func (d *Deadline) Due(s *sim.Sim) bool {
+	if d.queued = false; d.At == 0 {
+		return false
+	}
+	if s.Now() < d.At {
+		d.queued = true
+		s.Schedule(d.ev, d.At)
+		return false
+	}
+	return true
+}
+
+// Stop disarms the deadline and takes its event off the queue.
+func (d *Deadline) Stop(s *sim.Sim) {
+	d.At, d.queued = 0, false
+	s.Cancel(d.ev)
+}
+
+// Pending reports whether the event is queued.
+func (d *Deadline) Pending() bool { return d.queued }
+
+// Rest returns the deadline disarmed, keeping its event for the next flow.
+func (d *Deadline) Rest() Deadline { return Deadline{ev: d.ev} }
 
 // QPReceiver is the responder of a selectively acknowledging RoCE queue
 // pair (DCQCN+SACK, IRN, HPCC): it ACKs every data packet with the
@@ -496,5 +557,5 @@ func StartQP(
 	r.host.Register(q.flow.ID, rcv)
 	q.recorder, q.onDone = recorder, onDone
 	r.recorder, r.onDone = recorder, onDone
-	q.S.PostKind(q.flow.Start, kindQPStart, 0, q)
+	q.Launch()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -238,12 +239,13 @@ func hashWithRecords(trace []byte, recs []stats.FlowRecord) string {
 // cells are therefore compared with ClockBytes re-booked the parent's
 // way (ClockSends × MSS), and at least one of them must actually differ.
 func TestRoCEWireTraceMatchesParent(t *testing.T) {
-	checkParentTraces(t, func(string, string, int64) *qpStock { return nil })
+	checkParentTraces(t, roceTransports, func(string, string, int64) *qpStock { return nil })
 }
 
-// checkParentTraces runs the 32 cells, each on the queue pairs stock
-// returns for it (nil: new ones), against the committed hashes.
-func checkParentTraces(t *testing.T, stock func(cell, name string, seed int64) *qpStock) {
+// checkParentTraces runs the 8 cells of each of the named transports, in
+// roceTransports order, each on the queue pairs stock returns for it
+// (nil: new ones), against the committed hashes.
+func checkParentTraces(t *testing.T, names []string, stock func(cell, name string, seed int64) *qpStock) {
 	rebooked := 0
 	reached := map[string]int{} // recovery paths the case table went through
 	check := func(cell, name string, tlt bool, seed int64, blackhole bool) {
@@ -263,7 +265,7 @@ func checkParentTraces(t *testing.T, stock func(cell, name string, seed int64) *
 			t.Errorf("%s: wire trace + records hash %s, parent's %s", cell, got, want)
 		}
 	}
-	for _, name := range roceTransports {
+	for _, name := range names {
 		for _, tlt := range []bool{false, true} {
 			for seed := int64(1); seed <= 3; seed++ {
 				check(fmt.Sprintf("%s tlt=%v seed=%d", name, tlt, seed), name, tlt, seed, false)
@@ -272,7 +274,7 @@ func checkParentTraces(t *testing.T, stock func(cell, name string, seed int64) *
 		check(name+" tlt=true loss-free", name, true, 0, false)
 		check(name+" tlt=true blackhole", name, true, 0, true)
 	}
-	if rebooked == 0 {
+	if rebooked == 0 && slices.Contains(names, "hpcc") {
 		t.Error("no hpcc cell clocked a short last packet: the ClockBytes difference is not exercised")
 	}
 	for _, path := range []string{
@@ -280,7 +282,7 @@ func checkParentTraces(t *testing.T, stock func(cell, name string, seed int64) *
 		"dcqcn-gbn fastrecov", "dcqcn-sack fastrecov", "dcqcn-irn fastrecov",
 		"dcqcn-irn lowfires", "dcqcn-irn clocks", "hpcc clocks",
 	} {
-		if reached[path] == 0 {
+		if reached[path] == 0 && slices.Contains(names, strings.Fields(path)[0]) {
 			t.Errorf("case table too gentle: no cell reached %q", path)
 		}
 	}

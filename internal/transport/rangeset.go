@@ -59,13 +59,8 @@ func (s *RangeSet) Add(start, end int64) int64 {
 	var overlap int64
 	for j < len(s.r) && s.r[j].Start <= end {
 		b := s.r[j]
-		if b.Start < newStart {
-			newStart = b.Start
-		}
-		if b.End > newEnd {
-			newEnd = b.End
-		}
-		lo, hi := max64(b.Start, start), min64(b.End, end)
+		newStart, newEnd = min(newStart, b.Start), max(newEnd, b.End)
+		lo, hi := max(b.Start, start), min(b.End, end)
 		if hi > lo {
 			overlap += hi - lo
 		}
@@ -83,19 +78,6 @@ func (s *RangeSet) Add(start, end int64) int64 {
 	return (end - start) - overlap
 }
 
-// Contains reports whether x is covered.
-func (s *RangeSet) Contains(x int64) bool {
-	for _, b := range s.r {
-		if x < b.Start {
-			return false
-		}
-		if x < b.End {
-			return true
-		}
-	}
-	return false
-}
-
 // CoveredWithin returns how many units of [start, end) are covered.
 func (s *RangeSet) CoveredWithin(start, end int64) int64 {
 	var n int64
@@ -103,7 +85,7 @@ func (s *RangeSet) CoveredWithin(start, end int64) int64 {
 		if b.Start >= end {
 			break
 		}
-		lo, hi := max64(b.Start, start), min64(b.End, end)
+		lo, hi := max(b.Start, start), min(b.End, end)
 		if hi > lo {
 			n += hi - lo
 		}
@@ -135,20 +117,11 @@ func (s *RangeSet) NextCoveredAtOrAfter(x, end int64) int64 {
 			break
 		}
 		if b.Start > x {
-			return min64(b.Start, end)
+			return min(b.Start, end)
 		}
 		return x
 	}
 	return end
-}
-
-// Max returns the highest covered point + 1 would exceed; i.e. the End of
-// the last interval, or 0 if empty.
-func (s *RangeSet) Max() int64 {
-	if len(s.r) == 0 {
-		return 0
-	}
-	return s.r[len(s.r)-1].End
 }
 
 // TrimBelow removes coverage below x. Fully-trimmed blocks are shifted
@@ -176,18 +149,4 @@ func (s *RangeSet) Total() int64 {
 		n += b.End - b.Start
 	}
 	return n
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

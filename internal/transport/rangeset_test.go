@@ -9,6 +9,27 @@ import (
 	"tlt/internal/packet"
 )
 
+// Contains reports whether x is covered (a test oracle).
+func (s *RangeSet) Contains(x int64) bool {
+	for _, b := range s.r {
+		if x < b.Start {
+			return false
+		}
+		if x < b.End {
+			return true
+		}
+	}
+	return false
+}
+
+// Max returns the End of the last interval, or 0 if empty (a test oracle).
+func (s *RangeSet) Max() int64 {
+	if len(s.r) == 0 {
+		return 0
+	}
+	return s.r[len(s.r)-1].End
+}
+
 // naiveSet is a reference model for RangeSet.
 type naiveSet map[int64]bool
 

@@ -14,6 +14,79 @@ import (
 	"tlt/internal/transport/hpcc"
 )
 
+// TestQPResetEqualsFresh: a queue pair that has carried another flow —
+// other size, other mode, completed in the middle of loss recovery or
+// aborted — and is Reset carries its next flow exactly as a new one
+// would. The 8 cells of TestRoCEWireTraceMatchesParent for each of
+// dcqcn-{gbn,sack,irn} and hpcc, run on such pairs (servedStock), must
+// reproduce the committed hashes. tcp.TestResetEqualsFresh is the same
+// property for tcp and dctcp on the one reliability core.
+//
+// Mutation-checked: fails when the core's Reset carries backoff, retries
+// or Win over, when QPReceiver.Reset keeps a non-empty RangeSet or the
+// delivery point, and when a Board.Reset hands the board on unemptied
+// (testdata/mutants).
+func TestQPResetEqualsFresh(t *testing.T) {
+	cells := int64(0)
+	for _, name := range roceTransports {
+		t.Run(name, func(t *testing.T) {
+			checkParentTraces(t, []string{name}, func(_, name string, _ int64) *qpStock {
+				cells++
+				return servedStock(t, name, cells)
+			})
+		})
+	}
+}
+
+// TestQPResetMidFlowPanics: Reset and Clear refuse a sender whose flow is
+// open; Reset also refuses one whose RTO tick is still queued — the tick
+// fires as a no-op after the flow ends — which Clear, the operation for a
+// sender whose simulator is gone, lets go of.
+func TestQPResetMidFlowPanics(t *testing.T) {
+	panics := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return
+	}
+	for _, name := range roceTransports {
+		s, n := roceStar()
+		rec := stats.NewRecorder()
+		stock := new(qpStock)
+		f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 64_000}
+		status := startRoCE(n, name, roceOpts{noLow: true}, f, rec, stock).status
+		var reset, clear func()
+		if name == "hpcc" {
+			p := stock.out.hpcc[0]
+			cfg := hpcc.DefaultConfig(n.BaseRTT)
+			reset = func() { p.snd.Reset(n.Hosts[0], f, cfg, rec.Flows[0]) }
+			clear = p.snd.Clear
+		} else {
+			c := stock.out.dcqcn[0]
+			reset = func() { c.Sender.Reset(n.Hosts[0], f, dcqcn.DefaultConfig(dcqcn.SACK), rec.Flows[0]) }
+			clear = c.Sender.Clear
+		}
+		s.Run(5 * sim.Microsecond)
+		if fs := status(); fs.Done || fs.AckedBytes+fs.OutstandingBytes == 0 {
+			t.Fatalf("%s: want a flow in progress at 5 µs, got %v", name, fs)
+		}
+		for op, f := range map[string]func(){"Reset": reset, "Clear": clear} {
+			if msg := panics(f); !strings.Contains(msg, "mid-flow") {
+				t.Errorf("%s: %s of a sender 5 µs into its flow: %s, want a mid-flow panic", name, op, msg)
+			}
+		}
+		s.Run(200 * sim.Microsecond) // the flow is over, its 300 µs tick still queued
+		if !rec.Flows[0].Done {
+			t.Fatalf("%s: flow not done at 200 µs", name)
+		}
+		if msg := panics(reset); !strings.Contains(msg, "tick still scheduled") {
+			t.Errorf("%s: Reset with the RTO tick queued: %s, want a panic naming it", name, msg)
+		}
+		if msg := panics(func() { clear(); reset() }); msg != "<nil>" {
+			t.Errorf("%s: Clear then Reset of a finished sender panicked: %s", name, msg)
+		}
+	}
+}
+
 // qpStock is a stock of queue pairs for startRoCE to start flows on, the
 // way a grid slot's arena hands them out: the ones restock put back, and
 // new ones when those run out. It remembers what it handed out.
@@ -153,67 +226,4 @@ func servedStock(t *testing.T, name string, variant int64) *qpStock {
 	}
 	stock.restock(arenaPath)
 	return stock
-}
-
-// TestQPResetEqualsFresh: a queue pair that has carried another flow —
-// other size, other mode, completed in the middle of loss recovery or
-// aborted — and is Reset carries its next flow exactly as a new one
-// would. The 32 cells of TestRoCEWireTraceMatchesParent, run on such
-// pairs, must reproduce the committed hashes.
-//
-// Mutation-checked (see CHANGES.md, PR 20): fails when QPSender.Reset
-// carries backoff over, when it keeps Win, when QPReceiver.Reset keeps a
-// non-empty RangeSet, and when PktBoard.Reset hands the board on
-// unemptied.
-func TestQPResetEqualsFresh(t *testing.T) {
-	cells := int64(0)
-	checkParentTraces(t, func(cell, name string, seed int64) *qpStock {
-		cells++
-		return servedStock(t, name, cells)
-	})
-}
-
-// TestQPResetMidFlowPanics: Reset and Clear refuse a sender whose flow is
-// open; Reset also refuses one whose RTO tick is still queued, which Clear
-// — the operation for a sender whose simulator is gone — lets go of.
-func TestQPResetMidFlowPanics(t *testing.T) {
-	panics := func(f func()) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		f()
-		return
-	}
-	for _, name := range roceTransports {
-		s, n := roceStar()
-		rec := stats.NewRecorder()
-		stock := new(qpStock)
-		f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 64_000}
-		startRoCE(n, name, roceOpts{noLow: true}, f, rec, stock)
-		var reset, clear func()
-		if name == "hpcc" {
-			p := stock.out.hpcc[0]
-			cfg := hpcc.DefaultConfig(n.BaseRTT)
-			reset = func() { p.snd.Reset(n.Hosts[0], f, cfg, rec.Flows[0]) }
-			clear = p.snd.Clear
-		} else {
-			c := stock.out.dcqcn[0]
-			reset = func() { c.Sender.Reset(n.Hosts[0], f, dcqcn.DefaultConfig(dcqcn.SACK), rec.Flows[0]) }
-			clear = c.Sender.Clear
-		}
-		s.Run(5 * sim.Microsecond)
-		for op, f := range map[string]func(){"Reset": reset, "Clear": clear} {
-			if msg := panics(f); !strings.Contains(msg, "mid-flow") {
-				t.Errorf("%s: %s of a sender 5 µs into its flow: %s, want a mid-flow panic", name, op, msg)
-			}
-		}
-		s.Run(200 * sim.Microsecond) // the flow is over, its 300 µs tick still queued
-		if !rec.Flows[0].Done {
-			t.Fatalf("%s: flow not done at 200 µs", name)
-		}
-		if msg := panics(reset); !strings.Contains(msg, "tick still scheduled") {
-			t.Errorf("%s: Reset with the RTO tick queued: %s, want a panic naming it", name, msg)
-		}
-		if msg := panics(func() { clear(); reset() }); msg != "<nil>" {
-			t.Errorf("%s: Clear then Reset of a finished sender panicked: %s", name, msg)
-		}
-	}
 }

@@ -17,15 +17,17 @@ func TestAbortAfterMaxRetries(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RTO.Min = sim.Millisecond
 	cfg.RTO.MaxRetries = 4
-	s, snd, fr := blackholeSender(t, cfg, 8_000)
 	aborts := 0
-	snd.OnAbort = func() { aborts++ }
+	s, snd, fr := blackholeSender(t, cfg, 8_000, func(*stats.FlowRecord) { aborts++ })
 	s.RunAll() // terminates: after the abort no timer re-arms
 	if !snd.Aborted() || !snd.Done() {
 		t.Fatalf("aborted=%v done=%v, want both after retry exhaustion", snd.Aborted(), snd.Done())
 	}
 	if aborts != 1 {
-		t.Fatalf("OnAbort fired %d times, want 1", aborts)
+		t.Fatalf("onDone fired %d times, want 1", aborts)
+	}
+	if !fr.Aborted {
+		t.Fatal("abort not booked on the recorder")
 	}
 	if fr.Timeouts != 4 {
 		t.Fatalf("Timeouts = %d, want exactly MaxRetries=4", fr.Timeouts)
@@ -41,7 +43,7 @@ func TestAbortAfterMaxRetries(t *testing.T) {
 func TestMaxRetriesZeroRetriesForever(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RTO.Min = sim.Millisecond
-	s, snd, fr := blackholeSender(t, cfg, 8_000)
+	s, snd, fr := blackholeSender(t, cfg, 8_000, nil)
 	s.Run(200 * sim.Millisecond)
 	if snd.Aborted() {
 		t.Fatal("sender aborted with MaxRetries=0")
@@ -57,11 +59,11 @@ func TestBackoffCapBoundary(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RTO.Min = sim.Millisecond
 	cfg.RTO.MaxBackoffShift = 3
-	s, snd, fr := blackholeSender(t, cfg, 8_000)
+	s, snd, fr := blackholeSender(t, cfg, 8_000, nil)
 	// Timeouts at 1, 3, 7, 15 ms, then every 8 ms: 23, 31, 39.
 	s.Run(40 * sim.Millisecond)
-	if snd.backoff != 3 {
-		t.Fatalf("backoff = %d, want capped at 3", snd.backoff)
+	if snd.Backoff() != 3 {
+		t.Fatalf("backoff = %d, want capped at 3", snd.Backoff())
 	}
 	if fr.Timeouts != 7 {
 		t.Fatalf("Timeouts at 40ms = %d, want 7 with the capped cadence", fr.Timeouts)

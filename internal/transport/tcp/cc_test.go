@@ -12,7 +12,21 @@ import (
 
 // blackholeSender builds a sender whose packets all vanish, to observe
 // timer behaviour in isolation.
-func blackholeSender(t *testing.T, cfg Config, size int64) (*sim.Sim, *Sender, *stats.FlowRecord) {
+// newSender and newReceiver return endpoints Reset for flow on host.
+func newSender(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord,
+	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) *Sender {
+	snd := new(Sender)
+	snd.Reset(host, flow, cfg, rec, recorder, onDone)
+	return snd
+}
+
+func newReceiver(host *fabric.Host, flow *transport.Flow, cfg Config) *Receiver {
+	r := new(Receiver)
+	r.Reset(host, flow, cfg)
+	return r
+}
+
+func blackholeSender(t *testing.T, cfg Config, size int64, onDone func(*stats.FlowRecord)) (*sim.Sim, *Sender, *stats.FlowRecord) {
 	t.Helper()
 	s := sim.New()
 	src := fabric.NewHost(s, 0)
@@ -22,7 +36,7 @@ func blackholeSender(t *testing.T, cfg Config, size int64) (*sim.Sim, *Sender, *
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: size}
 	rec := stats.NewRecorder()
 	fr := rec.NewFlowRecord(flow)
-	snd := NewSender(s, src, flow, cfg, fr, rec, nil)
+	snd := newSender(src, flow, cfg, fr, rec, onDone)
 	src.Register(1, snd)
 	snd.Write(size)
 	snd.Close()
@@ -32,7 +46,7 @@ func blackholeSender(t *testing.T, cfg Config, size int64) (*sim.Sim, *Sender, *
 func TestRTOExponentialBackoff(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RTO.Min = sim.Millisecond
-	s, _, fr := blackholeSender(t, cfg, 8_000)
+	s, _, fr := blackholeSender(t, cfg, 8_000, nil)
 	// With RTOmin=1ms and doubling: fires at ~1, 3, 7, 15, 31 ms...
 	s.Run(2 * sim.Millisecond)
 	if fr.Timeouts != 1 {
@@ -66,8 +80,8 @@ func TestBackoffResetsOnProgress(t *testing.T) {
 	fr := rec.NewFlowRecord(flow)
 	cfg := DefaultConfig()
 	cfg.RTO.Min = sim.Millisecond
-	snd := NewSender(s, src, flow, cfg, fr, rec, nil)
-	rcv := NewReceiver(s, dst, flow, cfg)
+	snd := newSender(src, flow, cfg, fr, rec, nil)
+	rcv := newReceiver(dst, flow, cfg)
 	src.Register(1, snd)
 	dst.Register(1, rcv)
 	snd.Write(8_000)
@@ -81,8 +95,8 @@ func TestBackoffResetsOnProgress(t *testing.T) {
 	if !snd.Done() {
 		t.Fatal("flow incomplete after heal")
 	}
-	if snd.backoff != 0 {
-		t.Fatalf("backoff = %d after progress", snd.backoff)
+	if snd.Backoff() != 0 {
+		t.Fatalf("backoff = %d after progress", snd.Backoff())
 	}
 }
 
@@ -95,10 +109,10 @@ func TestSlowStartDoublesPerRTT(t *testing.T) {
 	// Base RTT ~44us. After ~5 RTTs of slow start from 10kB the window
 	// should have grown manyfold (no loss, no ECN on this switch).
 	s.Run(250 * sim.Microsecond)
-	if c.Sender.Cwnd() < 100_000 {
-		t.Fatalf("cwnd = %.0f after 5 RTTs, slow start too slow", c.Sender.Cwnd())
+	if c.Sender.cwnd < 100_000 {
+		t.Fatalf("cwnd = %.0f after 5 RTTs, slow start too slow", c.Sender.cwnd)
 	}
-	if c.Sender.Cwnd() > cfg.MaxCwndBytes {
+	if c.Sender.cwnd > cfg.MaxCwndBytes {
 		t.Fatal("cwnd above cap")
 	}
 }
@@ -114,8 +128,8 @@ func TestCwndCapped(t *testing.T) {
 	if !c.Sender.Done() {
 		t.Fatal("flow incomplete")
 	}
-	if c.Sender.Cwnd() > 50_000 {
-		t.Fatalf("cwnd %v exceeded cap", c.Sender.Cwnd())
+	if c.Sender.cwnd > 50_000 {
+		t.Fatalf("cwnd %v exceeded cap", c.Sender.cwnd)
 	}
 }
 
@@ -140,7 +154,7 @@ func TestRecoveryHalvesWindow(t *testing.T) {
 		var poll func()
 		poll = func() {
 			if !dropped {
-				before = c.Sender.Cwnd()
+				before = c.Sender.cwnd
 				s.After(5*sim.Microsecond, poll)
 			}
 		}

@@ -28,13 +28,6 @@ type Receiver struct {
 	OnDeliver func(total int64)
 }
 
-// NewReceiver constructs a receiver on host for flow.
-func NewReceiver(s *sim.Sim, host *fabric.Host, flow *transport.Flow, cfg Config) *Receiver {
-	r := new(Receiver)
-	r.Reset(host, flow, cfg)
-	return r
-}
-
 // Reset initialises the receiver for flow on host: everything starts
 // from zero or from the arguments (OnDeliver included — set it after),
 // and only the range set's emptied backing array carries over. It is the

@@ -23,13 +23,13 @@ func TestDCTCPAlphaRisesUnderCongestion(t *testing.T) {
 	}
 	s.Run(5 * sim.Millisecond)
 	for i, snd := range senders {
-		if snd.Alpha() <= 0 {
-			t.Fatalf("sender %d alpha = %v, want > 0 under persistent marking", i, snd.Alpha())
+		if snd.alpha <= 0 {
+			t.Fatalf("sender %d alpha = %v, want > 0 under persistent marking", i, snd.alpha)
 		}
 		// cwnd must be bounded: with K=50kB, the window cannot grow
 		// unbounded as it would for plain TCP.
-		if snd.Cwnd() > 2_000_000 {
-			t.Fatalf("sender %d cwnd = %v, DCTCP failed to throttle", i, snd.Cwnd())
+		if snd.cwnd > 2_000_000 {
+			t.Fatalf("sender %d cwnd = %v, DCTCP failed to throttle", i, snd.cwnd)
 		}
 	}
 }
@@ -236,14 +236,14 @@ func TestSenderStateAccessors(t *testing.T) {
 	cfg.TLT = core.Config{Enabled: true}
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 5_000}
 	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
-	if c.Sender.Cwnd() != float64(cfg.InitWindowSegs*cfg.MSS) {
-		t.Fatalf("initial cwnd = %v", c.Sender.Cwnd())
+	if c.Sender.cwnd != float64(cfg.InitWindowSegs*cfg.MSS) {
+		t.Fatalf("initial cwnd = %v", c.Sender.cwnd)
 	}
 	s.RunAll()
-	if c.Sender.SndUna() != 5_000 {
-		t.Fatalf("snd.una = %d", c.Sender.SndUna())
+	if c.Sender.Board.Una != 5_000 {
+		t.Fatalf("snd.una = %d", c.Sender.Board.Una)
 	}
-	if c.Sender.TLTInFlightImportant() {
+	if c.Sender.Win.InFlight() {
 		t.Fatal("important in flight after completion")
 	}
 }

@@ -1,6 +1,13 @@
 package transport
 
-import "tlt/internal/sim"
+import (
+	"fmt"
+	"strings"
+
+	"tlt/internal/packet"
+	"tlt/internal/sim"
+	"tlt/internal/stats"
+)
 
 // RTOConfig selects how a transport computes its retransmission timeout.
 type RTOConfig struct {
@@ -69,11 +76,7 @@ func (e *RTOEstimator) Sample(rtt sim.Time) {
 		e.seeded = true
 		return
 	}
-	diff := e.srtt - rtt
-	if diff < 0 {
-		diff = -diff
-	}
-	e.rttvar = (3*e.rttvar + diff) / 4
+	e.rttvar = (3*e.rttvar + max(e.srtt-rtt, rtt-e.srtt)) / 4
 	e.srtt = (7*e.srtt + rtt) / 8
 }
 
@@ -85,16 +88,68 @@ func (e *RTOEstimator) RTO() sim.Time {
 	if e.cfg.Fixed > 0 {
 		return e.cfg.Fixed
 	}
-	v := 4 * e.rttvar
-	if v < e.cfg.Granularity {
-		v = e.cfg.Granularity
+	return min(max(e.srtt+max(4*e.rttvar, e.cfg.Granularity), e.cfg.Min), e.cfg.Max)
+}
+
+// Flow describes one transfer.
+type Flow = stats.Flow
+
+// MSS is the modeled maximum segment payload in bytes, matching the
+// paper's ns-3 setup (1 kB payload packets).
+const MSS = 1000
+
+// FlowStatus is a point-in-time snapshot of one sender's recovery state,
+// rendered in stall reports when an experiment's horizon expires with
+// incomplete flows. Every field is diagnostic; none feed back into the
+// protocol.
+type FlowStatus struct {
+	Flow      packet.FlowID
+	Transport string // "tcp", "dcqcn", "hpcc"
+	State     string // transport-specific state summary
+
+	Done             bool
+	Aborted          bool // sender gave up: max retries exhausted
+	AckedBytes       int64
+	TotalBytes       int64
+	OutstandingBytes int64 // sent and unacknowledged
+	LostBytes        int64 // marked lost, awaiting retransmission
+
+	// ImportantInFlight reports whether a TLT important packet is
+	// outstanding — a stalled flow with one in flight is waiting on an
+	// echo that will never come (the degradation mode chaos induces).
+	ImportantInFlight bool
+
+	RTOArmed    bool
+	RTODeadline sim.Time
+	Timers      []string // pending timer descriptions beyond the RTO
+}
+
+// StatusReporter is implemented by transport senders so the experiment
+// runner's stall watchdog can interrogate incomplete flows.
+type StatusReporter interface {
+	FlowStatus() FlowStatus
+}
+
+// String renders the snapshot as one report line.
+func (fs FlowStatus) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "flow %d [%s] state=%s acked=%d/%d outstanding=%d lost=%d",
+		fs.Flow, fs.Transport, fs.State,
+		fs.AckedBytes, fs.TotalBytes, fs.OutstandingBytes, fs.LostBytes)
+	if fs.Aborted {
+		b.WriteString(" aborted")
 	}
-	rto := e.srtt + v
-	if rto < e.cfg.Min {
-		rto = e.cfg.Min
+	if fs.ImportantInFlight {
+		b.WriteString(" important-in-flight")
 	}
-	if rto > e.cfg.Max {
-		rto = e.cfg.Max
+	if fs.RTOArmed {
+		fmt.Fprintf(&b, " rto@%v", fs.RTODeadline)
+	} else {
+		b.WriteString(" rto=disarmed")
 	}
-	return rto
+	for _, t := range fs.Timers {
+		b.WriteString(" ")
+		b.WriteString(t)
+	}
+	return b.String()
 }
