@@ -40,8 +40,8 @@ func NewChannel(s *sim.Sim, a, b *fabric.Host, id packet.FlowID, cfg tcp.Config,
 	mk := func(src, dst *fabric.Host, fid packet.FlowID) (*dirState, *tcp.Receiver) {
 		flow := &transport.Flow{ID: fid, Src: src.ID(), Dst: dst.ID(), Size: 0}
 		rec := recorder.NewFlowRecord(flow)
-		conn := tcp.NewConn(s, src, dst, flow, cfg, rec, recorder)
-		return &dirState{sender: conn.Sender}, conn.Receiver
+		snd, rcv := tcp.NewConn(s, src, dst, flow, cfg, rec, recorder)
+		return &dirState{sender: snd}, rcv
 	}
 	ch := &Channel{s: s}
 	var rcvAB, rcvBA *tcp.Receiver

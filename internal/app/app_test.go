@@ -122,3 +122,32 @@ func TestRunMixed(t *testing.T) {
 		}
 	}
 }
+
+// TestPersistentConnNeverCompletes: a channel's flows are Size-0 streams
+// with no end, so however many messages they carry the responder core's
+// one completion rule must never book them done.
+//
+// Mutation-checked: fails when the core's Reset does not start a stream
+// with no end completed (testdata/mutants).
+func TestPersistentConnNeverCompletes(t *testing.T) {
+	s, n := appStar(2)
+	rec := stats.NewRecorder()
+	ch := NewChannel(s, n.Hosts[0], n.Hosts[1], 1, tcp.DCTCPConfig(), rec)
+	delivered := 0
+	for i := 0; i < 5; i++ {
+		ch.SendAB(8_000, func() { delivered++ })
+		ch.SendBA(1_000, func() { delivered++ })
+	}
+	s.RunAll()
+	if delivered != 10 {
+		t.Fatalf("delivered %d of 10 messages", delivered)
+	}
+	for _, fr := range rec.Flows {
+		if fr.Done {
+			t.Errorf("persistent flow %d booked done at %v", fr.Flow.ID, fr.End)
+		}
+	}
+	if done, total := rec.CompletedCount(false); done != 0 || total != 2 {
+		t.Fatalf("recorder counts %d of %d flows completed, want 0 of 2", done, total)
+	}
+}

@@ -9,18 +9,18 @@ import (
 	"tlt/internal/transport"
 	"tlt/internal/transport/dcqcn"
 	"tlt/internal/transport/hpcc"
-	"tlt/internal/transport/tcp"
 )
 
 // An arena is the memory a grid worker slot carries from one cell to the
 // next. A figure is hundreds of cells on the same fabric, and each cell's
 // warm-up — packets and their extensions, event nodes, NIC and switch
-// queues, demux tables, TCP endpoints, RoCE queue pairs and their
+// queues, demux tables, each transport family's endpoints and their
 // scoreboards — grows to much the same size, so a slot pays that growth
-// once instead of once per cell. The arena is the slot's token in RunGrid's semaphore: holding it
-// is both the right to run and the memory to run in, and it changes
-// goroutines only through that channel. A cell run outside a grid gets a
-// private arena (RunConfig.arena), so every driver has the one code path.
+// once instead of once per cell. The arena is the slot's token in
+// RunGrid's semaphore: holding it is both the right to run and the memory
+// to run in, and it changes goroutines only through that channel. A cell
+// run outside a grid gets a private arena (RunConfig.arena), so every
+// driver has the one code path.
 //
 // Nothing a cell computes may depend on what ran on its slot before.
 // Every layer therefore returns its memory zeroed (Pool.Put, the
@@ -44,11 +44,6 @@ import (
 type arena struct {
 	fabrics [2]fabricSet // [0]: the last cell's fabric; [1]: one other (fabricFor)
 	shards  []*shardMem  // fabrics[0]'s, by shard index
-
-	// lent lists the endpoint pairs startTCP, startDCQCN and startHPCC
-	// have handed to the current cell; release takes back the finished
-	// ones.
-	lent []lentConn
 }
 
 // shardMem is the part of an arena that belongs to one shard of the
@@ -59,39 +54,65 @@ type shardMem struct {
 	pkts   packet.Stock // free packets and their extensions, zeroed
 	fabric fabric.Mem   // host and switch-queue buffers
 
-	// took says which families' lists below the running cell has taken
-	// from: only those does it trim.
-	took [families]bool
-
-	// Finished TCP endpoints and demux slots. The streaming runner pushes
-	// and pops them while it runs; the other drivers take at set-up and
-	// return at release. Every driver's senders share boards while they
-	// run: a scoreboard belongs to a flow in flight, not to an endpoint.
-	snd    freeList[sndSlab]
-	rcv    freeList[rcvSlab]
-	slot   freeList[rcvSlot]
-	boards transport.ByteBoards
-
-	// Finished RoCE queue pairs, taken at set-up and returned at release.
-	// The two laws embed the same transport.QPSender but keep a list
-	// each, boards included: an hpcc window is not a dcqcn one.
-	dcqcn roceMem[dcqcn.Sender, dcqcn.Receiver]
-	hpcc  roceMem[hpcc.Sender, hpcc.Receiver]
+	// Each transport family's endpoints (lend): the RoCE laws keep a list
+	// each, boards included, as an hpcc window is not a dcqcn one.
+	tcp   endpoints[sndSlab, rcvSlab, transport.ByteBoards, *sndSlab, *rcvSlab, *transport.ByteBoards]
+	dcqcn endpoints[dcqcn.Sender, dcqcn.Receiver, transport.PktBoards, *dcqcn.Sender, *dcqcn.Receiver, *transport.PktBoards]
+	hpcc  endpoints[hpcc.Sender, hpcc.Receiver, transport.PktBoards, *hpcc.Sender, *hpcc.Receiver, *transport.PktBoards]
+	slot  freeList[rcvSlot] // the streaming runner's reaped demux slots, tcp's
 }
 
-// A family is a set of transports whose endpoints one cell can use.
-const (
-	famTCP = iota
-	famDCQCN
-	famHPCC
-	families
-)
+func (m *shardMem) families() [3]family { return [3]family{&m.tcp, &m.dcqcn, &m.hpcc} }
 
-// roceMem is one RoCE family's share of a shardMem.
-type roceMem[S, R any] struct {
+// endpoints is one transport family's share of a shardMem: its finished
+// senders and receivers, the scoreboard backings its senders share while
+// they run (a scoreboard belongs to a flow in flight, not to an
+// endpoint), and the flows this shard's senders are on loan to. The
+// materialized drivers take at set-up and return at release; the
+// streaming runner pushes and pops tcp's slabs while it runs.
+type endpoints[S, R, B any, PS sender[S, B], PR receiver[R], PB boardList[B]] struct {
 	snd    freeList[S]
 	rcv    freeList[R]
-	boards transport.PktBoards
+	boards B
+	lent   []loan[S, R]
+	took   bool // the running cell has taken from the lists: only then are they trimmed
+}
+
+// sender and receiver are what an endpoint list needs of its endpoints:
+// a family's, or the streaming runner's slabs around tcp's; boardList is
+// what it needs of the boards.
+type (
+	sender[S, B any] interface {
+		*S
+		ShareBoards(*B)
+		Done() bool
+		Aborted() bool
+		Clear()
+	}
+	receiver[R any] interface {
+		*R
+		Clear()
+	}
+	boardList[B any] interface {
+		*B
+		Trim()
+	}
+)
+
+// loan is one flow's endpoints, and the list on the receiver's shard the
+// receiver goes back to.
+type loan[S, R any] struct {
+	snd  *S
+	rcv  *R
+	home *freeList[R]
+}
+
+// family is what attach and release do with each family's endpoints.
+type family interface {
+	open()
+	settle()
+	trim(idle bool)
+	park()
 }
 
 // shape tells fabrics apart as far as recycled memory goes: device i
@@ -135,14 +156,6 @@ func (l *freeList[T]) trim() {
 	l.free, l.low = l.free[:n], n
 }
 
-// lentConn is one flow's endpoints on loan to a materialized-schedule
-// driver — *sndSlab and *rcvSlab, or a dcqcn or hpcc sender and receiver
-// — with the shards whose lists they go back to.
-type lentConn struct {
-	snd, rcv       any
-	sShard, rShard int
-}
-
 // newSlots returns a semaphore of n worker slots, each holding its arena.
 func newSlots(n int) chan *arena {
 	sem := make(chan *arena, n)
@@ -176,8 +189,6 @@ func shardOf(shards []int, i int) int {
 // queues. Devices adopt in build order; release returns in reverse (see
 // fabric.Mem).
 func (a *arena) attach(net *topo.Network) {
-	clear(a.lent) // a cell that panicked never released
-	a.lent = a.lent[:0]
 	a.shards = a.fabricFor(shape{len(net.Hosts), len(net.Switches), len(net.Pools)})
 	if g := net.Group; g != nil {
 		for i := 0; i < g.Shards(); i++ {
@@ -199,7 +210,9 @@ func (a *arena) attach(net *topo.Network) {
 	}
 	for _, m := range a.shards {
 		m.fabric = fabric.Mem{} // buffers no device of this network took
-		m.took = [families]bool{}
+		for _, f := range m.families() {
+			f.open()
+		}
 	}
 }
 
@@ -236,28 +249,11 @@ func (a *arena) fabricFor(sh shape) []*shardMem {
 // loan only those whose flow completed return: an unfinished or aborted
 // flow's state is dropped with the network.
 func (a *arena) release(net *topo.Network) {
-	for _, l := range a.lent {
-		sm, rm := a.shards[l.sShard], a.shards[l.rShard]
-		switch snd := l.snd.(type) {
-		case *sndSlab:
-			if completed(&snd.snd) {
-				sm.snd.push(snd)
-				rm.rcv.push(l.rcv.(*rcvSlab))
-			}
-		case *dcqcn.Sender:
-			if completed(snd) {
-				sm.dcqcn.snd.push(snd)
-				rm.dcqcn.rcv.push(l.rcv.(*dcqcn.Receiver))
-			}
-		case *hpcc.Sender:
-			if completed(snd) {
-				sm.hpcc.snd.push(snd)
-				rm.hpcc.rcv.push(l.rcv.(*hpcc.Receiver))
-			}
+	for _, m := range a.shards {
+		for _, f := range m.families() {
+			f.settle()
 		}
 	}
-	clear(a.lent)
-	a.lent = a.lent[:0]
 	for i := len(net.Switches) - 1; i >= 0; i-- {
 		net.Switches[i].Release(&a.shards[shardOf(net.SwitchShard, i)].fabric)
 	}
@@ -276,162 +272,114 @@ func (a *arena) release(net *topo.Network) {
 	}
 	// Parked endpoints must not pin the network, recorder and flows of
 	// the cell they last served.
-	a.trimEndpoints()
+	a.trimEndpoints(true)
 	for _, m := range a.shards {
-		parkAll(&m.snd)
-		parkAll(&m.rcv)
+		for _, f := range m.families() {
+			f.park()
+		}
 		for _, rs := range m.slot.free {
 			*rs = rcvSlot{}
 		}
-		parkAll(&m.dcqcn.snd)
-		parkAll(&m.dcqcn.rcv)
-		parkAll(&m.hpcc.snd)
-		parkAll(&m.hpcc.rcv)
-	}
-}
-
-// completed reports whether a sender on loan can serve another flow.
-func completed(snd interface {
-	Done() bool
-	Aborted() bool
-}) bool {
-	return snd.Done() && !snd.Aborted()
-}
-
-// parkAll clears every slab on l of what it holds of the cell it served.
-func parkAll[T any, P interface {
-	*T
-	Clear()
-}](l *freeList[T]) {
-	for _, v := range l.free {
-		P(v).Clear()
 	}
 }
 
 // trimEndpoints drops the endpoints and demux slots no flow has taken
-// since the last trim — and, when no sender is on loan to take one, the
-// scoreboards. release ends with it; Run also calls it as soon as its
-// flows are set up, when what is left on the lists can no longer be
-// taken, so a small cell does not sit on a larger one's endpoints for its
-// whole run. The lists of a family the cell has taken nothing from — the
-// TCP lists under a RoCE cell, dcqcn's under an hpcc cell — stay as they
-// are: the next cell of that family would only grow them again.
-func (a *arena) trimEndpoints() {
-	idle := len(a.lent) == 0 // release has emptied it; Run has not if the cell has flows
+// since the last trim and, when idle (no sender is on loan), the
+// scoreboards. release ends with it; Run also calls it once its flows are
+// set up, so a small cell does not sit on a larger one's endpoints for
+// its whole run. The lists of a family the cell has taken nothing from —
+// tcp's under a RoCE cell, dcqcn's under an hpcc cell — stay as they are:
+// the next cell of that family would only grow them again.
+func (a *arena) trimEndpoints(idle bool) {
 	for _, m := range a.shards {
-		if m.took[famTCP] {
-			m.snd.trim()
-			m.rcv.trim()
+		if m.tcp.took {
 			m.slot.trim()
-			if idle {
-				m.boards.Trim()
-			}
 		}
-		if m.took[famDCQCN] {
-			m.dcqcn.trim(idle)
-		}
-		if m.took[famHPCC] {
-			m.hpcc.trim(idle)
+		for _, f := range m.families() {
+			f.trim(idle)
 		}
 	}
 }
 
-func (f *roceMem[S, R]) trim(boards bool) {
-	f.snd.trim()
-	f.rcv.trim()
-	if boards {
-		f.boards.Trim()
+func (e *endpoints[S, R, B, PS, PR, PB]) open() {
+	clear(e.lent) // a cell that panicked never released
+	e.lent, e.took = e.lent[:0], false
+}
+
+// settle takes back the endpoints on loan whose flow completed: an
+// unfinished or aborted flow's state is dropped with the network.
+func (e *endpoints[S, R, B, PS, PR, PB]) settle() {
+	for _, l := range e.lent {
+		if s := PS(l.snd); s.Done() && !s.Aborted() {
+			e.snd.push(l.snd)
+			l.home.push(l.rcv)
+		}
+	}
+	clear(e.lent)
+	e.lent = e.lent[:0]
+}
+
+func (e *endpoints[S, R, B, PS, PR, PB]) trim(idle bool) {
+	if e.took {
+		e.snd.trim()
+		e.rcv.trim()
+		if idle {
+			PB(&e.boards).Trim()
+		}
 	}
 }
 
-// startTCP is tcp.StartFlow on the slot's recycled endpoints: the sender
-// comes from the source host's shard, the receiver from the
-// destination's. f.Src and f.Dst index net.Hosts.
-func (a *arena) startTCP(net *topo.Network, f *transport.Flow, cfg tcp.Config,
-	rec *stats.Recorder, onDone func(*stats.FlowRecord)) *tcp.Sender {
-	sm, rm, l := a.lend(net, f)
+// park clears every parked endpoint of what the cell it served left.
+func (e *endpoints[S, R, B, PS, PR, PB]) park() {
+	for _, s := range e.snd.free {
+		PS(s).Clear()
+	}
+	for _, r := range e.rcv.free {
+		PR(r).Clear()
+	}
+}
+
+// sender and receiver return a finished endpoint, or a new one — a
+// sender on the list's boards.
+func (e *endpoints[S, R, B, PS, PR, PB]) sender() PS {
+	e.took = true
+	s := PS(e.snd.pop())
+	if s == nil {
+		s = new(S)
+		s.ShareBoards(&e.boards)
+	}
+	return s
+}
+
+func (e *endpoints[S, R, B, PS, PR, PB]) receiver() PR {
+	e.took = true
+	if r := e.rcv.pop(); r != nil {
+		return r
+	}
+	return new(R)
+}
+
+// mem returns the memory of the shards f's sender and receiver live on;
+// f.Src and f.Dst index net.Hosts.
+func (a *arena) mem(net *topo.Network, f *transport.Flow) (sm, rm *shardMem) {
+	return a.shards[shardOf(net.HostShard, int(f.Src))], a.shards[shardOf(net.HostShard, int(f.Dst))]
+}
+
+// lend is transport.Start on the slot's recycled endpoints of one family:
+// the sender from sm, the source host's shard, the receiver from rm, the
+// destination's. Release takes them back.
+func lend[S, R, B, C any, PS interface {
+	sender[S, B]
+	transport.Endpoint[C]
+	transport.StatusReporter
+	Launch()
+}, PR interface {
+	receiver[R]
+	transport.Endpoint[C]
+}, PB boardList[B]](sm, rm *endpoints[S, R, B, PS, PR, PB], net *topo.Network, f *transport.Flow, cfg C,
+	rec *stats.Recorder, onDone func(*stats.FlowRecord)) PS {
 	snd, rcv := sm.sender(), rm.receiver()
-	l.snd, l.rcv = snd, rcv
-	tcp.StartFlowOn(tcp.Conn{Sender: &snd.snd, Receiver: &rcv.rcv},
-		net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
-	return &snd.snd
-}
-
-// lend opens f's entry in lent for the caller to fill in, and returns the
-// memory of the shards f's sender and receiver live on.
-func (a *arena) lend(net *topo.Network, f *transport.Flow) (sm, rm *shardMem, l *lentConn) {
-	s, r := shardOf(net.HostShard, int(f.Src)), shardOf(net.HostShard, int(f.Dst))
-	a.lent = append(a.lent, lentConn{sShard: s, rShard: r})
-	return a.shards[s], a.shards[r], &a.lent[len(a.lent)-1]
-}
-
-// startDCQCN is dcqcn.StartFlow on the slot's recycled queue pairs, the
-// way startTCP is tcp's.
-func (a *arena) startDCQCN(net *topo.Network, f *transport.Flow, cfg dcqcn.Config,
-	rec *stats.Recorder, onDone func(*stats.FlowRecord)) *dcqcn.Sender {
-	sm, rm, l := a.lend(net, f)
-	sm.took[famDCQCN], rm.took[famDCQCN] = true, true
-	snd, rcv := sm.dcqcn.snd.pop(), rm.dcqcn.rcv.pop()
-	if snd == nil {
-		snd = new(dcqcn.Sender)
-		snd.Board.Share(&sm.dcqcn.boards)
-	}
-	if rcv == nil {
-		rcv = new(dcqcn.Receiver)
-	}
-	l.snd, l.rcv = snd, rcv
-	dcqcn.StartFlowOn(dcqcn.Conn{Sender: snd, Receiver: rcv}, net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
+	sm.lent = append(sm.lent, loan[S, R]{snd, rcv, &rm.rcv})
+	transport.Start(snd, rcv, net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
 	return snd
-}
-
-// startHPCC is hpcc.StartFlow on the slot's recycled queue pairs.
-func (a *arena) startHPCC(net *topo.Network, f *transport.Flow, cfg hpcc.Config,
-	rec *stats.Recorder, onDone func(*stats.FlowRecord)) *hpcc.Sender {
-	sm, rm, l := a.lend(net, f)
-	sm.took[famHPCC], rm.took[famHPCC] = true, true
-	snd, rcv := sm.hpcc.snd.pop(), rm.hpcc.rcv.pop()
-	if snd == nil {
-		snd = new(hpcc.Sender)
-		snd.Board.Share(&sm.hpcc.boards)
-	}
-	if rcv == nil {
-		rcv = new(hpcc.Receiver)
-	}
-	l.snd, l.rcv = snd, rcv
-	hpcc.StartFlowOn(snd, rcv, net.Hosts[f.Src], net.Hosts[f.Dst], f, cfg, rec, onDone)
-	return snd
-}
-
-// sender returns a finished sender slab, or a new one. Its callback is
-// bound once, so re-arming a slab allocates nothing.
-func (m *shardMem) sender() *sndSlab {
-	m.took[famTCP] = true
-	sl := m.snd.pop()
-	if sl == nil {
-		sl = new(sndSlab)
-		sl.doneFn = sl.done
-		sl.snd.Board.Share(&m.boards)
-	}
-	return sl
-}
-
-// receiver returns a finished receiver slab, or a new one.
-func (m *shardMem) receiver() *rcvSlab {
-	m.took[famTCP] = true
-	rb := m.rcv.pop()
-	if rb == nil {
-		rb = new(rcvSlab)
-		rb.deliverFn = rb.deliver
-	}
-	return rb
-}
-
-// demuxSlot returns a reaped demux slot, or a new one.
-func (m *shardMem) demuxSlot() *rcvSlot {
-	m.took[famTCP] = true
-	rs := m.slot.pop()
-	if rs == nil {
-		rs = new(rcvSlot)
-	}
-	return rs
 }

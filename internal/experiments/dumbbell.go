@@ -124,8 +124,8 @@ func runDumbbell(rc RunConfig, fgFlows int) *Result {
 	// never finishes, so its endpoints are not the arena's.
 	bgFlow := &transport.Flow{ID: 1, Src: 6, Dst: 8, Size: 1 << 40}
 	bgRec := rec.NewFlowRecord(bgFlow)
-	bg := tcp.NewConn(s, n.Hosts[6], n.Hosts[8], bgFlow, cfg, bgRec, rec)
-	bg.Sender.Write(1 << 40) // effectively unbounded
+	bgSnd, bgRcv := tcp.NewConn(s, n.Hosts[6], n.Hosts[8], bgFlow, cfg, bgRec, rec)
+	bgSnd.Write(1 << 40) // effectively unbounded
 
 	// Foreground: 600 flows of 32 kB from hosts 0-5 to host 7, arriving
 	// in synchronized waves of 60 once the background flow is at line
@@ -140,17 +140,18 @@ func runDumbbell(rc RunConfig, fgFlows int) *Result {
 			FG: true,
 		}
 		id++
-		ar.startTCP(n, f, cfg, rec, nil)
+		sm, rm := ar.mem(n, f)
+		lend(&sm.tcp, &rm.tcp, n, f, cfg, rec, nil)
 	}
 
 	// Measure background goodput over the contention window only (from
 	// the burst start until the bulk of the foreground drains), as the
 	// paper observes the degradation during the burst.
 	s.Run(start)
-	bgBefore := bg.Receiver.Delivered()
+	bgBefore := bgRcv.Delivered()
 	window := 20 * sim.Millisecond
 	s.Run(start + window)
-	bgDuring := bg.Receiver.Delivered() - bgBefore
+	bgDuring := bgRcv.Delivered() - bgBefore
 	s.Run(40 * sim.Millisecond) // let the foreground finish
 	n.FinishPausedClocks()
 

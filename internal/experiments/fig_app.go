@@ -243,14 +243,16 @@ func incastCell(flowsN int) func(rc RunConfig) *Result {
 		rec := stats.NewRecorder()
 		cfg := rc.Variant.tcpConfig()
 		for i := 0; i < flowsN; i++ {
-			ar.startTCP(n, &transport.Flow{
+			f := &transport.Flow{
 				ID:  packet.FlowID(i + 1),
 				Src: packet.NodeID(1 + i%8), Dst: 0,
 				Size: 32 * 1024,
 				// Tiny jitter stands in for request fan-out skew.
 				Start: sim.Time(rc.Seed*17+int64(i)%8) * 100 * sim.Nanosecond,
 				FG:    true,
-			}, cfg, rec, nil)
+			}
+			sm, rm := ar.mem(n, f)
+			lend(&sm.tcp, &rm.tcp, n, f, cfg, rec, nil)
 		}
 		s.Run(10 * sim.Second)
 		res := &Result{Rec: rec, EventsRun: s.Processed, Sched: s.Sched,

@@ -289,7 +289,7 @@ func Run(rc RunConfig) *Result {
 		}
 	}
 	reporters := startFlows(ar, net, flows, v, rec, onDone, coreAudit)
-	ar.trimEndpoints()
+	ar.trimEndpoints(len(flows) == 0)
 	for i, fr := range rec.Flows {
 		flowIdx[fr] = i
 	}
@@ -491,13 +491,15 @@ func startFlows(ar *arena, net *topo.Network, flows []*transport.Flow, v Variant
 		cfg := v.tcpConfig()
 		cfg.TLT.Audit = tltAudit
 		for _, f := range flows {
-			reporters = append(reporters, ar.startTCP(net, f, cfg, rec, onDone))
+			sm, rm := ar.mem(net, f)
+			reporters = append(reporters, lend(&sm.tcp, &rm.tcp, net, f, cfg, rec, onDone))
 		}
 	case "dcqcn", "dcqcn-sack", "dcqcn-irn":
 		cfg := v.dcqcnConfig()
 		cfg.TLT.Audit = tltAudit
 		for _, f := range flows {
-			reporters = append(reporters, ar.startDCQCN(net, f, cfg, rec, onDone))
+			sm, rm := ar.mem(net, f)
+			reporters = append(reporters, lend(&sm.dcqcn, &rm.dcqcn, net, f, cfg, rec, onDone))
 		}
 	case "hpcc":
 		cfg := hpcc.DefaultConfig(net.BaseRTT + 2*sim.Microsecond)
@@ -506,7 +508,8 @@ func startFlows(ar *arena, net *topo.Network, flows []*transport.Flow, v Variant
 		cfg.RTO.MaxRetries = v.MaxRetries
 		cfg.RTO.MaxBackoffShift = v.MaxBackoffShift
 		for _, f := range flows {
-			reporters = append(reporters, ar.startHPCC(net, f, cfg, rec, onDone))
+			sm, rm := ar.mem(net, f)
+			reporters = append(reporters, lend(&sm.hpcc, &rm.hpcc, net, f, cfg, rec, onDone))
 		}
 	default:
 		panic("experiments: unknown transport " + v.Transport)

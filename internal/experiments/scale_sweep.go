@@ -117,10 +117,10 @@ func scaleSource(p scaleParams, hosts int, rateBps int64, seed int64) workload.S
 // sndSlab is the sender half of one flow: the endpoint, the flow
 // descriptor and record it points at, and its completion callback bound
 // once so re-arming a slab allocates nothing. The materialized-schedule
-// drivers use the endpoint alone (arena.startTCP).
+// drivers use the endpoint alone (lend).
 type sndSlab struct {
+	tcp.Sender
 	w      *scaleWalker
-	snd    tcp.Sender
 	flow   transport.Flow
 	rec    stats.FlowRecord
 	doneFn func()
@@ -132,12 +132,12 @@ func (sl *sndSlab) done() {
 	w := sl.w
 	w.stream.Class(sl.flow.FG).FoldSender(&sl.rec)
 	w.net.Hosts[sl.flow.Src].Unregister(sl.flow.ID)
-	w.mem.snd.push(sl)
+	w.mem.tcp.snd.push(sl)
 }
 
 // Clear drops the slab's references to the cell it served.
 func (sl *sndSlab) Clear() {
-	sl.snd.Clear()
+	sl.Sender.Clear()
 	sl.w, sl.flow, sl.rec = nil, transport.Flow{}, stats.FlowRecord{}
 }
 
@@ -145,27 +145,23 @@ func (sl *sndSlab) Clear() {
 // It returns to the free list on full delivery; the slot it served
 // lingers on without it.
 type rcvSlab struct {
-	rcv       tcp.Receiver
-	flow      transport.Flow
-	slot      *rcvSlot
-	deliverFn func(total int64)
+	tcp.Receiver
+	flow   transport.Flow
+	slot   *rcvSlot
+	doneFn func()
 }
 
-// deliver is the receiver's OnDeliver. On full delivery it folds the
-// flow, detaches from the slot (which re-ACKs on its own from here) and
-// recycles the slab; the receiver calls it last in Handle, so nothing
-// touches the slab afterwards.
-func (rb *rcvSlab) deliver(total int64) {
-	if total < rb.flow.Size {
-		return
-	}
+// done is the receiver's OnComplete, on full delivery: it folds the flow,
+// detaches from the slot (which re-ACKs on its own from here) and
+// recycles the slab, which nothing takes before a later step event.
+func (rb *rcvSlab) done() {
 	slot := rb.slot
 	w := slot.w
 	now := w.ssim.Now()
 	w.stream.Class(rb.flow.FG).FoldDone(now-rb.flow.Start, rb.flow.Size)
 	w.stream.Epochs.AddDone(now, rb.flow.Size)
 	slot.rcv, rb.slot = nil, nil
-	w.mem.rcv.push(rb)
+	w.mem.tcp.rcv.push(rb)
 	w.ssim.PostKind(now+w.grace, kindReap, 0, slot)
 	if w.rem.Add(-1) == 0 {
 		w.g.RequestStop()
@@ -174,7 +170,7 @@ func (rb *rcvSlab) deliver(total int64) {
 
 // Clear drops the slab's references to the cell it served.
 func (rb *rcvSlab) Clear() {
-	rb.rcv.Clear()
+	rb.Receiver.Clear()
 	rb.flow, rb.slot = transport.Flow{}, nil
 }
 
@@ -183,8 +179,8 @@ func (rb *rcvSlab) Clear() {
 // the reap timer only retires the slot once the flow has been quiet for
 // the grace period (a retransmit of a lost final ACK re-arms it).
 //
-// Once the flow has fully delivered, the heavyweight receiver slab (cfg
-// copy, range set, TLT window state, flow struct) is recycled and rcv
+// Once the flow has fully delivered, the heavyweight receiver slab (range
+// set, TLT window state, flow struct) is recycled and rcv
 // set to nil; any data packet that arrives during the grace window —
 // a retransmit of the final segment whose ACK was lost — gets its
 // cumulative ACK synthesized from the few words kept here. Completion-
@@ -216,6 +212,14 @@ func (rs *rcvSlot) Handle(p *packet.Packet) {
 	ack.Ack = rs.size
 	ack.ECE = p.CE
 	rs.host.Send(ack)
+}
+
+// demuxSlot returns a reaped demux slot of m's, or a new one.
+func (m *shardMem) demuxSlot() *rcvSlot {
+	if m.tcp.took = true; len(m.slot.free) > 0 {
+		return m.slot.pop()
+	}
+	return new(rcvSlot)
 }
 
 // kindReap fires a slot's reap check as a typed event: a slot outlives
@@ -295,28 +299,34 @@ func (w *scaleWalker) step() {
 }
 
 func (w *scaleWalker) spawnSender(fl transport.Flow) {
-	sl := w.mem.sender()
+	sl := w.mem.tcp.sender()
+	if sl.doneFn == nil {
+		sl.doneFn = sl.done
+	}
 	sl.w, sl.flow = w, fl
 	sl.rec = stats.FlowRecord{Flow: &sl.flow}
 	w.stream.Class(fl.FG).Issued++
 	w.stream.Epochs.AddIssued(fl.Start)
 	host := w.net.Hosts[fl.Src]
-	sl.snd.Reset(host, &sl.flow, w.cfg, &sl.rec, nil, nil)
-	sl.snd.OnComplete = sl.doneFn
-	host.Register(fl.ID, &sl.snd)
-	sl.snd.Write(fl.Size)
-	sl.snd.Close()
+	sl.Reset(host, &sl.flow, w.cfg, &sl.rec)
+	sl.OnComplete = sl.doneFn
+	host.Register(fl.ID, &sl.Sender)
+	sl.Write(fl.Size)
+	sl.Close()
 }
 
 func (w *scaleWalker) spawnReceiver(fl transport.Flow) {
 	host := w.net.Hosts[fl.Dst]
-	rb := w.mem.receiver()
+	rb := w.mem.tcp.receiver()
+	if rb.doneFn == nil {
+		rb.doneFn = rb.done
+	}
 	rb.flow = fl
-	rb.rcv.Reset(host, &rb.flow, w.cfg)
-	rb.rcv.OnDeliver = rb.deliverFn
+	rb.Reset(host, &rb.flow, w.cfg, nil)
+	rb.OnComplete = rb.doneFn
 	slot := w.mem.demuxSlot()
 	*slot = rcvSlot{
-		w: w, host: host, rcv: &rb.rcv,
+		w: w, host: host, rcv: &rb.Receiver,
 		peer: fl.Src, id: fl.ID, size: fl.Size,
 	}
 	rb.slot = slot

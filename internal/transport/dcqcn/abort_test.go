@@ -20,8 +20,8 @@ func blackholeQP(t *testing.T, cfg Config, size int64) (*sim.Sim, *Sender, *stat
 	atx.DropWhen(func(*packet.Packet) bool { return true })
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: size}
 	rec := stats.NewRecorder()
-	c := StartFlow(s, src, dst, flow, cfg, rec, nil)
-	return s, c.Sender, rec.Flows[0]
+	snd, _ := StartFlow(s, src, dst, flow, cfg, rec, nil)
+	return s, snd, rec.Flows[0]
 }
 
 // TestQPAbortAfterMaxRetries: retry-count exhaustion against a black
@@ -88,20 +88,20 @@ func TestQPRetriesResetOnProgress(t *testing.T) {
 	cfg.RTO.MaxRetries = 5
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 100_000}
 	rec := stats.NewRecorder()
-	c := StartFlow(s, src, dst, flow, cfg, rec, nil)
+	snd, _ := StartFlow(s, src, dst, flow, cfg, rec, nil)
 
 	// Black-hole for 3 timeouts' worth, then open the path: the retry
 	// counter (at 3 of 5) must reset once ACKs flow again.
 	s.At(3500*sim.Microsecond, func() { window = false })
 	s.Run(30 * sim.Millisecond)
-	if c.Sender.Aborted() {
+	if snd.Aborted() {
 		t.Fatalf("QP aborted despite recovering (timeouts=%d)", rec.Flows[0].Timeouts)
 	}
-	if !c.Sender.Done() {
+	if !snd.Done() {
 		t.Fatal("flow incomplete after the outage lifted")
 	}
-	if c.Sender.Retries() != 0 {
-		t.Fatalf("retries = %d after completion, want reset to 0", c.Sender.Retries())
+	if snd.Retries() != 0 {
+		t.Fatalf("retries = %d after completion, want reset to 0", snd.Retries())
 	}
 }
 

@@ -36,9 +36,9 @@ func TestGBNSingleFlow(t *testing.T) {
 	s, n := roceStar(2, fabric.SwitchConfig{})
 	rec := stats.NewRecorder()
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 1_000_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(GBN), rec, nil)
+	_, rcv := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(GBN), rec, nil)
 	s.Run(sim.Second)
-	if got := c.Receiver.Delivered(); got != 1000 {
+	if got := rcv.Delivered(); got != 1000 {
 		t.Fatalf("delivered %d packets, want 1000", got)
 	}
 	if !rec.Flows[0].Done {
@@ -80,8 +80,8 @@ func TestCNPThrottlesRate(t *testing.T) {
 	var snds []*Sender
 	for i := 0; i < 2; i++ {
 		f := &transport.Flow{ID: packet.FlowID(i + 1), Src: packet.NodeID(i + 1), Dst: 0, Size: 10_000_000}
-		c := StartFlow(s, n.Hosts[i+1], n.Hosts[0], f, DefaultConfig(GBN), rec, nil)
-		snds = append(snds, c.Sender)
+		snd, _ := StartFlow(s, n.Hosts[i+1], n.Hosts[0], f, DefaultConfig(GBN), rec, nil)
+		snds = append(snds, snd)
 	}
 	s.Run(500 * sim.Microsecond)
 	slowed := false
@@ -129,15 +129,15 @@ func TestIRNWindowLimitsInflight(t *testing.T) {
 	cfg := DefaultConfig(IRN)
 	cfg.BDPPkts = 10
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 1_000_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	// Sample inflight during the run.
 	maxIn := int64(0)
 	var poll func()
 	poll = func() {
-		if in := c.Sender.Board.InFlight(); in > maxIn {
+		if in := snd.Board.InFlight(); in > maxIn {
 			maxIn = in
 		}
-		if !c.Sender.Done() {
+		if !snd.Done() {
 			s.After(10*sim.Microsecond, poll)
 		}
 	}

@@ -86,21 +86,21 @@ func TestNackImpliesCumulativeAck(t *testing.T) {
 	s, n := roceStar(2, fabric.SwitchConfig{})
 	rec := stats.NewRecorder()
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 10_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(GBN), rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(GBN), rec, nil)
 	// Hold back the ACK path so the cumulative state is still fresh
 	// when the synthetic NACK arrives.
 	n.Switches[0].Tx(0).Pause()
 	s.Run(10 * sim.Microsecond)
-	c.Sender.Handle(&packet.Packet{Flow: 1, Type: packet.Nack, Ack: 5})
-	if c.Sender.Board.Una != 5 {
-		t.Fatalf("una = %d after NACK(5)", c.Sender.Board.Una)
+	snd.Handle(&packet.Packet{Flow: 1, Type: packet.Nack, Ack: 5})
+	if snd.Board.Una != 5 {
+		t.Fatalf("una = %d after NACK(5)", snd.Board.Una)
 	}
-	if c.Sender.Board.Nxt != 5 {
-		t.Fatalf("nxt = %d, want rewind to 5", c.Sender.Board.Nxt)
+	if snd.Board.Nxt != 5 {
+		t.Fatalf("nxt = %d, want rewind to 5", snd.Board.Nxt)
 	}
 	n.Switches[0].Tx(0).Resume()
 	s.Run(5 * sim.Second)
-	if !c.Sender.Done() {
+	if !snd.Done() {
 		t.Fatal("flow incomplete after rewind")
 	}
 }
@@ -110,7 +110,7 @@ func TestIRNRTOLowNotCountedAsTimeout(t *testing.T) {
 	rec := stats.NewRecorder()
 	cfg := DefaultConfig(IRN)
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 2_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	// Force an RTO_low fire by suppressing delivery: pause the host
 	// uplink so the two packets sit in the NIC.
 	n.Hosts[0].NICTx().Pause()
@@ -123,7 +123,7 @@ func TestIRNRTOLowNotCountedAsTimeout(t *testing.T) {
 	}
 	n.Hosts[0].NICTx().Resume()
 	s.Run(10 * sim.Second)
-	if !c.Sender.Done() {
+	if !snd.Done() {
 		t.Fatal("flow incomplete")
 	}
 }
@@ -168,7 +168,7 @@ func TestSackRecoversLostRetransmission(t *testing.T) {
 	rec := stats.NewRecorder()
 	cfg := DefaultConfig(SACK)
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 10_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	// Swallow all data at the receiver host; we play the receiver.
 	bh := &blackhole{}
 	n.Hosts[1].Register(1, bh)
@@ -178,14 +178,14 @@ func TestSackRecoversLostRetransmission(t *testing.T) {
 		t.Fatalf("initial sends = %d", len(bh.got))
 	}
 	// "PSN 9 arrived, 0..8 lost": SACK 9 with its echoed send time.
-	c.Sender.Handle(sackAck(packet.SackBlock{Start: 9, End: 10}, bh.sentAt(9, 1)))
+	snd.Handle(sackAck(packet.SackBlock{Start: 9, End: 10}, bh.sentAt(9, 1)))
 	s.Run(s.Now() + 50*sim.Microsecond) // retransmissions of 0..8 go out
 	if got := bh.count(0); got != 2 {
 		t.Fatalf("PSN0 transmissions = %d, want original + retransmission", got)
 	}
 	// "The retransmission of 8 arrived but 0..7's retransmissions were
 	// lost": the echo of retx-8 proves everything sent before it is gone.
-	c.Sender.Handle(sackAck(packet.SackBlock{Start: 8, End: 10}, bh.sentAt(8, 2)))
+	snd.Handle(sackAck(packet.SackBlock{Start: 8, End: 10}, bh.sentAt(8, 2)))
 	s.Run(s.Now() + 50*sim.Microsecond)
 	if got := bh.count(0); got != 3 {
 		t.Fatalf("PSN0 transmissions = %d, want a second retransmission", got)
@@ -196,7 +196,6 @@ func TestSackRecoversLostRetransmission(t *testing.T) {
 	if s.Now() >= 4*sim.Millisecond {
 		t.Fatal("test ran past the static RTO; recovery was not timeout-less")
 	}
-	_ = c
 }
 
 // sackAck is an ACK with cumulative point 0 selectively acknowledging b,

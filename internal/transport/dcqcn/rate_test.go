@@ -15,9 +15,8 @@ func TestCnpCutsRateAndRaisesAlpha(t *testing.T) {
 	rec := stats.NewRecorder()
 	cfg := DefaultConfig(GBN)
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 10_000_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	s.Run(10 * sim.Microsecond)
-	snd := c.Sender
 
 	before := snd.rate
 	snd.onCnp()
@@ -48,9 +47,8 @@ func TestRateIncreaseStages(t *testing.T) {
 	rec := stats.NewRecorder()
 	cfg := DefaultConfig(GBN)
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 10_000_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	s.Run(10 * sim.Microsecond)
-	snd := c.Sender
 
 	snd.onCnp()
 	cutRate := snd.rate
@@ -101,13 +99,13 @@ func TestPacingRespectsRate(t *testing.T) {
 		cfg.AlphaTimer = sim.Second
 		cfg.ByteCounter = 1 << 40
 		f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 1_000_000}
-		c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+		snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 		if cut {
 			s.At(0, func() {
 				// alpha grows by g per CNP, so a sustained CNP storm is
 				// needed to collapse the rate to the floor.
 				for i := 0; i < 200; i++ {
-					c.Sender.onCnp()
+					snd.onCnp()
 				}
 			})
 		}

@@ -9,11 +9,11 @@ import (
 )
 
 // Receiver is the responder side of a queue pair. ACK generation and
-// message completion are the embedded transport.QPReceiver; what is here
+// message completion are the embedded transport.Receiver; what is here
 // echoes congestion via CNPs and, for go-back-N, accepts in order only
 // and NACKs the rest.
 type Receiver struct {
-	transport.QPReceiver
+	transport.Receiver
 	s           *sim.Sim
 	gbn         bool
 	cnpInterval sim.Time
@@ -24,19 +24,19 @@ type Receiver struct {
 }
 
 // Reset initialises the responder for flow on host; see
-// transport.QPReceiver.Reset.
+// transport.Receiver.Reset.
 func (r *Receiver) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {
-	r.QPReceiver.Reset(host, flow, cfg.MSS, rec, cfg.TLT, cfg.Mode == IRN, false)
+	r.Receiver.Reset(host, flow, transport.Packets(flow.Size, cfg.MSS), rec, cfg.TLT, cfg.Mode == IRN, false)
 	*r = Receiver{
-		QPReceiver: r.QPReceiver,
-		s:          host.Sim(), gbn: cfg.Mode == GBN, cnpInterval: cfg.CnpInterval, lastNackFor: -1,
+		Receiver: r.Receiver,
+		s:        host.Sim(), gbn: cfg.Mode == GBN, cnpInterval: cfg.CnpInterval, lastNackFor: -1,
 	}
 }
 
 // Clear zeroes the responder down to what Reset carries over.
 func (r *Receiver) Clear() {
-	r.QPReceiver.Clear()
-	*r = Receiver{QPReceiver: r.QPReceiver}
+	r.Receiver.Clear()
+	*r = Receiver{Receiver: r.Receiver}
 }
 
 // Handle implements fabric.PacketHandler for the data path.
@@ -49,7 +49,7 @@ func (r *Receiver) Handle(pkt *packet.Packet) {
 	}
 	switch {
 	case !r.gbn:
-		r.QPReceiver.Handle(pkt)
+		r.Receiver.Handle(pkt)
 	case pkt.Seq == r.Cum:
 		r.Cum++
 		if r.lastNackFor < r.Cum {

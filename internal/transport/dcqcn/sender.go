@@ -58,7 +58,7 @@ type Sender struct {
 // mid-flow. Of the rate law only the three tick events carry over.
 func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {
 	cfg.TLT.Flow = flow.ID
-	s.QPSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec, nil, nil)
+	s.QPSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec)
 	*s = Sender{
 		QPSender: s.QPSender,
 		cfg:      cfg,
@@ -306,28 +306,11 @@ func (s *Sender) Quiesce() {
 	s.decay.Stop(s.S)
 }
 
-// Conn bundles the two ends of a queue pair.
-type Conn struct {
-	Sender   *Sender
-	Receiver *Receiver
-}
-
 // StartFlow creates a queue pair carrying flow.Size bytes from src to dst
-// starting at flow.Start; see transport.StartQP.
+// starting at flow.Start; see transport.Start.
 func StartFlow(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
-	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) *Conn {
-	c := &Conn{new(Sender), new(Receiver)}
-	StartFlowOn(*c, src, dst, flow, cfg, recorder, onDone)
-	return c
-}
-
-// StartFlowOn is StartFlow on endpoints the caller supplies: new ones, or
-// ones whose previous flow has finished (Sender.Reset panics otherwise).
-// Nothing of what they did before shows in the flow they carry now.
-func StartFlowOn(c Conn, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
-	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
-	rec := recorder.NewFlowRecord(flow)
-	c.Sender.Reset(src, flow, cfg, rec)
-	c.Receiver.Reset(dst, flow, cfg, rec)
-	transport.StartQP(c.Sender, c.Receiver, recorder, onDone)
+	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) (*Sender, *Receiver) {
+	snd, rcv := new(Sender), new(Receiver)
+	transport.Start(snd, rcv, src, dst, flow, cfg, recorder, onDone)
+	return snd, rcv
 }

@@ -59,8 +59,15 @@ type Sender struct {
 }
 
 // Receiver acknowledges every data packet, echoing the INT telemetry the
-// packet accumulated so the sender can run the HPCC control law.
-type Receiver = transport.QPReceiver
+// packet accumulated so the sender can run the HPCC control law: the
+// responder core as it stands, window-based TLT echo included.
+type Receiver struct{ transport.Receiver }
+
+// Reset initialises the receiver for flow on host; see
+// transport.Receiver.Reset.
+func (r *Receiver) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {
+	r.Receiver.Reset(host, flow, transport.Packets(flow.Size, cfg.MSS), rec, cfg.TLT, true, true)
+}
 
 // Reset initialises the sender for flow on host; see
 // transport.QPSender.Reset, which panics on a sender that is mid-flow. Of
@@ -69,7 +76,7 @@ type Receiver = transport.QPReceiver
 func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {
 	winit := float64(cfg.LineRateBps/8) * cfg.BaseRTT.Seconds()
 	cfg.TLT.Flow = flow.ID
-	s.QPSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec, nil, nil)
+	s.QPSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec)
 	*s = Sender{QPSender: s.QPSender, cfg: cfg, winit: winit, w: winit, wc: winit, lastINT: s.lastINT[:0]}
 	// Always present: a disabled config yields a machine that never marks.
 	s.Win = *core.NewWindowSender(cfg.TLT)
@@ -82,23 +89,12 @@ func (s *Sender) Clear() {
 	*s = Sender{QPSender: s.QPSender, lastINT: s.lastINT[:0]}
 }
 
-// StartFlow creates an HPCC flow from src to dst; see transport.StartQP.
+// StartFlow creates an HPCC flow from src to dst; see transport.Start.
 func StartFlow(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
 	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) (*Sender, *Receiver) {
 	snd, rcv := new(Sender), new(Receiver)
-	StartFlowOn(snd, rcv, src, dst, flow, cfg, recorder, onDone)
+	transport.Start(snd, rcv, src, dst, flow, cfg, recorder, onDone)
 	return snd, rcv
-}
-
-// StartFlowOn is StartFlow on endpoints the caller supplies: new ones, or
-// ones whose previous flow has finished (Sender.Reset panics otherwise).
-// Nothing of what they did before shows in the flow they carry now.
-func StartFlowOn(snd *Sender, rcv *Receiver, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
-	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
-	rec := recorder.NewFlowRecord(flow)
-	snd.Reset(src, flow, cfg, rec)
-	rcv.Reset(dst, flow, cfg.MSS, rec, cfg.TLT, true, true)
-	transport.StartQP(snd, rcv, recorder, onDone)
 }
 
 // Start begins transmission.

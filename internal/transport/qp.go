@@ -81,31 +81,29 @@ type (
 	ByteSender = Sender[firstSent]
 )
 
-// packets returns how many mss-sized packets carry size bytes; an empty
+// Packets returns how many mss-sized packets carry size bytes; an empty
 // message still takes one.
-func packets(size int64, mss int) int64 {
+func Packets(size int64, mss int) int64 {
 	return max(1, (size+int64(mss)-1)/int64(mss))
 }
 
 // Reset sets the core up for flow under law, segmented into mss-byte
-// packets, with the timeouts of rto, booking an abort on recorder and
-// handing the record to onDone. It is the only place sender state is
-// initialised: everything starts from zero or from the arguments, and only
-// the tick event and the board's emptied backing (or the list it comes
-// from) carry over, so a recycled sender cannot differ from a new one. A
-// sender that is mid-flow, or whose tick is still queued, panics.
-func (c *Sender[X]) Reset(law Law, host *fabric.Host, flow *Flow, mss int, rto *RTOConfig,
-	rec *stats.FlowRecord, recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
+// packets, with the timeouts of rto; Open says where an abort is booked.
+// It is the only place sender state is initialised: everything starts
+// from zero or from the arguments, and only the tick event and the
+// board's emptied backing (or the list it comes from) carry over, so a
+// recycled sender cannot differ from a new one. A sender that is
+// mid-flow, or whose tick is still queued, panics.
+func (c *Sender[X]) Reset(law Law, host *fabric.Host, flow *Flow, mss int, rto *RTOConfig, rec *stats.FlowRecord) {
 	c.mustBeOver()
 	if c.timer.Pending() {
 		panic("transport: Reset of sender with its RTO tick still scheduled")
 	}
-	n := packets(flow.Size, mss)
+	n := Packets(flow.Size, mss)
 	c.Board.Reset(n, int(min(n, 64)), false)
 	*c = Sender[X]{
 		S: host.Sim(), Board: c.Board, Rec: rec,
 		host: host, flow: flow, law: law, cfg: rto, mss: int32(mss),
-		recorder: recorder, onDone: onDone,
 		timer: c.timer.Rest(),
 	}
 }
@@ -147,7 +145,14 @@ func (c *Sender[X]) Launch() { c.S.PostKind(c.flow.Start, kindStart, 0, c.law) }
 func (c *Sender[X]) Flow() *Flow               { return c.flow }
 func (c *Sender[X]) Recorder() *stats.Recorder { return c.recorder }
 
-func (c *Sender[X]) sender() *Sender[X] { return c }
+func (c *Sender[X]) wire(recorder *stats.Recorder, onDone func(*stats.FlowRecord)) (*fabric.Host, *Flow) {
+	c.recorder, c.onDone = recorder, onDone
+	return c.host, c.flow
+}
+
+// ShareBoards has the sender's boards take their backing arrays from mem
+// and give them back to it (Board.Share).
+func (c *Sender[X]) ShareBoards(mem *Backings[Entry[X]]) { c.Board.Share(mem) }
 
 // FlowStatus implements StatusReporter for stall reports.
 func (c *Sender[X]) FlowStatus() FlowStatus {
@@ -409,14 +414,15 @@ func (d *Deadline) Pending() bool { return d.queued }
 // Rest returns the deadline disarmed, keeping its event for the next flow.
 func (d *Deadline) Rest() Deadline { return Deadline{ev: d.ev} }
 
-// QPReceiver is the responder of a selectively acknowledging RoCE queue
-// pair (DCQCN+SACK, IRN, HPCC): it ACKs every data packet with the
-// cumulative point, SACK blocks and the packet's echoed send time — and,
-// for HPCC, its INT stack — and detects message completion. It is HPCC's
-// receiver as it stands; dcqcn.Receiver embeds it and adds CNPs and the
-// go-back-N responder.
-type QPReceiver struct {
-	// Cum is the in-order delivery point: every PSN below it has arrived.
+// Receiver is the responder core of every family: the range set, the
+// cumulative point in the flow's unit (PSNs, tcp's bytes), SACK blocks,
+// TLT's echo of each data packet's mark and the flow's completion. On its
+// own it is a selective RoCE queue pair's responder (DCQCN+SACK, IRN,
+// HPCC): every ACK echoes the data's send time — and for HPCC its INT
+// stack. dcqcn.Receiver adds CNPs and go-back-N; tcp.Receiver ACKs bytes
+// with tcp's own fields through Accept and Reply.
+type Receiver struct {
+	// Cum is the in-order delivery point: everything below it has arrived.
 	Cum int64
 	// OnComplete fires once when the full message has arrived. May be nil.
 	OnComplete func()
@@ -425,7 +431,7 @@ type QPReceiver struct {
 	flow *Flow
 	rec  *stats.FlowRecord
 
-	// Where StartQP has the completion booked; nil when wired by hand.
+	// Where Open has the completion booked; nil when wired by hand.
 	recorder *stats.Recorder
 	onDone   func(*stats.FlowRecord)
 
@@ -437,19 +443,21 @@ type QPReceiver struct {
 	completed bool
 }
 
-// Reset sets the receiver up for flow. It is the only place receiver
-// state is initialised; only the range set's emptied backing carries over.
-// window turns on the window-based TLT echo machine (IRN, HPCC); echoINT
-// copies each data packet's telemetry into its ACK (HPCC). There is no
+// Reset sets the receiver up for flow, n units long: the only place its
+// state is initialised; only the range set's emptied backing carries
+// over. A stream with no end (n = 0: tcp's persistent connections) starts
+// completed, so it never books one. window turns on the window-based TLT
+// echo (tcp, IRN, HPCC), echoINT the INT echo (HPCC). There is no
 // mid-flow check: a receiver whose sender aborted never sees its flow end.
-func (r *QPReceiver) Reset(host *fabric.Host, flow *Flow, mss int, rec *stats.FlowRecord, tlt core.Config, window, echoINT bool) {
+func (r *Receiver) Reset(host *fabric.Host, flow *Flow, n int64, rec *stats.FlowRecord, tlt core.Config, window, echoINT bool) {
 	r.rcv.Reset()
-	*r = QPReceiver{
+	*r = Receiver{
 		host: host, flow: flow, rec: rec,
-		n:       packets(flow.Size, mss),
-		rcv:     r.rcv,
-		ctrl:    core.ControlMark(tlt.Enabled),
-		echoINT: echoINT,
+		n:         n,
+		rcv:       r.rcv,
+		ctrl:      core.ControlMark(tlt.Enabled),
+		echoINT:   echoINT,
+		completed: n == 0,
 	}
 	if window {
 		r.win = *core.NewWindowReceiver(tlt)
@@ -458,50 +466,60 @@ func (r *QPReceiver) Reset(host *fabric.Host, flow *Flow, mss int, rec *stats.Fl
 
 // Clear zeroes the receiver down to what Reset carries over, so one
 // parked between runs pins nothing of the run it served.
-func (r *QPReceiver) Clear() {
+func (r *Receiver) Clear() {
 	r.rcv.Reset()
-	*r = QPReceiver{rcv: r.rcv}
+	*r = Receiver{rcv: r.rcv}
 }
 
-// Delivered returns the packets delivered in order so far.
-func (r *QPReceiver) Delivered() int64 { return r.Cum }
+// Delivered returns the units delivered in order so far.
+func (r *Receiver) Delivered() int64 { return r.Cum }
 
-func (r *QPReceiver) receiver() *QPReceiver { return r }
+func (r *Receiver) wire(recorder *stats.Recorder, onDone func(*stats.FlowRecord)) (*fabric.Host, *Flow) {
+	r.recorder, r.onDone = recorder, onDone
+	return r.host, r.flow
+}
 
-// Handle implements fabric.PacketHandler for the data path.
-func (r *QPReceiver) Handle(pkt *packet.Packet) {
+// Handle implements fabric.PacketHandler for a queue pair's data path.
+func (r *Receiver) Handle(pkt *packet.Packet) {
 	if pkt.Type != packet.Data {
 		return
 	}
-	r.win.OnData(pkt.Mark)
-	if pkt.Seq >= r.Cum {
-		r.rcv.Add(pkt.Seq, pkt.Seq+1)
-		r.Cum = r.rcv.NextUncovered(r.Cum)
-		r.rcv.TrimBelow(r.Cum)
-	}
-	ack := r.control(packet.Ack, r.Cum)
-	if !r.rcv.Empty() {
-		ack.SetSack(r.rcv.AppendBlocks(ack.SackBuf(r.host.Pool()), packet.SackBufBlocks))
-	}
-	if m := r.win.TakeAckMark(); m != packet.Unimportant {
-		ack.Mark = m
-	}
-	// Echo the data packet's send time: the sender uses it for
-	// RACK-style invalidation of retransmissions that were themselves
-	// lost (the per-OOO-arrival NACK behaviour of commercial RoCE NICs).
+	ack := r.Accept(pkt, pkt.Seq+1, packet.SackBufBlocks)
+	// The echoed send time lets the sender invalidate retransmissions
+	// that were themselves lost, RACK-style (commercial RoCE NACKs).
 	ack.EchoTS = pkt.SentAt
 	if r.echoINT {
-		// Echo the INT stack on the ACK's own extension: pkt's goes back
-		// on the free list with pkt when Handle returns.
+		// On the ACK's own extension: pkt's goes back with pkt.
 		ack.CopyINTFrom(r.host.Pool(), pkt)
 	}
 	r.reply(ack)
 }
 
-// Control sends a payload-free ACK, NACK or CNP carrying ack.
-func (r *QPReceiver) Control(t packet.Type, ack int64) { r.reply(r.control(t, ack)) }
+// Accept folds data packet pkt, covering [pkt.Seq, end), into the
+// delivery state and returns its ACK — the cumulative point, at most
+// blocks SACK blocks, the TLT echo mark — for the caller to finish and
+// hand to Reply.
+func (r *Receiver) Accept(pkt *packet.Packet, end int64, blocks int) *packet.Packet {
+	r.win.OnData(pkt.Mark)
+	if end > r.Cum {
+		r.rcv.Add(pkt.Seq, end)
+		r.Cum = r.rcv.NextUncovered(r.Cum)
+		r.rcv.TrimBelow(r.Cum)
+	}
+	ack := r.control(packet.Ack, r.Cum)
+	if !r.rcv.Empty() {
+		ack.SetSack(r.rcv.AppendBlocks(ack.SackBuf(r.host.Pool()), blocks))
+	}
+	if m := r.win.TakeAckMark(); m != packet.Unimportant {
+		ack.Mark = m
+	}
+	return ack
+}
 
-func (r *QPReceiver) control(t packet.Type, ack int64) *packet.Packet {
+// Control sends a payload-free ACK, NACK or CNP carrying ack.
+func (r *Receiver) Control(t packet.Type, ack int64) { r.reply(r.control(t, ack)) }
+
+func (r *Receiver) control(t packet.Type, ack int64) *packet.Packet {
 	pkt := r.host.NewPacket()
 	pkt.Flow, pkt.Dst = r.flow.ID, r.flow.Src
 	pkt.Type = t
@@ -510,11 +528,10 @@ func (r *QPReceiver) control(t packet.Type, ack int64) *packet.Packet {
 	return pkt
 }
 
-// reply books and sends pkt, then stamps the flow's completion if the
-// message is whole (the ACK saying so is on its way).
-func (r *QPReceiver) reply(pkt *packet.Packet) {
+// reply is a queue pair's Reply: it first books pkt on the receiver-owned
+// counters of the flow record (the sender may live on another shard).
+func (r *Receiver) reply(pkt *packet.Packet) {
 	if r.rec != nil {
-		// Receiver-owned counters: the sender may live on another shard.
 		size := int64(pkt.WireSize())
 		r.rec.RxTotalBytes += size
 		if pkt.Important() {
@@ -522,6 +539,12 @@ func (r *QPReceiver) reply(pkt *packet.Packet) {
 			r.rec.RxImpBytes += size
 		}
 	}
+	r.Reply(pkt)
+}
+
+// Reply sends pkt, then books the flow's completion if the message is
+// whole (the ACK saying so is on its way) and it has not been booked.
+func (r *Receiver) Reply(pkt *packet.Packet) {
 	r.host.Send(pkt)
 	if r.Cum >= r.n && !r.completed {
 		r.completed = true
@@ -537,25 +560,41 @@ func (r *QPReceiver) reply(pkt *packet.Packet) {
 	}
 }
 
-// StartQP wires the two ends of a queue pair, each Reset for the same
-// flow, into their hosts and starts the sender at the flow's start time,
-// allocating nothing. The FCT is stamped when the receiver has the whole
-// message, on its shard; a sender that gives up stamps the abort on its
-// own. onDone callers that must fire once per flow deduplicate themselves.
-func StartQP(
-	snd interface {
-		fabric.PacketHandler
-		sender() *QPSender
-	},
-	rcv interface {
-		fabric.PacketHandler
-		receiver() *QPReceiver
-	},
+// An Endpoint is a sender or a receiver of a family configured by C, on
+// one of the cores.
+type Endpoint[C any] interface {
+	fabric.PacketHandler
+	Reset(host *fabric.Host, flow *Flow, cfg C, rec *stats.FlowRecord)
+	wire(recorder *stats.Recorder, onDone func(*stats.FlowRecord)) (*fabric.Host, *Flow)
+}
+
+// Open registers a flow's two ends, each Reset for it, with their hosts
+// and has them book on recorder — the abort at the sender, the completion
+// at the receiver, each on its own shard — handing the record to onDone.
+// A flow can finalize from both sides (an abort racing a completion in
+// flight), so onDone callers that must fire once deduplicate themselves.
+func Open[C any](snd, rcv Endpoint[C], recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
+	src, flow := snd.wire(recorder, onDone)
+	dst, _ := rcv.wire(recorder, onDone)
+	src.Register(flow.ID, snd)
+	dst.Register(flow.ID, rcv)
+}
+
+// Start is every family's start, allocating nothing but the flow record:
+// it Resets snd on src and rcv on dst for flow under cfg with a new record
+// on recorder, Opens them, and has the sender start at the flow's start
+// time. The endpoints
+// are new, or ones whose last flow has finished (a sender's Reset panics
+// otherwise); nothing of what they did before shows in the flow they
+// carry now.
+func Start[C any](snd interface {
+	Endpoint[C]
+	Launch()
+}, rcv Endpoint[C], src, dst *fabric.Host, flow *Flow, cfg C,
 	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
-	q, r := snd.sender(), rcv.receiver()
-	q.host.Register(q.flow.ID, snd)
-	r.host.Register(q.flow.ID, rcv)
-	q.recorder, q.onDone = recorder, onDone
-	r.recorder, r.onDone = recorder, onDone
-	q.Launch()
+	rec := recorder.NewFlowRecord(flow)
+	snd.Reset(src, flow, cfg, rec)
+	rcv.Reset(dst, flow, cfg, rec)
+	Open(snd, rcv, recorder, onDone)
+	snd.Launch()
 }

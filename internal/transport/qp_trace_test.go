@@ -70,8 +70,8 @@ func startRoCE(n *topo.Network, name string, o roceOpts, f *transport.Flow, rec 
 		if stock == nil {
 			snd, rcv = hpcc.StartFlow(n.Sim, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 		} else {
-			snd, rcv = stock.hpccPair()
-			hpcc.StartFlowOn(snd, rcv, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+			snd, rcv = take(stock, &stock.hpcc)
+			transport.Start(snd, rcv, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 		}
 		return qpEnds{&snd.Board, snd.FlowStatus, rcv.Delivered, &rcv.OnComplete}
 	}
@@ -85,14 +85,15 @@ func startRoCE(n *topo.Network, name string, o roceOpts, f *transport.Flow, rec 
 			cfg.RTOLow = 0
 		}
 	}
-	var c *dcqcn.Conn
+	var snd *dcqcn.Sender
+	var rcv *dcqcn.Receiver
 	if stock == nil {
-		c = dcqcn.StartFlow(n.Sim, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+		snd, rcv = dcqcn.StartFlow(n.Sim, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	} else {
-		c = stock.dcqcnConn()
-		dcqcn.StartFlowOn(*c, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+		snd, rcv = take(stock, &stock.dcqcn)
+		transport.Start(snd, rcv, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	}
-	return qpEnds{&c.Sender.Board, c.Sender.FlowStatus, c.Receiver.Delivered, &c.Receiver.OnComplete}
+	return qpEnds{&snd.Board, snd.FlowStatus, rcv.Delivered, &rcv.OnComplete}
 }
 
 // seededLoss is the drop and CE-marking pattern of tcp/reset_test.go: a
@@ -349,7 +350,8 @@ func tcpStart(law, variant string, blackhole bool) traceStart {
 		cfg.RTO.MaxRetries = 3
 	}
 	return func(n *topo.Network, f *transport.Flow, rec *stats.Recorder) func() transport.FlowStatus {
-		return tcp.StartFlow(n.Sim, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil).Sender.FlowStatus
+		snd, _ := tcp.StartFlow(n.Sim, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+		return snd.FlowStatus
 	}
 }
 

@@ -138,13 +138,13 @@ func FuzzRecovery(f *testing.F) {
 			}
 			cfg.TLT = tltCfg
 			cfg.RTO.Min, cfg.RTO.MaxRetries = 200*sim.Microsecond, 6
-			c := tcp.StartFlow(s, n.Hosts[0], n.Hosts[1], flow, cfg, rec, func(fr *stats.FlowRecord) {
+			snd, rcv := tcp.StartFlow(s, n.Hosts[0], n.Hosts[1], flow, cfg, rec, func(fr *stats.FlowRecord) {
 				if fr.Done {
 					completes++
 				}
 			})
-			b := &c.Sender.Board
-			status, delivered, want = c.Sender.FlowStatus, c.Receiver.Delivered, flow.Size
+			b := &snd.Board
+			status, delivered, want = snd.FlowStatus, rcv.Delivered, flow.Size
 			check = func() error {
 				return recount(b.Una, b.Nxt, b, func(seq int64) entryState { return b.State(seq) })
 			}

@@ -23,7 +23,7 @@ import (
 // property for tcp and dctcp on the one reliability core.
 //
 // Mutation-checked: fails when the core's Reset carries backoff, retries
-// or Win over, when QPReceiver.Reset keeps a non-empty RangeSet or the
+// or Win over, when the responder core's Reset keeps a non-empty RangeSet or the
 // delivery point, and when a Board.Reset hands the board on unemptied
 // (testdata/mutants).
 func TestQPResetEqualsFresh(t *testing.T) {
@@ -56,14 +56,14 @@ func TestQPResetMidFlowPanics(t *testing.T) {
 		status := startRoCE(n, name, roceOpts{noLow: true}, f, rec, stock).status
 		var reset, clear func()
 		if name == "hpcc" {
-			p := stock.out.hpcc[0]
+			p := stock.hpcc.out[0]
 			cfg := hpcc.DefaultConfig(n.BaseRTT)
 			reset = func() { p.snd.Reset(n.Hosts[0], f, cfg, rec.Flows[0]) }
 			clear = p.snd.Clear
 		} else {
-			c := stock.out.dcqcn[0]
-			reset = func() { c.Sender.Reset(n.Hosts[0], f, dcqcn.DefaultConfig(dcqcn.SACK), rec.Flows[0]) }
-			clear = c.Sender.Clear
+			p := stock.dcqcn.out[0]
+			reset = func() { p.snd.Reset(n.Hosts[0], f, dcqcn.DefaultConfig(dcqcn.SACK), rec.Flows[0]) }
+			clear = p.snd.Clear
 		}
 		s.Run(5 * sim.Microsecond)
 		if fs := status(); fs.Done || fs.AckedBytes+fs.OutstandingBytes == 0 {
@@ -93,65 +93,58 @@ func TestQPResetMidFlowPanics(t *testing.T) {
 type qpStock struct {
 	boards *transport.PktBoards // non-nil: senders trade scoreboard backings through it
 
-	dcqcn []*dcqcn.Conn
-	hpcc  []hpccPair
-	out   struct {
-		dcqcn []*dcqcn.Conn
-		hpcc  []hpccPair
-	}
+	dcqcn pairs[dcqcn.Sender, dcqcn.Receiver]
+	hpcc  pairs[hpcc.Sender, hpcc.Receiver]
 }
 
-type hpccPair struct {
-	snd *hpcc.Sender
-	rcv *hpcc.Receiver
+// pairs is one law's queue pairs in a qpStock: in stock, and handed out.
+type pairs[S, R any] struct{ in, out []qpPair[S, R] }
+
+type qpPair[S, R any] struct {
+	snd *S
+	rcv *R
 }
 
-func (k *qpStock) dcqcnConn() *dcqcn.Conn {
-	var c *dcqcn.Conn
-	if n := len(k.dcqcn) - 1; n >= 0 {
-		c, k.dcqcn = k.dcqcn[n], k.dcqcn[:n]
+// take hands out a queue pair of ps from stock, or a new one.
+func take[S, R any, PS interface {
+	*S
+	ShareBoards(*transport.PktBoards)
+}](k *qpStock, ps *pairs[S, R]) (PS, *R) {
+	var p qpPair[S, R]
+	if n := len(ps.in) - 1; n >= 0 {
+		p, ps.in = ps.in[n], ps.in[:n]
 	} else {
-		c = &dcqcn.Conn{Sender: new(dcqcn.Sender), Receiver: new(dcqcn.Receiver)}
+		p = qpPair[S, R]{new(S), new(R)}
 		if k.boards != nil {
-			c.Sender.Board.Share(k.boards)
+			PS(p.snd).ShareBoards(k.boards)
 		}
 	}
-	k.out.dcqcn = append(k.out.dcqcn, c)
-	return c
-}
-
-func (k *qpStock) hpccPair() (*hpcc.Sender, *hpcc.Receiver) {
-	var p hpccPair
-	if n := len(k.hpcc) - 1; n >= 0 {
-		p, k.hpcc = k.hpcc[n], k.hpcc[:n]
-	} else {
-		p = hpccPair{new(hpcc.Sender), new(hpcc.Receiver)}
-		if k.boards != nil {
-			p.snd.Board.Share(k.boards)
-		}
-	}
-	k.out.hpcc = append(k.out.hpcc, p)
+	ps.out = append(ps.out, p)
 	return p.snd, p.rcv
 }
 
 // restock puts every queue pair handed out back in stock; park clears
 // them first, as the arena does between cells.
 func (k *qpStock) restock(park bool) {
-	for _, c := range k.out.dcqcn {
+	restock(&k.dcqcn, park)
+	restock(&k.hpcc, park)
+}
+
+func restock[S, R any, PS interface {
+	*S
+	Clear()
+}, PR interface {
+	*R
+	Clear()
+}](ps *pairs[S, R], park bool) {
+	for _, p := range ps.out {
 		if park {
-			c.Sender.Clear()
-			c.Receiver.Clear()
+			PS(p.snd).Clear()
+			PR(p.rcv).Clear()
 		}
-		k.dcqcn = append(k.dcqcn, c)
+		ps.in = append(ps.in, p)
 	}
-	for _, p := range k.out.hpcc {
-		if park {
-			p.snd.Clear()
-			p.rcv.Clear()
-		}
-		k.hpcc = append(k.hpcc, p)
-	}
-	k.out.dcqcn, k.out.hpcc = nil, nil
+	ps.out = nil
 }
 
 // servedStock returns a stock of four queue pairs that have each carried

@@ -30,3 +30,25 @@ func TestSenderSizes(t *testing.T) {
 		}
 	}
 }
+
+// TestReceiverSizes pins the receivers under their allocation size
+// classes, the way TestSenderSizes pins the senders. hpcc.Receiver is the
+// responder core alone and dcqcn.Receiver the core plus CNP and go-back-N
+// state; both sat exactly on their class edges when tcp's receiver became
+// a law on the core, so the core may not grow: tcp-only state lives in
+// tcp.Receiver.
+func TestReceiverSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"hpcc.Receiver", unsafe.Sizeof(hpcc.Receiver{}), 144},
+		{"dcqcn.Receiver", unsafe.Sizeof(dcqcn.Receiver{}), 192},
+		{"tcp.Receiver", unsafe.Sizeof(tcp.Receiver{}), 160}, // 272 B while it copied the whole tcp.Config
+	} {
+		t.Logf("%s: %d B", c.name, c.size)
+		if c.size > c.max {
+			t.Errorf("%s is %d bytes, over its %d-byte size class", c.name, c.size, c.max)
+		}
+	}
+}

@@ -90,16 +90,16 @@ func TestKarnNoSampleFromRetransmission(t *testing.T) {
 	cfg.RTO.Min = sim.Millisecond
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 1000}
 	rec := stats.NewRecorder()
-	c := StartFlow(s, src, dst, flow, cfg, rec, nil)
+	snd, _ := StartFlow(s, src, dst, flow, cfg, rec, nil)
 	s.RunAll()
-	if !c.Sender.Done() || c.Sender.Aborted() {
+	if !snd.Done() || snd.Aborted() {
 		t.Fatalf("one-segment flow did not complete cleanly (done=%v aborted=%v)",
-			c.Sender.Done(), c.Sender.Aborted())
+			snd.Done(), snd.Aborted())
 	}
 	if drops != 1 {
 		t.Fatalf("dropped %d packets, want 1 (the original transmission)", drops)
 	}
-	if got := c.Sender.rtoEst.SRTT(); got != 0 {
+	if got := snd.rtoEst.SRTT(); got != 0 {
 		t.Fatalf("SRTT = %v after an ACK for a retransmitted segment; Karn forbids the sample", got)
 	}
 }

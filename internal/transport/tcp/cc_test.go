@@ -10,22 +10,19 @@ import (
 	"tlt/internal/transport"
 )
 
+// openConn returns a sender on src and a receiver on dst, Reset for flow
+// and opened with their aborts and completion booked on recorder.
+func openConn(src, dst *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord,
+	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) (*Sender, *Receiver) {
+	snd, rcv := new(Sender), new(Receiver)
+	snd.Reset(src, flow, cfg, rec)
+	rcv.Reset(dst, flow, cfg, rec)
+	transport.Open(snd, rcv, recorder, onDone)
+	return snd, rcv
+}
+
 // blackholeSender builds a sender whose packets all vanish, to observe
 // timer behaviour in isolation.
-// newSender and newReceiver return endpoints Reset for flow on host.
-func newSender(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord,
-	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) *Sender {
-	snd := new(Sender)
-	snd.Reset(host, flow, cfg, rec, recorder, onDone)
-	return snd
-}
-
-func newReceiver(host *fabric.Host, flow *transport.Flow, cfg Config) *Receiver {
-	r := new(Receiver)
-	r.Reset(host, flow, cfg)
-	return r
-}
-
 func blackholeSender(t *testing.T, cfg Config, size int64, onDone func(*stats.FlowRecord)) (*sim.Sim, *Sender, *stats.FlowRecord) {
 	t.Helper()
 	s := sim.New()
@@ -36,8 +33,7 @@ func blackholeSender(t *testing.T, cfg Config, size int64, onDone func(*stats.Fl
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: size}
 	rec := stats.NewRecorder()
 	fr := rec.NewFlowRecord(flow)
-	snd := newSender(src, flow, cfg, fr, rec, onDone)
-	src.Register(1, snd)
+	snd, _ := openConn(src, dst, flow, cfg, fr, rec, onDone)
 	snd.Write(size)
 	snd.Close()
 	return s, snd, fr
@@ -80,10 +76,7 @@ func TestBackoffResetsOnProgress(t *testing.T) {
 	fr := rec.NewFlowRecord(flow)
 	cfg := DefaultConfig()
 	cfg.RTO.Min = sim.Millisecond
-	snd := newSender(src, flow, cfg, fr, rec, nil)
-	rcv := newReceiver(dst, flow, cfg)
-	src.Register(1, snd)
-	dst.Register(1, rcv)
+	snd, _ := openConn(src, dst, flow, cfg, fr, rec, nil)
 	snd.Write(8_000)
 	snd.Close()
 	s.Run(8 * sim.Millisecond) // two RTOs, backoff at 4x
@@ -105,14 +98,14 @@ func TestSlowStartDoublesPerRTT(t *testing.T) {
 	rec := stats.NewRecorder()
 	cfg := DefaultConfig()
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 10_000_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	// Base RTT ~44us. After ~5 RTTs of slow start from 10kB the window
 	// should have grown manyfold (no loss, no ECN on this switch).
 	s.Run(250 * sim.Microsecond)
-	if c.Sender.cwnd < 100_000 {
-		t.Fatalf("cwnd = %.0f after 5 RTTs, slow start too slow", c.Sender.cwnd)
+	if snd.cwnd < 100_000 {
+		t.Fatalf("cwnd = %.0f after 5 RTTs, slow start too slow", snd.cwnd)
 	}
-	if c.Sender.cwnd > cfg.MaxCwndBytes {
+	if snd.cwnd > cfg.MaxCwndBytes {
 		t.Fatal("cwnd above cap")
 	}
 }
@@ -123,13 +116,13 @@ func TestCwndCapped(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCwndBytes = 50_000
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 5_000_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	s.Run(sim.Second)
-	if !c.Sender.Done() {
+	if !snd.Done() {
 		t.Fatal("flow incomplete")
 	}
-	if c.Sender.cwnd > 50_000 {
-		t.Fatalf("cwnd %v exceeded cap", c.Sender.cwnd)
+	if snd.cwnd > 50_000 {
+		t.Fatalf("cwnd %v exceeded cap", snd.cwnd)
 	}
 }
 
@@ -140,7 +133,7 @@ func TestRecoveryHalvesWindow(t *testing.T) {
 	rec := stats.NewRecorder()
 	cfg := DefaultConfig()
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 2_000_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	dropped := false
 	n.Hosts[0].NICTx().DropWhen(func(p *packet.Packet) bool {
 		if !dropped && p.Type == packet.Data && p.Seq == 200_000 {
@@ -154,14 +147,14 @@ func TestRecoveryHalvesWindow(t *testing.T) {
 		var poll func()
 		poll = func() {
 			if !dropped {
-				before = c.Sender.cwnd
+				before = snd.cwnd
 				s.After(5*sim.Microsecond, poll)
 			}
 		}
 		poll()
 	})
 	s.Run(sim.Second)
-	if !c.Sender.Done() {
+	if !snd.Done() {
 		t.Fatal("flow incomplete")
 	}
 	if !dropped {

@@ -16,13 +16,13 @@ func TestStartFlowLifecycle(t *testing.T) {
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 10_000, Start: 5 * sim.Microsecond}
 	fired := 0
 	var doneAt sim.Time
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(), rec, func(fr *stats.FlowRecord) {
+	_, rcv := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(), rec, func(fr *stats.FlowRecord) {
 		fired++
 		doneAt = fr.End
 	})
 	// Nothing moves before the arrival time.
 	s.Run(4 * sim.Microsecond)
-	if c.Receiver.Delivered() != 0 {
+	if rcv.Delivered() != 0 {
 		t.Fatal("data moved before flow start")
 	}
 	s.Run(sim.Second)
@@ -37,8 +37,13 @@ func TestStartFlowLifecycle(t *testing.T) {
 		t.Fatalf("FCT bookkeeping wrong: start=%v end=%v", f.Start, fr.End)
 	}
 	// FCT is stamped at the receiver, which by then holds all bytes.
-	if c.Receiver.Delivered() != f.Size {
+	if rcv.Delivered() != f.Size {
 		t.Fatal("completion before full delivery")
+	}
+	// Receive-side bytes are the RoCE responders' to book: a tcp flow's
+	// important share counts what its sender sent.
+	if fr.RxTotalBytes != 0 || fr.RxImpPackets != 0 || fr.RxImpBytes != 0 {
+		t.Fatalf("tcp receiver booked %d rx bytes, %d important packets", fr.RxTotalBytes, fr.RxImpPackets)
 	}
 }
 
@@ -48,7 +53,7 @@ func TestFCTIsReceiverSide(t *testing.T) {
 	s, n := starNet(t, 2, fabric.SwitchConfig{})
 	rec := stats.NewRecorder()
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 5_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(), rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(), rec, nil)
 	// Kill all ACKs from the receiver after the 3rd.
 	acks := 0
 	n.Hosts[1].NICTx().DropWhen(func(p *packet.Packet) bool {
@@ -62,7 +67,7 @@ func TestFCTIsReceiverSide(t *testing.T) {
 	if !rec.Flows[0].Done {
 		t.Fatal("receiver-side completion should not need the last ACK delivered")
 	}
-	if c.Sender.Done() {
+	if snd.Done() {
 		t.Fatal("sender cannot be done without ACKs")
 	}
 	if fct := rec.Flows[0].FCT(); fct > sim.Millisecond {

@@ -59,12 +59,12 @@ func TestAckPathLoss(t *testing.T) {
 	n.Hosts[1].NICTx().InjectLoss(0.05, sim.NewRNG(3))
 	rec := stats.NewRecorder()
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 300_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(), rec, nil)
+	snd, rcv := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(), rec, nil)
 	s.Run(60 * sim.Second)
-	if !c.Sender.Done() {
+	if !snd.Done() {
 		t.Fatal("flow incomplete under ACK loss")
 	}
-	if got := c.Receiver.Delivered(); got != f.Size {
+	if got := rcv.Delivered(); got != f.Size {
 		t.Fatalf("delivered %d", got)
 	}
 }

@@ -29,7 +29,8 @@ func recvHarness(t *testing.T, cfg Config) (*sim.Sim, *Receiver, *ackCatcher) {
 	dst := fabric.NewHost(s, 1)
 	fabric.Connect(s, src, 0, dst, 0, 40e9, sim.Microsecond)
 	flow := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 100_000}
-	r := newReceiver(dst, flow, cfg)
+	r := new(Receiver)
+	r.Reset(dst, flow, cfg, nil)
 	dst.Register(1, r)
 	cat := &ackCatcher{}
 	src.Register(1, cat)

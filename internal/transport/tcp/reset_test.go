@@ -34,13 +34,13 @@ func TestResetMidFlowPanics(t *testing.T) {
 		s, n := starNet(t, 2, fabric.SwitchConfig{})
 		rec := stats.NewRecorder()
 		f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 1_000_000}
-		c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
-		reset := func() { c.Sender.Reset(n.Hosts[0], f, cfg, rec.Flows[0], rec, nil) }
+		snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+		reset := func() { snd.Reset(n.Hosts[0], f, cfg, rec.Flows[0]) }
 		s.Run(100 * sim.Microsecond)
-		if fs := c.Sender.FlowStatus(); fs.Done || fs.AckedBytes+fs.OutstandingBytes == 0 {
+		if fs := snd.FlowStatus(); fs.Done || fs.AckedBytes+fs.OutstandingBytes == 0 {
 			t.Fatalf("%s: want a flow in progress at 100 µs, got %v", name, fs)
 		}
-		for op, f := range map[string]func(){"Reset": reset, "Clear": c.Sender.Clear} {
+		for op, f := range map[string]func(){"Reset": reset, "Clear": snd.Clear} {
 			if msg := panics(f); !strings.Contains(msg, "mid-flow") {
 				t.Errorf("%s: %s of a sender 100 µs into its flow: %s, want a mid-flow panic", name, op, msg)
 			}
@@ -52,7 +52,7 @@ func TestResetMidFlowPanics(t *testing.T) {
 		if msg := panics(reset); msg != "<nil>" {
 			t.Errorf("%s: Reset of a finished sender panicked: %s", name, msg)
 		}
-		if msg := panics(func() { c.Sender.Clear(); reset() }); msg != "<nil>" {
+		if msg := panics(func() { snd.Clear(); reset() }); msg != "<nil>" {
 			t.Errorf("%s: Clear then Reset of a finished sender panicked: %s", name, msg)
 		}
 	}
@@ -127,7 +127,8 @@ func resetCases() []resetCase {
 // queue pairs on the one reliability core.
 //
 // Mutation-checked: fails when the core's Reset carries backoff or
-// retries over and when tcp's Reset keeps DCTCP's alpha
+// retries over, when the responder core's Reset keeps the delivery point
+// or a non-empty range set, and when tcp's Reset keeps DCTCP's alpha
 // (testdata/mutants).
 func TestResetEqualsFresh(t *testing.T) {
 	cases := resetCases()
@@ -225,13 +226,9 @@ func runAB(t *testing.T, c resetCase, recycle bool) ([]string, stats.FlowRecord)
 	}
 
 	start := func(snd *Sender, rcv *Receiver, f *transport.Flow, fr *stats.FlowRecord) {
-		rcv.OnDeliver = func(total int64) {
-			if total >= f.Size && !fr.Done {
-				rec.FlowDone(fr, s.Now())
-			}
-		}
-		src.Register(f.ID, snd)
-		dst.Register(f.ID, rcv)
+		snd.Reset(src, f, c.cfg, fr)
+		rcv.Reset(dst, f, c.cfg, fr)
+		transport.Open(snd, rcv, rec, nil)
 		snd.Write(f.Size)
 		snd.Close()
 	}
@@ -246,8 +243,6 @@ func runAB(t *testing.T, c resetCase, recycle bool) ([]string, stats.FlowRecord)
 	if shared {
 		snd.Board.Share(&boards)
 	}
-	snd.Reset(src, fa, c.cfg, fra, rec, nil)
-	rcv.Reset(dst, fa, c.cfg)
 	start(snd, rcv, fa, fra)
 
 	fb := &transport.Flow{ID: 2, Src: 0, Dst: 1, Size: c.sizeB, Start: resetStart}
@@ -270,8 +265,6 @@ func runAB(t *testing.T, c resetCase, recycle bool) ([]string, stats.FlowRecord)
 		if !recycle {
 			snd, rcv = new(Sender), new(Receiver)
 		}
-		snd.Reset(src, fb, c.cfg, frb, rec, nil)
-		rcv.Reset(dst, fb, c.cfg)
 		start(snd, rcv, fb, frb)
 	})
 	s.Run(10 * sim.Second)

@@ -15,7 +15,7 @@ import (
 
 // scenario builds a two-host network where the sender-side uplink can
 // drop packets deterministically.
-func scenario(t *testing.T, cfg Config, size int64) (*sim.Sim, *topo.Network, *Conn, *stats.Recorder, *trace.Tracer) {
+func scenario(t *testing.T, cfg Config, size int64) (*sim.Sim, *topo.Network, *Sender, *stats.Recorder, *trace.Tracer) {
 	t.Helper()
 	s := sim.New()
 	n := topo.Star(s, topo.StarConfig{
@@ -26,8 +26,8 @@ func scenario(t *testing.T, cfg Config, size int64) (*sim.Sim, *topo.Network, *C
 	tr := trace.New(0)
 	tr.Attach(n.Hosts[0])
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: size}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
-	return s, n, c, rec, tr
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	return s, n, snd, rec, tr
 }
 
 // TestFigure3aLossDetection reproduces Figure 3(a): the tail of the
@@ -36,7 +36,7 @@ func scenario(t *testing.T, cfg Config, size int64) (*sim.Sim, *topo.Network, *C
 func TestFigure3aLossDetection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TLT = core.Config{Enabled: true}
-	s, n, c, rec, _ := scenario(t, cfg, 8_000)
+	s, n, snd, rec, _ := scenario(t, cfg, 8_000)
 
 	// Drop the unimportant packets carrying bytes 4000-6999 once; the
 	// important burst-tail (7000-7999) passes.
@@ -49,7 +49,7 @@ func TestFigure3aLossDetection(t *testing.T) {
 		return false
 	})
 	s.Run(sim.Second)
-	if !c.Sender.Done() {
+	if !snd.Done() {
 		t.Fatal("flow incomplete")
 	}
 	fr := rec.Flows[0]
@@ -72,7 +72,7 @@ func TestFigure3aLossDetection(t *testing.T) {
 func TestFigure3bLostRetransmission(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TLT = core.Config{Enabled: true}
-	s, n, c, rec, _ := scenario(t, cfg, 8_000)
+	s, n, snd, rec, _ := scenario(t, cfg, 8_000)
 
 	// Drop byte-range [1000,3000) data packets twice: the original and
 	// the first (fast) retransmission. Clock transmissions are
@@ -87,7 +87,7 @@ func TestFigure3bLostRetransmission(t *testing.T) {
 		return false
 	})
 	s.Run(sim.Second)
-	if !c.Sender.Done() {
+	if !snd.Done() {
 		t.Fatal("flow incomplete")
 	}
 	fr := rec.Flows[0]
@@ -118,7 +118,7 @@ func TestWholeWindowLossBaselineVsTLT(t *testing.T) {
 	for _, tlt := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.TLT = core.Config{Enabled: tlt}
-		s, n, c, rec, _ := scenario(t, cfg, 8_000)
+		s, n, snd, rec, _ := scenario(t, cfg, 8_000)
 		first := true
 		n.Hosts[0].NICTx().DropWhen(func(p *packet.Packet) bool {
 			// Drop every data packet in the first 100us, important or not
@@ -129,7 +129,7 @@ func TestWholeWindowLossBaselineVsTLT(t *testing.T) {
 			return false
 		})
 		s.Run(10 * sim.Second)
-		if !c.Sender.Done() {
+		if !snd.Done() {
 			t.Fatalf("tlt=%v: flow incomplete", tlt)
 		}
 		if rec.Flows[0].Timeouts == 0 {
@@ -144,9 +144,9 @@ func TestWholeWindowLossBaselineVsTLT(t *testing.T) {
 func TestImportantEchoSequence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TLT = core.Config{Enabled: true}
-	s, _, c, _, tr := scenario(t, cfg, 32_000)
+	s, _, snd, _, tr := scenario(t, cfg, 32_000)
 	s.Run(sim.Second)
-	if !c.Sender.Done() {
+	if !snd.Done() {
 		t.Fatal("flow incomplete")
 	}
 	inFlight := 0

@@ -38,19 +38,21 @@ func TestScoreboardFollowsWindow(t *testing.T) {
 		}
 	}
 	const size = 30_000_000
-	var conns []*Conn
+	var snds []*Sender
+	var rcvs []*Receiver
 	for i := 1; i <= 3; i++ {
 		n.Hosts[i].NICTx().DropWhen(func(p *packet.Packet) bool {
 			return p.Type == packet.Data && !p.IsRetx && p.Seq/int64(cfg.MSS)%997 == 13
 		})
 		f := &transport.Flow{ID: packet.FlowID(i), Src: packet.NodeID(i), Dst: 0, Size: size}
-		conns = append(conns, StartFlow(s, n.Hosts[i], n.Hosts[0], f, cfg, rec, nil))
+		snd, rcv := StartFlow(s, n.Hosts[i], n.Hosts[0], f, cfg, rec, nil)
+		snds, rcvs = append(snds, snd), append(rcvs, rcv)
 	}
 	maxCap := 0
 	var watch func()
 	watch = func() {
-		for _, c := range conns {
-			maxCap = max(maxCap, c.Sender.Board.Cap())
+		for _, snd := range snds {
+			maxCap = max(maxCap, snd.Board.Cap())
 		}
 		if done, total := rec.CompletedCount(false); done < total {
 			s.After(100*sim.Microsecond, watch)
@@ -60,9 +62,9 @@ func TestScoreboardFollowsWindow(t *testing.T) {
 	s.Run(10 * sim.Second)
 
 	retx := 0
-	for i, c := range conns {
-		if !c.Sender.Done() || c.Receiver.Delivered() != size {
-			t.Fatalf("flow %d: done=%v delivered=%d of %d", i+1, c.Sender.Done(), c.Receiver.Delivered(), size)
+	for i, snd := range snds {
+		if !snd.Done() || rcvs[i].Delivered() != size {
+			t.Fatalf("flow %d: done=%v delivered=%d of %d", i+1, snd.Done(), rcvs[i].Delivered(), size)
 		}
 		retx += rec.Flows[i].RetxPackets
 	}

@@ -55,20 +55,16 @@ type Sender struct {
 }
 
 // Reset initialises the sender for flow on host; see
-// transport.Sender.Reset. recorder also collects RTT, RTO and delivery
-// samples. Of the law only the TLP tick event carries over.
-func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config,
-	rec *stats.FlowRecord, recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
+// transport.Sender.Reset. Of the law only the TLP tick event carries
+// over.
+func (s *Sender) Reset(host *fabric.Host, flow *transport.Flow, cfg Config, rec *stats.FlowRecord) {
 	cfg.TLT.Flow = flow.ID
 	if cfg.RTO.MaxBackoffShift == 0 {
 		cfg.RTO.MaxBackoffShift = 12 // Linux-like default cap
 	}
-	s.ByteSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec, recorder, onDone)
+	s.ByteSender.Reset(s, host, flow, cfg.MSS, &s.cfg.RTO, rec)
 	// A stream's board starts empty and grows as the application writes.
 	s.Board.Reset(0, cfg.InitWindowSegs, cfg.TLT.Clock == core.ClockOneByte)
-	if recorder != nil && recorder.DeliverySamples != nil {
-		s.Board.SampleDeliveries(host.Sim(), recorder.DeliverySamples)
-	}
 	// The estimator and the TLT machine live in the sender by value; their
 	// constructors inline, so the dereferences allocate nothing.
 	*s = Sender{
@@ -129,8 +125,12 @@ func (s *Sender) Describe(fs *transport.FlowStatus) {
 }
 
 // Start writes the flow's whole message and closes the stream: the start
-// of a StartFlow connection.
+// of a StartFlow connection. The recorder Open named also collects RTT,
+// RTO and delivery samples.
 func (s *Sender) Start() {
+	if r := s.Recorder(); r != nil && r.DeliverySamples != nil {
+		s.Board.SampleDeliveries(s.S, r.DeliverySamples)
+	}
 	s.Write(s.Flow().Size)
 	s.Close()
 }

@@ -18,8 +18,8 @@ func TestDCTCPAlphaRisesUnderCongestion(t *testing.T) {
 	var senders []*Sender
 	for i := 0; i < 2; i++ {
 		f := &transport.Flow{ID: packet.FlowID(i + 1), Src: packet.NodeID(i + 1), Dst: 0, Size: 50_000_000}
-		c := StartFlow(s, n.Hosts[i+1], n.Hosts[0], f, cfg, rec, nil)
-		senders = append(senders, c.Sender)
+		snd, _ := StartFlow(s, n.Hosts[i+1], n.Hosts[0], f, cfg, rec, nil)
+		senders = append(senders, snd)
 	}
 	s.Run(5 * sim.Millisecond)
 	for i, snd := range senders {
@@ -92,9 +92,9 @@ func TestFixedRTO(t *testing.T) {
 	s, n := starNet(t, 2, fabric.SwitchConfig{})
 	rec := stats.NewRecorder()
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 100_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
 	s.Run(sim.Second)
-	if !c.Sender.Done() {
+	if !snd.Done() {
 		t.Fatal("flow incomplete")
 	}
 }
@@ -104,24 +104,28 @@ func TestPersistentStreamMultipleWrites(t *testing.T) {
 	rec := stats.NewRecorder()
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1}
 	fr := rec.NewFlowRecord(f)
-	c := NewConn(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(), fr, rec)
+	snd, rcv := NewConn(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(), fr, rec)
 	var progress []int64
-	c.Receiver.OnDeliver = func(total int64) { progress = append(progress, total) }
-	c.Sender.Write(10_000)
+	rcv.OnDeliver = func(total int64) { progress = append(progress, total) }
+	snd.Write(10_000)
 	s.RunAll()
-	first := c.Receiver.Delivered()
+	first := rcv.Delivered()
 	if first != 10_000 {
 		t.Fatalf("delivered %d after first write", first)
 	}
-	c.Sender.Write(5_000)
+	snd.Write(5_000)
 	s.RunAll()
-	if got := c.Receiver.Delivered(); got != 15_000 {
+	if got := rcv.Delivered(); got != 15_000 {
 		t.Fatalf("delivered %d after second write", got)
 	}
 	for i := 1; i < len(progress); i++ {
 		if progress[i] <= progress[i-1] {
 			t.Fatal("delivery progress not monotone")
 		}
+	}
+	// A Size-0 stream has no end: the one completion rule never fires.
+	if fr.Done {
+		t.Fatal("persistent stream booked a completion")
 	}
 }
 
@@ -235,15 +239,15 @@ func TestSenderStateAccessors(t *testing.T) {
 	cfg := DCTCPConfig()
 	cfg.TLT = core.Config{Enabled: true}
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 5_000}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
-	if c.Sender.cwnd != float64(cfg.InitWindowSegs*cfg.MSS) {
-		t.Fatalf("initial cwnd = %v", c.Sender.cwnd)
+	snd, _ := StartFlow(s, n.Hosts[0], n.Hosts[1], f, cfg, rec, nil)
+	if snd.cwnd != float64(cfg.InitWindowSegs*cfg.MSS) {
+		t.Fatalf("initial cwnd = %v", snd.cwnd)
 	}
 	s.RunAll()
-	if c.Sender.Board.Una != 5_000 {
-		t.Fatalf("snd.una = %d", c.Sender.Board.Una)
+	if snd.Board.Una != 5_000 {
+		t.Fatalf("snd.una = %d", snd.Board.Una)
 	}
-	if c.Sender.Win.InFlight() {
+	if snd.Win.InFlight() {
 		t.Fatal("important in flight after completion")
 	}
 }

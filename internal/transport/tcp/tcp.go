@@ -74,62 +74,27 @@ func DCTCPConfig() Config {
 	return c
 }
 
-// Conn bundles the two endpoints of a connection.
-type Conn struct {
-	Sender   *Sender
-	Receiver *Receiver
-}
-
-// NewConn creates and registers a sender on src and a receiver on dst for
-// flow, without writing data. Use for persistent application connections.
+// NewConn creates and opens a sender on src and a receiver on dst for
+// flow, without writing data: a persistent application connection. An
+// abort is booked on recorder; with flow.Size 0 the stream has no end, so
+// it never completes.
 func NewConn(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
-	rec *stats.FlowRecord, recorder *stats.Recorder) *Conn {
-	c := &Conn{Sender: new(Sender), Receiver: new(Receiver)}
-	c.open(src, dst, flow, cfg, rec, recorder, nil)
-	return c
-}
-
-// open initialises both endpoints for flow and registers them; the
-// sender books an abort on recorder and hands the record to onDone.
-func (c Conn) open(src, dst *fabric.Host, flow *transport.Flow, cfg Config,
-	rec *stats.FlowRecord, recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
-	c.Sender.Reset(src, flow, cfg, rec, recorder, onDone)
-	c.Receiver.Reset(dst, flow, cfg)
-	src.Register(flow.ID, c.Sender)
-	dst.Register(flow.ID, c.Receiver)
+	rec *stats.FlowRecord, recorder *stats.Recorder) (*Sender, *Receiver) {
+	snd, rcv := new(Sender), new(Receiver)
+	snd.Reset(src, flow, cfg, rec)
+	rcv.Reset(dst, flow, cfg, rec)
+	transport.Open(snd, rcv, recorder, nil)
+	return snd, rcv
 }
 
 // StartFlow creates a connection carrying exactly flow.Size bytes,
-// beginning at flow.Start. The flow record's completion is stamped when
-// the receiver has delivered the full payload (the paper measures FCT at
-// the data sink), an abort by the sender; onDone, if non-nil, fires at
-// either moment.
+// beginning at flow.Start; see transport.Start. The flow record's
+// completion is stamped when the receiver has delivered the full payload
+// (the paper measures FCT at the data sink), an abort by the sender;
+// onDone, if non-nil, fires at either moment.
 func StartFlow(s *sim.Sim, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
-	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) *Conn {
-	c := &Conn{Sender: new(Sender), Receiver: new(Receiver)}
-	StartFlowOn(*c, src, dst, flow, cfg, recorder, onDone)
-	return c
-}
-
-// StartFlowOn is StartFlow on endpoints the caller supplies: new ones, or
-// ones whose previous flow has finished (Sender.Reset panics otherwise).
-// Nothing of what they did before shows in the flow they carry now.
-func StartFlowOn(c Conn, src, dst *fabric.Host, flow *transport.Flow, cfg Config,
-	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) {
-	rec := recorder.NewFlowRecord(flow)
-	c.open(src, dst, flow, cfg, rec, recorder, onDone)
-	// Completion runs on the receiver's shard, abort on the sender's; each
-	// touches only its own side of the record and stamps its own shard's
-	// clock. A flow can finalize from both sides (abort racing a
-	// completion in flight), so onDone callers that must fire once
-	// deduplicate themselves.
-	c.Receiver.OnDeliver = func(total int64) {
-		if total >= flow.Size && !rec.Done {
-			recorder.FlowDone(rec, dst.Sim().Now())
-			if onDone != nil {
-				onDone(rec)
-			}
-		}
-	}
-	c.Sender.Launch()
+	recorder *stats.Recorder, onDone func(*stats.FlowRecord)) (*Sender, *Receiver) {
+	snd, rcv := new(Sender), new(Receiver)
+	transport.Start(snd, rcv, src, dst, flow, cfg, recorder, onDone)
+	return snd, rcv
 }

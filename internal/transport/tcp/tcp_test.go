@@ -31,9 +31,9 @@ func TestSingleFlowCompletes(t *testing.T) {
 	s, n := starNet(t, 2, fabric.SwitchConfig{})
 	rec := stats.NewRecorder()
 	f := &transport.Flow{ID: 1, Src: 0, Dst: 1, Size: 1_000_000, Start: 0}
-	c := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(), rec, nil)
+	_, rcv := StartFlow(s, n.Hosts[0], n.Hosts[1], f, DefaultConfig(), rec, nil)
 	s.Run(sim.Second)
-	if got := c.Receiver.Delivered(); got != f.Size {
+	if got := rcv.Delivered(); got != f.Size {
 		t.Fatalf("delivered %d bytes, want %d", got, f.Size)
 	}
 	fr := rec.Flows[0]
