@@ -14,7 +14,7 @@ import (
 // An arena is the memory a grid worker slot carries from one cell to the
 // next. A figure is hundreds of cells on the same fabric, and each cell's
 // warm-up — packets and their extensions, event nodes, NIC and switch
-// queues, demux tables, each transport family's endpoints and their
+// queues, demux maps, each transport family's endpoints and their
 // scoreboards — grows to much the same size, so a slot pays that growth
 // once instead of once per cell. The arena is the slot's token in
 // RunGrid's semaphore: holding it is both the right to run and the memory

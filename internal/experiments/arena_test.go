@@ -113,10 +113,12 @@ func isolationCells(t *testing.T, shards int) (as, bs []RunConfig) {
 // Mutation-checked: it fails when packet.Pool.Put stops zeroing, stops
 // returning the SACK extension or stops emptying the INT one, when an
 // ACK's INT echo aliases the data packet's extension, when
-// fabric.Host.Release stops clearing idx, when tcp.Sender.Reset stops
-// re-initialising a field (rtoEst), and when Reset and Clear both carry
-// one over that a finished sender holds (alpha, Board, nextAlphaSeq; for
-// a queue pair dcqcn's rate, hpcc's window, the receiver's Cum).
+// tcp.Sender.Reset stops re-initialising a field (rtoEst), and when Reset
+// and Clear both carry one over that a finished sender holds (alpha,
+// Board, nextAlphaSeq; for a queue pair dcqcn's rate, hpcc's window, the
+// receiver's Cum). A host's demux map handed on uncleared it cannot see
+// (each cell registers over the IDs it reuses);
+// fabric.TestHostBuffersRecycleClean does.
 // A field Reset alone carries over is zeroed by Clear between cells;
 // that case, which only recycling inside a cell can show, is
 // tcp.TestResetEqualsFresh's and transport's TestQPResetEqualsFresh's.

@@ -33,11 +33,8 @@ import (
 // fold into per-shard stats.Stream aggregates (integer counters and
 // log-bucketed histograms) that merge in shard order after the run.
 
-// scaleFlowBase places scale-run flow IDs past the fabric's dense demux
-// window (fabric.Host's maxDenseFlow = 1<<22), so endpoint lookup takes
-// the map path: bounded by live flows and freed on Unregister, instead
-// of an O(max flow ID) dense table per host. The dense path and its
-// 0-alloc hot-path benchmarks are untouched.
+// scaleFlowBase is the first scale-run flow ID. Flow IDs feed the
+// switches' ECMP hash, so the base fixes every path a scale run takes.
 const scaleFlowBase = 1 << 22
 
 // scaleParams is one scale-sweep cell.

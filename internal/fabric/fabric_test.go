@@ -473,7 +473,7 @@ func TestBuffersFollowLastRun(t *testing.T) {
 		sw.SetRoute(1, []int{1})
 		h.Adopt(&m)
 		sw.Adopt(&m)
-		nic, egress = cap(h.queue), cap(sw.ports[1].qs[0].queue)
+		nic, egress = len(h.nic.buf), len(sw.ports[1].qs[0].buf)
 		for i := 0; i < burst; i++ {
 			h.Send(data(1, 1, 1000, packet.Unimportant))
 		}
@@ -491,9 +491,9 @@ func TestBuffersFollowLastRun(t *testing.T) {
 	if nic, egress := run(3000); nic != 0 || egress != 0 {
 		t.Fatalf("first run adopted capacity %d/%d from an empty Mem", nic, egress)
 	}
-	nic, egress := run(1000) // a third of the burst: still worth keeping
-	if nic < 3000 || egress < 2000 {
-		t.Fatalf("second run adopted capacity %d/%d, want the first run's backlog (3000/~2900)", nic, egress)
+	nic, egress := run(1200) // over a quarter of the 4096-slot rings: kept
+	if nic != 4096 || egress != 4096 {
+		t.Fatalf("second run adopted capacity %d/%d, want the rings the first run's backlog (3000/~2900) grew: 4096/4096", nic, egress)
 	}
 	if n, e := run(10); n != nic || e != egress {
 		t.Fatalf("third run adopted capacity %d/%d, want %d/%d again", n, e, nic, egress)

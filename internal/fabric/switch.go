@@ -148,22 +148,9 @@ func (c *Counters) TotalDrops() int64 {
 	return c.DropRedColor + c.DropDynamic + c.DropBufferFull + c.DropPolicy
 }
 
-// swEnt is one queued packet plus the byte accounting popFront needs:
-// carrying size, color and the ingress port (for per-ingress PFC
-// accounting) in the FIFO entry keeps the pop path off the packet's (long
-// since evicted) cache line. in fits the padding: the entry stays 16 bytes.
-type swEnt struct {
-	pkt *packet.Packet
-	sz  int32
-	red bool
-	in  uint16
-}
-
 // swQueue is one egress FIFO (one traffic class of one port).
 type swQueue struct {
-	queue []swEnt // FIFO; head at index pop
-	pop   int
-	peak  int   // longest queue has been, as of the last time it shrank
+	fifo
 	bytes int64 // current depth in bytes
 	red   int64 // red bytes currently queued
 
@@ -176,7 +163,7 @@ type swQueue struct {
 // sizes each packet exactly once.
 func (q *swQueue) push(pkt *packet.Packet, sz int64, in int) {
 	red := pkt.Mark.Color() == packet.Red
-	q.queue = append(q.queue, swEnt{pkt: pkt, sz: int32(sz), red: red, in: uint16(in)})
+	q.fifo.push(swEnt{pkt: pkt, sz: int32(sz), red: red, in: uint16(in)})
 	q.bytes += sz
 	if red {
 		q.red += sz
@@ -192,22 +179,7 @@ func (q *swQueue) push(pkt *packet.Packet, sz int64, in int) {
 // popFront removes and returns the head packet, its wire size (stored at
 // push time, then reused by the dequeue accounting) and its ingress port.
 func (q *swQueue) popFront() (*packet.Packet, int64, int) {
-	if q.pop >= len(q.queue) {
-		return nil, 0, 0
-	}
-	e := q.queue[q.pop]
-	q.queue[q.pop] = swEnt{}
-	q.pop++
-	if q.pop == len(q.queue) {
-		q.peak = max(q.peak, q.pop)
-		q.queue = q.queue[:0]
-		q.pop = 0
-	} else if q.pop > 1024 && q.pop*2 > len(q.queue) {
-		q.peak = max(q.peak, len(q.queue))
-		n := copy(q.queue, q.queue[q.pop:])
-		q.queue = q.queue[:n]
-		q.pop = 0
-	}
+	e := q.pop()
 	sz := int64(e.sz)
 	q.bytes -= sz
 	if e.red {

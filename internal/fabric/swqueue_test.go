@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math/rand/v2"
 	"testing"
 	"unsafe"
 
@@ -22,71 +23,117 @@ func TestSwEntSize(t *testing.T) {
 	}
 }
 
-// TestSwQueueShiftCompaction drives the pop index past the 1024
-// threshold with a longer tail still queued, forcing the in-place shift
-// path, and verifies FIFO order and byte accounting survive it.
-func TestSwQueueShiftCompaction(t *testing.T) {
+// TestQueueFollowsLive pushes 30,000 packets, never more than 64 queued
+// at once, through a host NIC and through a switch class queue. Each ring
+// must stay within 128 slots, must grow at least once while wrapped, must
+// hold no packet outside its live entries, and must pop what a plain
+// slice pops — packet, size, ingress port, and the queue's bytes and red
+// bytes after every step.
+func TestQueueFollowsLive(t *testing.T) {
+	const total, live = 30_000, 64
+	s := sim.New()
+	h := NewHost(s, 0)
+	Connect(s, h, 0, &sink{id: 1}, 0, 40e9, sim.Microsecond)
+	h.NICTx().Pause() // serve the NIC by hand
 	var q swQueue
-	const total = 3000
-	for i := 0; i < total; i++ {
-		p := mkPkt(int64(i), packet.Unimportant)
-		q.push(p, int64(p.WireSize()), i%7)
+	nicPop := func() (*packet.Packet, int64, int) {
+		p, sz := h.dequeue()
+		return p, int64(sz), 0
 	}
-	wantBytes := q.bytes
-	perPkt := wantBytes / total
-
-	// Pop just past the shift threshold: pop hits 1025 with 2x tail
-	// still queued only once enough have drained; walk until the shift
-	// has demonstrably fired.
-	popped := 0
-	for popped < 2000 {
-		p, sz, in := q.popFront()
-		if p == nil {
-			t.Fatalf("queue empty after %d pops", popped)
+	for _, c := range []struct {
+		name string
+		f    *fifo
+		push func(p *packet.Packet, sz int64, in int)
+		pop  func() (*packet.Packet, int64, int)
+		acct bool // bytes and red are kept
+	}{
+		{"host NIC", &h.nic, func(p *packet.Packet, _ int64, _ int) { h.Send(p) }, nicPop, false},
+		{"switch queue", &q.fifo, q.push, q.popFront, true},
+	} {
+		rng := rand.New(rand.NewPCG(1, 2))
+		marks := [3]packet.Mark{packet.Unimportant, packet.ImportantData, packet.ImportantData}
+		var oracle []swEnt
+		var bytes, red int64
+		pushed, target, wrappedGrowth, peak := 0, 0, 0, 0
+		for pushed < total || len(oracle) > 0 {
+			// The depth wanders under a ceiling that rises slowly, so
+			// the ring wraps before each time it grows.
+			for len(oracle) == target && pushed < total {
+				target = rng.IntN(min(live, 2+pushed/500) + 1)
+			}
+			if pushed == total {
+				target = 0
+			}
+			if len(oracle) < target {
+				p := mkPkt(int64(pushed), marks[rng.IntN(3)])
+				p.Len = 100 + rng.IntN(1400)
+				in := 0
+				if c.acct {
+					in = rng.IntN(7)
+				}
+				e := swEnt{pkt: p, sz: int32(p.WireSize()), red: p.Mark.Color() == packet.Red, in: uint16(in)}
+				if c.f.n == len(c.f.buf) && c.f.head != 0 {
+					wrappedGrowth++
+				}
+				c.push(p, int64(e.sz), in)
+				oracle = append(oracle, e)
+				peak = max(peak, len(oracle))
+				bytes += int64(e.sz)
+				if e.red {
+					red += int64(e.sz)
+				}
+				pushed++
+			} else {
+				p, sz, in := c.pop()
+				want := oracle[0]
+				oracle = oracle[1:]
+				if p != want.pkt || sz != int64(want.sz) || in != int(want.in) {
+					t.Fatalf("%s: popped seq %d size %d in %d, want seq %d size %d in %d",
+						c.name, p.Seq, sz, in, want.pkt.Seq, want.sz, want.in)
+				}
+				bytes -= int64(want.sz)
+				if want.red {
+					red -= int64(want.sz)
+				}
+			}
+			if c.f.n != len(oracle) {
+				t.Fatalf("%s: %d queued, want %d", c.name, c.f.n, len(oracle))
+			}
+			if c.acct && (q.bytes != bytes || q.red != red) {
+				t.Fatalf("%s: bytes %d red %d, want %d and %d", c.name, q.bytes, q.red, bytes, red)
+			}
+			if len(c.f.buf) > 2*live {
+				t.Fatalf("%s: ring of %d slots for at most %d live entries", c.name, len(c.f.buf), live)
+			}
+			for i := c.f.n; i < len(c.f.buf); i++ {
+				if e := c.f.buf[(c.f.head+i)&(len(c.f.buf)-1)]; e != (swEnt{}) {
+					t.Fatalf("%s: free slot holds %+v", c.name, e)
+				}
+			}
 		}
-		if in != popped%7 {
-			t.Fatalf("pop %d returned ingress %d, want %d", popped, in, popped%7)
+		if p, _, _ := c.pop(); p != nil {
+			t.Fatalf("%s: drained queue popped seq %d", c.name, p.Seq)
 		}
-		if p.Seq != int64(popped) {
-			t.Fatalf("pop %d returned seq %d: FIFO order broken", popped, p.Seq)
+		if wrappedGrowth == 0 {
+			t.Fatalf("%s: the ring never grew while wrapped", c.name)
 		}
-		if sz != perPkt {
-			t.Fatalf("pop %d size = %d, want %d", popped, sz, perPkt)
+		if c.f.peak != peak {
+			t.Fatalf("%s: peak %d, want %d", c.name, c.f.peak, peak)
 		}
-		popped++
-	}
-	if q.pop > 1024 {
-		t.Fatalf("pop index %d never compacted", q.pop)
-	}
-	if q.bytes != wantBytes-int64(popped)*perPkt {
-		t.Fatalf("bytes = %d after %d pops, want %d", q.bytes, popped, wantBytes-int64(popped)*perPkt)
-	}
-	// Drain the rest: order must continue exactly where it left off.
-	for ; popped < total; popped++ {
-		p, _, _ := q.popFront()
-		if p == nil || p.Seq != int64(popped) {
-			t.Fatalf("post-shift pop %d = %+v", popped, p)
-		}
-	}
-	if p, _, _ := q.popFront(); p != nil {
-		t.Fatal("queue should be empty")
-	}
-	if q.bytes != 0 || q.red != 0 {
-		t.Fatalf("drained queue has bytes=%d red=%d", q.bytes, q.red)
 	}
 }
 
 // TestSwQueueInterleavedAroundReset interleaves pushes and pops so the
-// queue repeatedly empties (the q.queue[:0] reset) mid-traffic, with
-// red and green packets mixed to exercise the color accounting.
+// queue repeatedly empties mid-traffic, with red and green packets mixed
+// to exercise the color accounting.
 func TestSwQueueInterleavedAroundReset(t *testing.T) {
 	var q swQueue
 	seq := int64(0)
 	next := int64(0)
 	marks := [2]packet.Mark{packet.Unimportant, packet.ImportantData}
 	for round := 0; round < 50; round++ {
-		// Push a burst, drain it fully (hits the reset), then push one
-		// more and drain again: the reset boundary is crossed twice.
+		// Push a burst and drain it fully: the ring empties with its
+		// head wherever the burst left it, and the next burst wraps.
 		for i := 0; i < 7; i++ {
 			p := mkPkt(seq, marks[seq%2])
 			q.push(p, int64(p.WireSize()), 0)
@@ -102,9 +149,9 @@ func TestSwQueueInterleavedAroundReset(t *testing.T) {
 			}
 			next++
 		}
-		if q.bytes != 0 || q.red != 0 || q.pop != 0 || len(q.queue) != 0 {
-			t.Fatalf("round %d: reset left bytes=%d red=%d pop=%d len=%d",
-				round, q.bytes, q.red, q.pop, len(q.queue))
+		if q.bytes != 0 || q.red != 0 || q.n != 0 {
+			t.Fatalf("round %d: empty queue holds bytes=%d red=%d n=%d",
+				round, q.bytes, q.red, q.n)
 		}
 	}
 	if next != seq {

@@ -365,6 +365,18 @@ func (c *Sender[X]) Finish(aborted bool) {
 	}
 }
 
+// FinishEmpty finishes a sender whose message is empty: nothing is sent,
+// so no receiver sees the flow end, and the sender books its completion.
+func (c *Sender[X]) FinishEmpty() {
+	c.Finish(false)
+	if c.recorder != nil && !c.Rec.Done {
+		c.recorder.FlowDone(c.Rec, c.S.Now())
+		if c.onDone != nil {
+			c.onDone(c.Rec)
+		}
+	}
+}
+
 // Deadline is a lazy timer on one preallocated event: re-arming it only
 // moves At, and the event re-posts itself while the deadline keeps moving
 // out, so per-ACK restarts touch neither the queue nor the event node.

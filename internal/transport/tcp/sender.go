@@ -131,8 +131,14 @@ func (s *Sender) Start() {
 	if r := s.Recorder(); r != nil && r.DeliverySamples != nil {
 		s.Board.SampleDeliveries(s.S, r.DeliverySamples)
 	}
-	s.Write(s.Flow().Size)
 	s.Close()
+	if s.Flow().Size == 0 {
+		// An empty message is whole before anything is sent, and no ACK
+		// will come to say so.
+		s.FinishEmpty()
+		return
+	}
+	s.Write(s.Flow().Size)
 }
 
 // Handle implements fabric.PacketHandler for the ACK path.
