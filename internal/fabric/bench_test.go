@@ -68,7 +68,7 @@ func BenchmarkSwitchForward(b *testing.B) {
 }
 
 // BenchmarkHostDemux measures per-packet flow demultiplexing at the
-// receiving host: dense slot dispatch plus handler invocation and
+// receiving host: one map lookup plus handler invocation and
 // recycling. Gated at 0 allocs/op in CI.
 func BenchmarkHostDemux(b *testing.B) {
 	s := sim.New()
