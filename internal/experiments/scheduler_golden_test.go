@@ -10,7 +10,10 @@ import (
 // exercise the same grids.
 func goldenScale() Scale { return Scale{BgFlows: 30, Seeds: 2, AppPoints: 2} }
 
-var goldenIDs = []string{"fig5", "chaos-recovery", "failure-recovery", "ablation-buffer", "scale-sweep"}
+// The testbed figures (fig12–14c on the star, the dumbbell) are pinned
+// beside the leaf-spine and fat-tree ones.
+var goldenIDs = []string{"fig5", "chaos-recovery", "failure-recovery", "ablation-buffer", "scale-sweep",
+	"fig12", "fig13", "fig14", "fig14c", "dumbbell"}
 
 // TestSchedulerSwapReportsByteIdentical pins fig5 and chaos-recovery
 // reports to goldens captured with the seed flat-heap scheduler, at both
@@ -44,7 +47,7 @@ func TestSchedulerSwapReportsByteIdentical(t *testing.T) {
 			t.Fatalf("missing golden (run with GEN_GOLDENS=1 to create): %v", err)
 		}
 		for _, procs := range []int{1, 8} {
-			got := renderAt(t, id, goldenScale(), procs)
+			got := renderOnce(t, id, goldenScale(), procs)
 			if got != string(want) {
 				t.Errorf("%s at procs=%d diverged from the seed-scheduler golden\n--- got ---\n%s\n--- want ---\n%s",
 					id, procs, got, want)

@@ -13,11 +13,11 @@ func withShards(t *testing.T, n int) {
 }
 
 // renderSharded renders one experiment's report at a given worker limit
-// and shard count.
+// and shard count, through renderOnce's memo.
 func renderSharded(t *testing.T, id string, scale Scale, procs, shards int) string {
 	t.Helper()
 	withShards(t, shards)
-	return renderAt(t, id, scale, procs)
+	return renderOnce(t, id, scale, procs)
 }
 
 // The contract the parallel-DES design hangs on: a report produced with
