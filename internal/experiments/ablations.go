@@ -59,7 +59,7 @@ func AblationAlpha(scale Scale) *Report {
 	sw := newSweep(rep)
 	for _, a := range alphas {
 		v := Variant{Transport: "dctcp", TLT: true}
-		rc := RunConfig{Variant: v, Traffic: trafficFor(scale, 0.4, 0.05), AlphaOverride: a}
+		rc := RunConfig{Variant: v, Traffic: trafficFor(scale, 0.4, 0.05), Topology: leafSpine{alpha: a}}
 		sw.add(rc, scale.Seeds, func(rs []*Result) {
 			var maxQ float64
 			ms := metricsOf(rs, func(r *Result) []float64 {
@@ -109,7 +109,7 @@ func AblationBuffer(scale Scale) *Report {
 		for _, b := range bufs {
 			p, b := p, b
 			v := Variant{Transport: "dctcp", TLT: true, MMU: p.mmu, FC: p.fc}
-			rc := RunConfig{Variant: v, Traffic: trafficFor(scale, 0.4, 0.05), BufferOverride: b}
+			rc := RunConfig{Variant: v, Traffic: trafficFor(scale, 0.4, 0.05), Topology: leafSpine{buffer: b}}
 			sw.add(rc, scale.Seeds, func(rs []*Result) {
 				var maxQ float64
 				ms := metricsOf(rs, func(r *Result) []float64 {

@@ -19,14 +19,14 @@ import (
 // once instead of once per cell. The arena is the slot's token in
 // RunGrid's semaphore: holding it is both the right to run and the memory
 // to run in, and it changes goroutines only through that channel. A cell
-// run outside a grid gets a private arena (RunConfig.arena), so every
-// driver has the one code path.
+// run outside a grid gets a private arena (RunConfig.arena), so Run has
+// one code path.
 //
 // Nothing a cell computes may depend on what ran on its slot before.
 // Every layer therefore returns its memory zeroed (Pool.Put, the
 // Release methods of sim, fabric and the slabs here) and re-initialises
 // what it takes (the endpoints' Reset methods), and TestArenaIsolation
-// holds the drivers to it.
+// holds Run to it.
 //
 // What an arena keeps follows the last cell that had a use for it, no
 // more: whatever a cell was offered and did not touch — spare packets
@@ -36,11 +36,8 @@ import (
 // nothing ratchets up over a long grid. Memory a cell has no use for at
 // all is not its to judge: a cell on another fabric leaves this fabric's
 // alone (fabricFor), and a cell of one transport family — tcp, dcqcn,
-// hpcc — the endpoint lists of the other two (trimEndpoints). Which cell
-// follows which on a slot is the goroutine scheduler's choice; while a
-// star or RoCE cell between two leaf-spine TCP cells cost the second its
-// warm-up again, what a mixed grid allocated varied by a quarter from run
-// to run.
+// hpcc — the endpoint lists of the other two (trimEndpoints), since
+// which cell follows which on a slot is the goroutine scheduler's choice.
 type arena struct {
 	fabrics [2]fabricSet // [0]: the last cell's fabric; [1]: one other (fabricFor)
 	shards  []*shardMem  // fabrics[0]'s, by shard index
@@ -183,19 +180,15 @@ func shardOf(shards []int, i int) int {
 	return shards[i]
 }
 
-// attach hands a newly built network the slot's memory, shard by shard
-// (a network has one packet pool per shard): scheduler memory to its
-// simulators, free packets to its pools, buffers to its hosts and switch
-// queues. Devices adopt in build order; release returns in reverse (see
+// attach hands a newly built network and its shard group the slot's
+// memory, shard by shard (a network has one packet pool per shard):
+// scheduler memory to the group's simulators and mailboxes, free packets
+// to its pools, buffers to its hosts and switch queues. Devices adopt in build order; release returns in reverse (see
 // fabric.Mem).
-func (a *arena) attach(net *topo.Network) {
+func (a *arena) attach(g *sim.Group, net *topo.Network) {
 	a.shards = a.fabricFor(shape{len(net.Hosts), len(net.Switches), len(net.Pools)})
-	if g := net.Group; g != nil {
-		for i := 0; i < g.Shards(); i++ {
-			g.Adopt(i, &a.shards[i].sched)
-		}
-	} else {
-		net.Sim.Adopt(&a.shards[0].sched)
+	for i := 0; i < g.Shards(); i++ {
+		g.Adopt(i, &a.shards[i].sched)
 	}
 	for i, p := range net.Pools {
 		m := a.shards[i]
@@ -248,7 +241,7 @@ func (a *arena) fabricFor(sh shape) []*shardMem {
 // network and its simulators are dead afterwards. Of the endpoints on
 // loan only those whose flow completed return: an unfinished or aborted
 // flow's state is dropped with the network.
-func (a *arena) release(net *topo.Network) {
+func (a *arena) release(g *sim.Group, net *topo.Network) {
 	for _, m := range a.shards {
 		for _, f := range m.families() {
 			f.settle()
@@ -263,12 +256,8 @@ func (a *arena) release(net *topo.Network) {
 	for i, p := range net.Pools {
 		a.shards[i].pkts = p.Release()
 	}
-	if g := net.Group; g != nil {
-		for i := 0; i < g.Shards(); i++ {
-			g.Release(i, &a.shards[i].sched)
-		}
-	} else {
-		net.Sim.Release(&a.shards[0].sched)
+	for i := 0; i < g.Shards(); i++ {
+		g.Release(i, &a.shards[i].sched)
 	}
 	// Parked endpoints must not pin the network, recorder and flows of
 	// the cell they last served.

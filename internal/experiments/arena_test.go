@@ -278,7 +278,7 @@ func TestSlotKeepsWhatACellCannotUse(t *testing.T) {
 // slotKeepsWhatACellCannotUse checks ls, a leaf-spine cell, after a star
 // cell and after other, a leaf-spine cell of another transport family.
 func slotKeepsWhatACellCannotUse(t *testing.T, ls, other RunConfig) {
-	star := RunConfig{Variant: Variant{Transport: "tcp"}, Seed: 1, Custom: incastCell(100)}
+	star := RunConfig{Variant: Variant{Transport: "tcp"}, Seed: 1, Topology: testbedStar{9}, Source: incast(100)}
 
 	slot := new(arena)
 	alloc := func(rc RunConfig) float64 {

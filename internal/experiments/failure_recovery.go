@@ -70,8 +70,7 @@ func FailureRecovery(scale Scale) *Report {
 				Faults:  sc.plan,
 			}
 			if sc.watchdog {
-				rc.WatchdogThreshold = 200 * sim.Microsecond
-				rc.HostPauseTimeout = 100 * sim.Microsecond
+				rc.Topology = leafSpine{watchdog: 200 * sim.Microsecond, pauseExpiry: 100 * sim.Microsecond}
 			}
 			label := sc.label
 			sw.add(rc, scale.Seeds, func(rs []*Result) {

@@ -7,34 +7,27 @@ import (
 	"tlt/internal/packet"
 	"tlt/internal/sim"
 	"tlt/internal/stats"
-	"tlt/internal/topo"
 	"tlt/internal/transport"
 )
 
-// testbedStar builds the 10-node testbed model (§6): a Tomahawk-class
-// switch whose dynamic allocation lets a single busy port absorb up to
-// ~1.8 MB, color threshold 270 kB (~BDP), ECN at 200 kB. The audit flag
-// comes from the cell's RunConfig (resolved by RunGrid), never from
-// global state, so concurrent cells stay independent. The network runs in
-// ar's memory; the caller releases it once its Result is assembled.
-func testbedStar(ar *arena, v Variant, hosts int, auditOn bool) (*sim.Sim, *topo.Network) {
-	s := sim.New()
-	swc := v.switchConfig()
-	swc.BufferBytes = 3_600_000
-	if v.TLT {
-		swc.ColorThreshold = 270_000
+// load is a testbed source: the figure's own set-up on the cell (incast
+// flows, the cache cluster, the dumbbell's mix) reporting to an exact
+// stats.Recorder, run to a fixed horizon with no stop rule. The set-up
+// returns what fills the figure's part of the Result.
+type load struct {
+	horizon sim.Time
+	setup   func(c *cell, rec *stats.Recorder) func(*Result)
+}
+
+func (load) audited() bool { return true }
+
+func (l load) start(c *cell) (sim.Time, func(*Result)) {
+	rec := stats.NewRecorder()
+	fill := l.setup(c, rec)
+	return l.horizon, func(res *Result) {
+		res.Rec = rec
+		fill(res)
 	}
-	n := topo.Star(s, topo.StarConfig{
-		Hosts:       hosts,
-		LinkRateBps: 40e9,
-		LinkDelay:   2 * sim.Microsecond,
-		Switch:      swc,
-	})
-	ar.attach(n)
-	if auditOn {
-		attachAudit(s, n)
-	}
-	return s, n
 }
 
 func durSecs(ts []sim.Time) []float64 {
@@ -70,26 +63,22 @@ func Fig12(scale Scale) *Report {
 	for _, v := range variants {
 		for _, reqs := range points {
 			rc := RunConfig{
-				Label:   fmt.Sprintf("%s fig12 flows=%d", v.Name(), reqs),
-				Variant: v,
-				// Build from rc.Variant, not the captured v: RunGrid folds
-				// the session -mmu/-fc overrides into rc.Variant only.
-				Custom: func(rc RunConfig) *Result {
-					ar := rc.arena()
-					s, n := testbedStar(ar, rc.Variant, 10, rc.Audit)
-					rec := stats.NewRecorder()
-					cl := app.NewCacheCluster(s, n.Hosts, rc.Variant.tcpConfig(), rec, 1)
-					rts := cl.RunSetBurst(reqs, sim.Time(rc.Seed)*sim.Microsecond)
-					s.Run(5 * sim.Second)
-					res := &Result{Rec: rec, EventsRun: s.Processed, Sched: s.Sched}
-					xs := durSecs(rts)
-					if len(xs) != reqs {
-						res.Notef("%s flows=%d seed=%d: only %d/%d requests completed", v.Name(), reqs, rc.Seed, len(xs), reqs)
+				Label:    fmt.Sprintf("%s fig12 flows=%d", v.Name(), reqs),
+				Variant:  v,
+				Topology: testbedStar{10},
+				// Configure from c.rc.Variant, not the captured v: RunGrid
+				// folds the session -mmu/-fc overrides into rc.Variant only.
+				Source: load{5 * sim.Second, func(c *cell, rec *stats.Recorder) func(*Result) {
+					cl := app.NewCacheCluster(c.net.Sim, c.net.Hosts, c.rc.Variant.tcpConfig(), rec, 1)
+					rts := cl.RunSetBurst(reqs, sim.Time(c.rc.Seed)*sim.Microsecond)
+					return func(res *Result) {
+						xs := durSecs(rts)
+						if len(xs) != reqs {
+							res.Notef("%s flows=%d seed=%d: only %d/%d requests completed", v.Name(), reqs, c.rc.Seed, len(xs), reqs)
+						}
+						res.App = xs
 					}
-					res.App = xs
-					ar.release(n)
-					return res
-				},
+				}},
 			}
 			sw.add0(rc, scale.Seeds, func(rs []*Result) {
 				var p99s, maxs []float64
@@ -113,13 +102,6 @@ func Fig12(scale Scale) *Report {
 	return rep
 }
 
-// mixedCell is the Fig13 per-seed payload.
-type mixedCell struct {
-	p99        float64
-	goodput    float64
-	bgComplete bool
-}
-
 // Fig13 reproduces Figure 13: one 8 MB background flow to the cache node
 // competing with 152 foreground 32 kB SETs.
 func Fig13(scale Scale) *Report {
@@ -134,25 +116,16 @@ func Fig13(scale Scale) *Report {
 		{Transport: "dctcp", TLT: true},
 	} {
 		rc := RunConfig{
-			Label:   v.Name() + " fig13",
-			Variant: v,
-			Custom: func(rc RunConfig) *Result {
-				ar := rc.arena()
-				s, n := testbedStar(ar, rc.Variant, 10, rc.Audit)
-				rec := stats.NewRecorder()
+			Label:    v.Name() + " fig13",
+			Variant:  v,
+			Topology: testbedStar{10},
+			Source: load{5 * sim.Second, func(c *cell, rec *stats.Recorder) func(*Result) {
 				// hosts[0]=client (unused), 1..8 web servers, 9=redis; the
 				// bg sender is the client host to keep servers clean.
-				cl := app.NewCacheCluster(s, n.Hosts, rc.Variant.tcpConfig(), rec, 1)
-				mr := cl.RunMixed(152, n.Hosts[0], 8_000_000, 0)
-				s.Run(5 * sim.Second)
-				res := &Result{Rec: rec, EventsRun: s.Processed, Sched: s.Sched, App: mixedCell{
-					p99:        stats.Percentile(durSecs(mr.FgRTs), 0.99),
-					goodput:    mr.BgGoodput * 8 / 1e9,
-					bgComplete: mr.BgComplete,
-				}}
-				ar.release(n)
-				return res
-			},
+				cl := app.NewCacheCluster(c.net.Sim, c.net.Hosts, c.rc.Variant.tcpConfig(), rec, 1)
+				mr := cl.RunMixed(152, c.net.Hosts[0], 8_000_000, 0)
+				return func(res *Result) { res.App = mr }
+			}},
 		}
 		sw.add0(rc, scale.Seeds, func(rs []*Result) {
 			var p99s, goodputs []float64
@@ -161,10 +134,10 @@ func Fig13(scale Scale) *Report {
 				if r == nil || r.Panicked {
 					continue
 				}
-				mc := r.App.(mixedCell)
-				p99s = append(p99s, mc.p99)
-				if mc.bgComplete {
-					goodputs = append(goodputs, mc.goodput)
+				mr := r.App.(*app.MixedResult)
+				p99s = append(p99s, stats.Percentile(durSecs(mr.FgRTs), 0.99))
+				if mr.BgComplete {
+					goodputs = append(goodputs, mr.BgGoodput*8/1e9)
 				}
 				timeouts += r.Rec.TimeoutsAll()
 			}
@@ -201,9 +174,10 @@ func Fig14(scale Scale) *Report {
 	for _, v := range variants {
 		for _, flowsN := range points {
 			rc := RunConfig{
-				Label:   fmt.Sprintf("%s fig14 flows=%d", v.Name(), flowsN),
-				Variant: v,
-				Custom:  incastCell(flowsN),
+				Label:    fmt.Sprintf("%s fig14 flows=%d", v.Name(), flowsN),
+				Variant:  v,
+				Topology: testbedStar{9},
+				Source:   incast(flowsN),
 			}
 			sw.add0(rc, scale.Seeds, func(rs []*Result) {
 				var p99s, p50s []float64
@@ -212,11 +186,10 @@ func Fig14(scale Scale) *Report {
 					if r == nil || r.Panicked {
 						continue
 					}
-					ir := r.App.(*incastResult)
-					sorted := stats.Sorted(ir.fcts)
+					sorted := stats.Sorted(r.Rec.Select(true))
 					p99s = append(p99s, stats.PercentileSorted(sorted, 0.99))
 					p50s = append(p50s, stats.PercentileSorted(sorted, 0.5))
-					timeouts += ir.timeouts
+					timeouts += r.Rec.TimeoutsAll()
 				}
 				rep.AddRow(v.Name(), fmt.Sprintf("%d", flowsN),
 					meanStdDur(p99s), meanStdDur(p50s), fmt.Sprintf("%d", timeouts))
@@ -228,38 +201,24 @@ func Fig14(scale Scale) *Report {
 	return rep
 }
 
-type incastResult struct {
-	fcts     []float64
-	timeouts int
-}
-
-// incastCell is the grid cell behind Fig. 14: flowsN synchronized 32 kB
-// flows from 8 servers to one client on the testbed star. The variant,
-// seed and audit flag arrive through the resolved RunConfig.
-func incastCell(flowsN int) func(rc RunConfig) *Result {
-	return func(rc RunConfig) *Result {
-		ar := rc.arena()
-		s, n := testbedStar(ar, rc.Variant, 9, rc.Audit)
-		rec := stats.NewRecorder()
-		cfg := rc.Variant.tcpConfig()
-		for i := 0; i < flowsN; i++ {
-			f := &transport.Flow{
+// incast is the load behind Fig. 14: flowsN synchronized 32 kB flows
+// from 8 servers to one client on the 9-host star, run 10 s.
+func incast(flowsN int) load {
+	return load{10 * sim.Second, func(c *cell, rec *stats.Recorder) func(*Result) {
+		flows := make([]*transport.Flow, flowsN)
+		for i := range flows {
+			flows[i] = &transport.Flow{
 				ID:  packet.FlowID(i + 1),
 				Src: packet.NodeID(1 + i%8), Dst: 0,
 				Size: 32 * 1024,
 				// Tiny jitter stands in for request fan-out skew.
-				Start: sim.Time(rc.Seed*17+int64(i)%8) * 100 * sim.Nanosecond,
+				Start: sim.Time(c.rc.Seed*17+int64(i)%8) * 100 * sim.Nanosecond,
 				FG:    true,
 			}
-			sm, rm := ar.mem(n, f)
-			lend(&sm.tcp, &rm.tcp, n, f, cfg, rec, nil)
 		}
-		s.Run(10 * sim.Second)
-		res := &Result{Rec: rec, EventsRun: s.Processed, Sched: s.Sched,
-			App: &incastResult{fcts: rec.Select(true), timeouts: rec.TimeoutsAll()}}
-		ar.release(n)
-		return res
-	}
+		startFlows(c.ar, c.net, flows, c.rc.Variant, rec, nil, c.audit)
+		return func(*Result) {} // fig14 folds read the recorder
+	}}
 }
 
 // Fig14CDF prints the FCT distribution at a fixed fan-out (Figure 14c).
@@ -277,14 +236,14 @@ func Fig14CDF(scale Scale) *Report {
 	sw := newSweep(rep)
 	for _, v := range variants {
 		rc := RunConfig{
-			Label:   v.Name() + " fig14c",
-			Seed:    1,
-			Variant: v,
-			Custom:  incastCell(100),
+			Label:    v.Name() + " fig14c",
+			Seed:     1,
+			Variant:  v,
+			Topology: testbedStar{9},
+			Source:   incast(100),
 		}
 		sw.cell(rc, func(res *Result) {
-			ir := res.App.(*incastResult)
-			sorted := stats.Sorted(ir.fcts)
+			sorted := stats.Sorted(res.Rec.Select(true))
 			row := []string{v.Name()}
 			for _, p := range []float64{0.25, 0.5, 0.75, 0.9, 0.99, 1} {
 				row = append(row, stats.FmtDur(stats.PercentileSorted(sorted, p)))

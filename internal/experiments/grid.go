@@ -208,15 +208,10 @@ func runCell(rc RunConfig) (res *Result) {
 			}
 		}
 	}()
-	if rc.Custom == nil {
-		return Run(rc)
+	if rc.Custom != nil {
+		return rc.Custom(rc)
 	}
-	res = rc.Custom(rc)
-	if !rc.Faults.Empty() {
-		// Only Run wires a fault plan into its network.
-		res.Notef("-chaos is not honoured by %s (custom run driver): it ran fault-free", rc.label())
-	}
-	return res
+	return Run(rc)
 }
 
 // sweep accumulates a figure's whole grid before running any of it: the

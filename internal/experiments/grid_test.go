@@ -178,24 +178,30 @@ func TestSweepFoldOrder(t *testing.T) {
 	}
 }
 
-// TestDumbbellHonoursAudit: -audit reaches the dumbbell driver — the
+// TestDumbbellHonoursAudit: -audit reaches the dumbbell cell — the
 // auditor checks events there — and without the flag nothing is attached.
 func TestDumbbellHonoursAudit(t *testing.T) {
-	rc := RunConfig{Variant: Variant{Transport: "dctcp", TLT: true, PFC: true}, Seed: 1}
-	if res := runDumbbell(rc, 60); res.AuditEvents != 0 || len(res.Notes) != 0 {
+	rc := RunConfig{Variant: Variant{Transport: "dctcp", TLT: true, PFC: true}, Seed: 1,
+		Topology: dumbbellNet{}, Source: dumbbellMix(60)}
+	if res := Run(rc); res.AuditEvents != 0 || len(res.Notes) != 0 {
 		t.Fatalf("no flag: AuditEvents = %d notes = %q, want none", res.AuditEvents, res.Notes)
 	}
 	rc.Audit = true
-	if res := runDumbbell(rc, 60); res.AuditEvents == 0 {
+	if res := Run(rc); res.AuditEvents == 0 {
 		t.Fatal("-audit: the dumbbell ran unaudited")
 	}
 }
 
-// TestUnhonouredFlagsAreNoted: a driver that cannot honour a session
-// flag says so in the cell's notes, naming the flag and the cell, instead
-// of dropping it silently — and says nothing when the flag is not set.
+// TestUnhonouredFlagsAreNoted: every cell takes -chaos through the one
+// driver — the testbed star and the dumbbell apply a valid plan and fail
+// a plan their topology cannot carry with its note — and a source that
+// cannot honour -audit (the scale sweep's walker) says so in the cell's
+// notes, naming the flag and the cell, instead of dropping it silently.
+// Without the flags nothing is noted.
 func TestUnhonouredFlagsAreNoted(t *testing.T) {
-	plan := &chaos.Plan{Flaps: []chaos.LinkFlap{{Link: 0, At: sim.Millisecond, Down: 50 * sim.Microsecond}}}
+	flap := func(link int) *chaos.Plan {
+		return &chaos.Plan{Flaps: []chaos.LinkFlap{{Link: link, At: sim.Millisecond, Down: 50 * sim.Microsecond}}}
+	}
 	noted := func(res *Result, flag, cell string) bool {
 		for _, n := range res.Notes {
 			if strings.Contains(n, flag) && strings.Contains(n, cell) {
@@ -204,26 +210,31 @@ func TestUnhonouredFlagsAreNoted(t *testing.T) {
 		}
 		return false
 	}
-	star := RunConfig{Label: "star cell", Variant: Variant{Transport: "dctcp"}, Seed: 1, Custom: incastCell(16)}
+	star := RunConfig{Label: "star cell", Variant: Variant{Transport: "dctcp"}, Seed: 1,
+		Topology: testbedStar{9}, Source: incast(16)}
 	dumbbell := RunConfig{Label: "dumbbell cell", Variant: Variant{Transport: "dctcp", PFC: true}, Seed: 1,
-		Custom: func(rc RunConfig) *Result { return runDumbbell(rc, 60) }}
+		Topology: dumbbellNet{}, Source: dumbbellMix(60)}
 	for _, rc := range []RunConfig{star, dumbbell} {
-		if res := runCell(rc); len(res.Notes) != 0 {
-			t.Errorf("%s, no flag: notes %q, want none", rc.Label, res.Notes)
+		if res := runCell(rc); len(res.Notes) != 0 || res.Faults.LinkFlaps != 0 {
+			t.Errorf("%s, no flag: notes %q, %d flaps, want none", rc.Label, res.Notes, res.Faults.LinkFlaps)
 		}
-		rc.Faults = plan
-		if res := runCell(rc); !noted(res, "-chaos", rc.Label) {
-			t.Errorf("%s: fault plan dropped without a note: %q", rc.Label, res.Notes)
+		rc.Faults = flap(0)
+		if res := runCell(rc); res.Panicked || res.Faults.LinkFlaps == 0 || len(res.Notes) != 0 {
+			t.Errorf("%s: fault plan not applied: %d flaps, notes %q", rc.Label, res.Faults.LinkFlaps, res.Notes)
+		}
+		rc.Faults = flap(1000)
+		if res := runCell(rc); !res.Panicked || !noted(res, "bad fault plan", rc.Label) {
+			t.Errorf("%s: a plan naming a missing link ran: notes %q", rc.Label, res.Notes)
 		}
 	}
 
-	scale := RunConfig{Label: "scale cell", Variant: Variant{Transport: "dctcp"}, Seed: 1}
-	p := scaleParams{K: 4, Load: 0.6, Requests: 200, Fanout: 4}
-	if res := runScale(scale, p); len(res.Notes) != 0 {
+	scale := RunConfig{Label: "scale cell", Variant: Variant{Transport: "dctcp"}, Seed: 1,
+		Topology: fatTree{4}, Source: openLoop{load: 0.6, requests: 200, fanout: 4}}
+	if res := Run(scale); len(res.Notes) != 0 {
 		t.Errorf("scale cell, no flag: notes %q, want none", res.Notes)
 	}
 	scale.Audit = true
-	if res := runScale(scale, p); !noted(res, "-audit", scale.Label) {
+	if res := Run(scale); !noted(res, "-audit", scale.Label) {
 		t.Errorf("scale cell: -audit dropped without a note: %q", res.Notes)
 	}
 }

@@ -25,9 +25,8 @@ type Report struct {
 	cells  int
 	events uint64
 	sched  sim.SchedStats
-	// setupWall sums each cell's pre-run construction wall-clock (zero
-	// for custom cells that don't report it); packets sums switch
-	// enqueues across the grid, the denominator of events-per-packet.
+	// setupWall sums each cell's pre-run construction wall-clock;
+	// packets sums switch enqueues, the denominator of events-per-packet.
 	setupWall time.Duration
 	packets   uint64
 	// shardEvents sums each cell's per-shard event counts elementwise,

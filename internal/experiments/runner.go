@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -20,32 +21,36 @@ import (
 	"tlt/internal/workload"
 )
 
-// RunConfig describes one leaf-spine simulation run.
+// RunConfig describes one cell: a topology, a source of flows on it and
+// the knobs of the run. The source picks the sink its flows report to
+// (stats.Recorder or stats.Stream). The zero Topology and Source are the
+// leaf-spine and the materialised Traffic schedule, so a RunConfig of
+// Variant, Traffic and Seed alone is a leaf-spine cell.
 type RunConfig struct {
 	Variant Variant
 	Traffic workload.TrafficConfig
 	Seed    int64
-	Horizon sim.Time // 0 → last arrival + 3 s
+	Horizon sim.Time // 0 → the source's own (Traffic: last arrival + 3 s)
 
 	// Shards partitions the fabric across that many event loops
 	// (conservative parallel DES with link-latency lookahead); 0 and 1
 	// both mean a single shard. Reports are byte-identical across shard
 	// counts. Runs that attach cross-shard observers (Audit,
-	// CollectDelivery, CollectRTT) are clamped to one shard. The run says
-	// nothing about it, because a harness note naming the shard count
-	// would itself break cross-shard-count byte-identity; tltsim prints
-	// one note on stderr at session start when -audit meets -shards > 1.
+	// CollectDelivery, CollectRTT) and topologies that cannot be
+	// partitioned (the testbed star, the dumbbell) run on one shard. The
+	// run says nothing about it, because a harness note naming the shard
+	// count would itself break cross-shard-count byte-identity; tltsim
+	// prints one note on stderr at session start when -audit meets
+	// -shards > 1.
 	Shards int
 	// Workers caps the goroutines driving the shard group (0 → one per
 	// shard). The grid sets this from its run-slot budget.
 	Workers int
 
-	// AlphaOverride replaces the dynamic-threshold parameter (ablation).
-	AlphaOverride float64
-	// BufferOverride replaces the switch shared-buffer size in bytes
-	// (buffer-policy ablation). PFC XOFF/XON thresholds are re-derived
-	// from the new size when PFC is on.
-	BufferOverride int64
+	// Topology is the network the cell runs on (nil: leafSpine{}).
+	Topology Topology
+	// Source is what runs on it (nil: the Traffic schedule).
+	Source Source
 
 	CollectDelivery bool
 	CollectRTT      bool
@@ -54,18 +59,6 @@ type RunConfig struct {
 	// Faults, when non-nil, applies a deterministic chaos schedule to
 	// the network (RunGrid fills in the session harness plan when nil).
 	Faults *chaos.Plan
-
-	// WatchdogThreshold, when non-zero, enables the commodity-style PFC
-	// watchdog on every switch: a port paused continuously for this long
-	// has its queue flushed and unpaused. WatchdogRestore is the
-	// post-mitigation window during which further PAUSE frames on the
-	// port are ignored (0 → fabric default).
-	WatchdogThreshold sim.Time
-	WatchdogRestore   sim.Time
-	// HostPauseTimeout, when non-zero, bounds how long a host NIC honors
-	// a PAUSE without refresh before self-resuming (NIC pause auto-expiry
-	// — the end-host half of storm protection).
-	HostPauseTimeout sim.Time
 	// Audit attaches the strict runtime invariant auditor to every
 	// switch and TLT sender (RunGrid or's in the session harness flag).
 	Audit bool
@@ -74,13 +67,11 @@ type RunConfig struct {
 	// that install deterministic drop filters or probes.
 	Prepare func(s *sim.Sim, net *topo.Network)
 
-	// Custom, when set, replaces the standard leaf-spine Run for this
-	// cell: the app and testbed figures build their own topologies but
-	// still execute on the shared grid. The function receives the fully
-	// resolved config (seed, harness plan, audit flag).
+	// Custom, when set, replaces Run for the cell. It is the grid
+	// executor tests' seam for fake cells; no figure sets it.
 	Custom func(rc RunConfig) *Result
-	// Label names the cell in panic-replay notes when Variant alone is
-	// not enough (custom cells, sweep points).
+	// Label names the cell in replay notes when Variant alone is not
+	// enough (testbed cells, sweep points).
 	Label string
 
 	// mem is the arena of the grid slot running the cell (RunGrid sets
@@ -117,8 +108,6 @@ type Result struct {
 	TrafficLast sim.Time // last flow arrival
 	// SetupWall is the host wall-clock spent building the cell — topology,
 	// flow registration, fault resolution — before its event loops start.
-	// Filled by the standard and scale runners; custom figure cells that
-	// build their own topologies leave it zero.
 	SetupWall time.Duration
 
 	// Faults aggregates injected-fault activity and audit findings.
@@ -140,8 +129,8 @@ type Result struct {
 	// Panicked marks a cell that was recovered by the grid executor;
 	// folds skip it.
 	Panicked bool
-	// App carries a custom run's payload (incast FCT vectors, dumbbell
-	// counters, ...) for its figure's fold.
+	// App carries a source's payload (the scale sweep's merged stream,
+	// the testbed figures' response times and counters) for its fold.
 	App any
 
 	// fgSorted/bgSorted cache the sorted FCT vectors so the repeated
@@ -204,15 +193,48 @@ func (r *Result) ImpLossRate() float64 {
 	return float64(r.Ctr.DropGreen) / float64(den)
 }
 
-// Run executes one leaf-spine simulation.
+// A Source is what runs on a cell's network. start sets its flows up on
+// the sink of its choice and returns the horizon the run ends at, unless
+// the source's own stop rule ends it first, and the finish that fills the
+// source's part of the Result once the run has ended.
+type Source interface {
+	start(c *cell) (horizon sim.Time, finish func(*Result))
+	// audited reports whether the strict invariant auditor can follow
+	// the source; -audit on a source that cannot is noted, not applied.
+	audited() bool
+}
+
+// cell is one run in progress: what the driver built, for its source.
+type cell struct {
+	rc    RunConfig
+	g     *sim.Group
+	net   *topo.Network
+	ar    *arena
+	audit core.Audit // hooks every TLT marking machine; nil unless auditing
+	// tick is the queue-sampling period the source asks for (0: none);
+	// queues is the merged max-queue series once the run has ended.
+	tick   sim.Time
+	queues []int64
+}
+
+// Run executes one cell. It is the one driver: it builds the topology
+// on a shard group in the slot's arena, attaches the auditor, starts the
+// source, applies the fault plan, runs the group to the source's horizon
+// or stop, and fills the Result.
 func Run(rc RunConfig) *Result {
 	setupStart := time.Now()
-	v := rc.Variant
-
-	shards := rc.Shards
-	if shards < 1 {
-		shards = 1
+	tp, src := rc.Topology, rc.Source
+	if tp == nil {
+		tp = leafSpine{}
 	}
+	if src == nil {
+		src = schedule{}
+	}
+	unaudited := rc.Audit && !src.audited()
+	if unaudited {
+		rc.Audit = false
+	}
+	shards := max(rc.Shards, 1)
 	if rc.Audit || rc.CollectDelivery || rc.CollectRTT {
 		// These observers read state across the whole fabric from event
 		// callbacks; keep them on one shard. Not noted in the Result (see
@@ -220,32 +242,94 @@ func Run(rc RunConfig) *Result {
 		shards = 1
 	}
 	ar := rc.arena()
-	g := sim.NewGroup(shards, v.linkDelay())
-	s := g.Shard(0)
-
-	lsCfg := topo.DefaultLeafSpine(v.linkDelay())
-	lsCfg.Group = g
-	lsCfg.Switch = v.switchConfig()
-	if rc.AlphaOverride > 0 {
-		lsCfg.Switch.Alpha = rc.AlphaOverride
+	g, net := tp.build(rc.Variant, rc.Seed, shards)
+	ar.attach(g, net)
+	c := &cell{rc: rc, g: g, net: net, ar: ar}
+	var aud *audit.Auditor
+	if rc.Audit {
+		aud = attachAudit(g.Shard(0), net)
+		c.audit = aud
 	}
-	if rc.BufferOverride > 0 {
-		lsCfg.Switch.BufferBytes = rc.BufferOverride
-		if lsCfg.Switch.PFC {
-			lsCfg.Switch.XOff = lsCfg.Switch.BufferBytes / (2 * 12)
-			lsCfg.Switch.XOn = lsCfg.Switch.XOff - 2*int64(transport.MSS+48)
+	horizon, finish := src.start(c)
+	if rc.Horizon > 0 {
+		horizon = rc.Horizon
+	}
+
+	// The horizon is fixed before fault application: the resolved chaos
+	// engine expands repeat chains statically up to it.
+	var eng *chaos.Engine
+	if !rc.Faults.Empty() {
+		var err error
+		eng, err = rc.Faults.ApplyResolved(net, rc.Seed, horizon)
+		if err != nil {
+			res := &Result{Rec: stats.NewRecorder(), Panicked: true}
+			res.Notef("%s seed %d: bad fault plan: %v", rc.label(), rc.Seed, err)
+			ar.release(g, net)
+			return res
 		}
 	}
-	if rc.WatchdogThreshold > 0 {
-		lsCfg.Switch.PFCWatchdog = true
-		lsCfg.Switch.WatchdogThreshold = rc.WatchdogThreshold
-		lsCfg.Switch.WatchdogRestore = rc.WatchdogRestore
+	if rc.Prepare != nil {
+		rc.Prepare(g.Shard(0), net)
 	}
-	lsCfg.HostPauseTimeout = rc.HostPauseTimeout
-	lsCfg.SeedSalt = rc.Seed
-	net := topo.LeafSpine(s, lsCfg)
-	ar.attach(net)
+	var queues func() []int64
+	if c.tick > 0 {
+		queues = sampleQueues(g, net, c.tick)
+	}
 
+	g.SetWorkers(cmp.Or(rc.Workers, g.Shards()))
+	setupWall := time.Since(setupStart)
+	end := g.Run(horizon)
+	net.FinishPausedClocks()
+	if queues != nil {
+		c.queues = queues()
+	}
+
+	res := &Result{
+		Ctr:         net.Counters(),
+		PausedFrac:  net.PausedFraction(end),
+		Elapsed:     end,
+		SetupWall:   setupWall,
+		ShardEvents: make([]uint64, g.Shards()),
+	}
+	for i := range res.ShardEvents {
+		ss := g.Shard(i)
+		res.ShardEvents[i] = ss.Processed
+		res.EventsRun += ss.Processed
+		res.Sched.Add(&ss.Sched)
+	}
+	for _, sw := range net.Switches {
+		for p := 0; p < sw.NumPorts(); p++ {
+			res.MaxQ = max(res.MaxQ, sw.MaxQueueBytes(p))
+			res.MaxRedQ = max(res.MaxRedQ, sw.MaxRedQueueBytes(p))
+		}
+	}
+	if eng != nil {
+		res.Faults = eng.Counters()
+	}
+	if aud != nil {
+		aud.FinishPauses()
+		res.Faults.AuditViolations = aud.Violations
+		res.Faults.PFCDeadlockCycles = aud.DeadlockCycles
+		res.Faults.PFCStormSuspects = aud.StormSuspects
+		res.AuditEvents = aud.Events
+	}
+	finish(res)
+	if unaudited {
+		res.Notef("-audit is not honoured by %s (streaming runner): it ran unaudited", rc.label())
+	}
+	ar.release(g, net)
+	return res
+}
+
+// schedule is the default source: rc.Traffic materialised, every flow
+// registered at set-up on an exact stats.Recorder. The run stops once
+// every flow is done.
+type schedule struct{}
+
+func (schedule) audited() bool { return true }
+
+func (schedule) start(c *cell) (sim.Time, func(*Result)) {
+	rc := c.rc
 	tr := rc.Traffic
 	tr.Seed = rc.Seed
 	flows := workload.Generate(tr, 1)
@@ -260,13 +344,6 @@ func Run(rc RunConfig) *Result {
 		rec.RTOSamplesFG = stats.NewReservoir(100_000, rc.Seed+1)
 		rec.RTTSamplesBG = stats.NewReservoir(100_000, rc.Seed+2)
 		rec.RTOSamplesBG = stats.NewReservoir(100_000, rc.Seed+3)
-	}
-
-	var aud *audit.Auditor
-	var coreAudit core.Audit // stays a nil interface unless auditing is on
-	if rc.Audit {
-		aud = attachAudit(s, net)
-		coreAudit = aud
 	}
 
 	// A flow can finalize from both sides in a sharded run (sender abort
@@ -285,105 +362,39 @@ func Run(rc RunConfig) *Result {
 			return
 		}
 		if remaining.Add(-1) == 0 {
-			g.RequestStop()
+			c.g.RequestStop()
 		}
 	}
-	reporters := startFlows(ar, net, flows, v, rec, onDone, coreAudit)
-	ar.trimEndpoints(len(flows) == 0)
+	reporters := startFlows(c.ar, c.net, flows, rc.Variant, rec, onDone, c.audit)
+	c.ar.trimEndpoints(len(flows) == 0)
 	for i, fr := range rec.Flows {
 		flowIdx[fr] = i
 	}
-
-	// The horizon is fixed before fault application: the resolved chaos
-	// engine expands repeat chains statically up to it.
 	last := sim.Time(0)
 	if len(flows) > 0 {
 		last = flows[len(flows)-1].Start
 	}
-	horizon := rc.Horizon
-	if horizon == 0 {
-		horizon = last + 3*sim.Second
-	}
-
-	var eng *chaos.Engine
-	if !rc.Faults.Empty() {
-		var err error
-		eng, err = rc.Faults.ApplyResolved(net, rc.Seed, horizon)
-		if err != nil {
-			res := &Result{Rec: rec, FlowCount: len(flows), Panicked: true}
-			res.Notef("%s seed %d: bad fault plan: %v", rc.label(), rc.Seed, err)
-			ar.release(net)
-			return res
-		}
-	}
-	if rc.Prepare != nil {
-		rc.Prepare(s, net)
-	}
-
-	var queueSeries func() []int64
 	if rc.SampleQueues {
-		queueSeries = sampleQueues(g, net, 20*sim.Microsecond)
+		c.tick = 20 * sim.Microsecond
 	}
-
-	workers := rc.Workers
-	if workers < 1 {
-		workers = shards
-	}
-	g.SetWorkers(workers)
-	setupWall := time.Since(setupStart)
-	end := g.Run(horizon)
-	net.FinishPausedClocks()
-
-	var qSamples []float64
-	if queueSeries != nil {
-		for _, q := range queueSeries() {
-			qSamples = append(qSamples, float64(q))
+	return last + 3*sim.Second, func(res *Result) {
+		res.Rec, res.FlowCount, res.TrafficLast = rec, len(flows), last
+		res.Incomplete, res.Aborted = int(remaining.Load()), rec.AbortedCount()
+		for _, q := range c.queues {
+			res.QSamples = append(res.QSamples, float64(q))
 		}
-	}
-
-	res := &Result{
-		Rec:         rec,
-		Ctr:         net.Counters(),
-		PausedFrac:  net.PausedFraction(end),
-		Elapsed:     end,
-		FlowCount:   len(flows),
-		Incomplete:  int(remaining.Load()),
-		QSamples:    qSamples,
-		TrafficLast: last,
-		SetupWall:   setupWall,
-	}
-	res.ShardEvents = make([]uint64, shards)
-	for i := 0; i < shards; i++ {
-		ss := g.Shard(i)
-		res.ShardEvents[i] = ss.Processed
-		res.EventsRun += ss.Processed
-		res.Sched.Add(&ss.Sched)
-	}
-	for _, sw := range net.Switches {
-		for p := 0; p < sw.NumPorts(); p++ {
-			if q := sw.MaxQueueBytes(p); q > res.MaxQ {
-				res.MaxQ = q
-			}
-			if q := sw.MaxRedQueueBytes(p); q > res.MaxRedQ {
-				res.MaxRedQ = q
+		if res.Incomplete == 0 {
+			return
+		}
+		// The stall watchdog: every sender still unfinished at the
+		// horizon reports its transport state.
+		for _, r := range reporters {
+			if fs := r.FlowStatus(); !fs.Done {
+				res.Stalls = append(res.Stalls, fs)
 			}
 		}
-	}
-	res.Aborted = rec.AbortedCount()
-	if eng != nil {
-		res.Faults = eng.Counters()
-	}
-	if aud != nil {
-		aud.FinishPauses()
-		res.Faults.AuditViolations = aud.Violations
-		res.Faults.PFCDeadlockCycles = aud.DeadlockCycles
-		res.Faults.PFCStormSuspects = aud.StormSuspects
-		res.AuditEvents = aud.Events
-	}
-	if res.Incomplete > 0 {
-		res.Stalls = stallReport(reporters)
 		res.Notef("%s seed %d: incomplete=%d of %d flows at horizon %v",
-			v.Name(), rc.Seed, res.Incomplete, len(flows), end)
+			rc.Variant.Name(), rc.Seed, res.Incomplete, len(flows), res.Elapsed)
 		for i, fs := range res.Stalls {
 			if i == 4 {
 				res.Notef("stall: … %d more stalled flows", len(res.Stalls)-i)
@@ -392,8 +403,6 @@ func Run(rc RunConfig) *Result {
 			res.Notef("stall: %s", fs)
 		}
 	}
-	ar.release(net)
-	return res
 }
 
 // sampleQueues starts one max-queue sampler per shard, each reading only
@@ -446,8 +455,7 @@ func sampleQueues(g *sim.Group, net *topo.Network, tick sim.Time) func() []int64
 
 // attachAudit puts the strict runtime invariant auditor on net — every
 // packet pool, every switch, and the inter-switch adjacency it builds the
-// pause wait-for graph from (deadlock/storm detection). Every run driver
-// that honours -audit goes through here.
+// pause wait-for graph from (deadlock/storm detection).
 func attachAudit(s *sim.Sim, net *topo.Network) *audit.Auditor {
 	for _, p := range net.Pools {
 		p.EnableAudit()
@@ -461,22 +469,6 @@ func attachAudit(s *sim.Sim, net *topo.Network) *audit.Auditor {
 		aud.SetPortPeer(l.B, l.BPort, l.A.ID())
 	}
 	return aud
-}
-
-// stallReport is the stall watchdog: it interrogates every sender that
-// had not completed when the horizon expired, so an Incomplete count
-// always comes with per-flow transport state instead of a bare number.
-func stallReport(reporters []transport.StatusReporter) []transport.FlowStatus {
-	var out []transport.FlowStatus
-	for _, r := range reporters {
-		if r == nil {
-			continue
-		}
-		if fs := r.FlowStatus(); !fs.Done {
-			out = append(out, fs)
-		}
-	}
-	return out
 }
 
 // startFlows instantiates the right transport for every flow and returns

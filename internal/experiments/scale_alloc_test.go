@@ -16,11 +16,11 @@ import (
 // runtime.MemStats, like the 0 allocs/op gates on the packet path.
 func TestScaleMallocsPerFlow(t *testing.T) {
 	run := func(requests int) (mallocs uint64, flows int) {
-		rc := RunConfig{Variant: Variant{Transport: "dctcp", TLT: true}, Seed: 1}
-		p := scaleParams{K: 4, Load: 0.6, Requests: requests, Fanout: 4}
+		rc := RunConfig{Variant: Variant{Transport: "dctcp", TLT: true}, Seed: 1,
+			Topology: fatTree{4}, Source: openLoop{load: 0.6, requests: requests, fanout: 4}}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res := runScale(rc, p)
+		res := Run(rc)
 		runtime.ReadMemStats(&after)
 		if res.Incomplete != 0 {
 			t.Fatalf("%d of %d flows incomplete", res.Incomplete, res.FlowCount)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
-	"time"
 
 	"tlt/internal/app"
 	"tlt/internal/chaos"
@@ -23,9 +22,9 @@ import (
 // churn, aggregated entirely through streaming histograms so memory is
 // O(live flows + histogram buckets), never O(flows issued).
 //
-// The execution model differs from the standard Run path on purpose.
-// Instead of materializing the flow schedule and registering every
-// endpoint up front, every shard constructs an identical deterministic
+// Its source differs from the Traffic schedule on purpose. Instead of
+// materializing the flow schedule and registering every endpoint up
+// front, every shard constructs an identical deterministic
 // arrival Source (same seeds) and walks the full schedule with one
 // self-rescheduling event, spawning only the endpoint halves it owns.
 // No arrival ever crosses a shard boundary, so the schedule — and with
@@ -37,12 +36,13 @@ import (
 // switches' ECMP hash, so the base fixes every path a scale run takes.
 const scaleFlowBase = 1 << 22
 
-// scaleParams is one scale-sweep cell.
-type scaleParams struct {
-	K        int     // fat-tree arity
-	Load     float64 // target utilization of the hottest server's uplink
-	Requests int     // open-loop RPC request arrivals
-	Fanout   int     // response flows per request
+// openLoop is the scale sweep's source: calibrated open-loop RPC fan-in
+// with churn (scaleSource), walked lazily by one scaleWalker per shard
+// into per-shard stats.Streams. The run stops once every flow is done.
+type openLoop struct {
+	load     float64 // target utilization of the hottest server's uplink
+	requests int     // open-loop RPC request arrivals
+	fanout   int     // response flows per request
 }
 
 // scaleGrace is how long a completed receiver lingers before its demux
@@ -56,7 +56,7 @@ func scaleGrace(cfg tcp.Config) sim.Time { return 2 * cfg.RTO.Min }
 // scaleService builds the cell's service model: a replicated server
 // pool on the first quarter of hosts, Zipf-skewed keys, the RPC
 // response-size distribution, and requests a mean gap apart.
-func scaleService(p scaleParams, hosts int, seed int64, gap sim.Time) *app.Service {
+func scaleService(o openLoop, hosts int, seed int64, gap sim.Time) *app.Service {
 	servers := hosts / 4
 	return app.NewService(app.ServiceConfig{
 		Hosts:    hosts,
@@ -64,9 +64,9 @@ func scaleService(p scaleParams, hosts int, seed int64, gap sim.Time) *app.Servi
 		Keys:     4 * servers,
 		Replicas: 3,
 		Skew:     1.1,
-		Requests: p.Requests,
+		Requests: o.requests,
 		MeanGap:  gap,
-		Fanout:   p.Fanout,
+		Fanout:   o.fanout,
 		Dist:     workload.RPC,
 		Seed:     seed,
 	})
@@ -74,24 +74,24 @@ func scaleService(p scaleParams, hosts int, seed int64, gap sim.Time) *app.Servi
 
 // scaleSource returns the cell's full arrival stream: calibrated
 // open-loop RPC fan-in plus a 5% background elephant stream between
-// random hosts. Deterministic given (params, hosts, rate, seed) — every
+// random hosts. Deterministic given (o, hosts, rate, seed) — every
 // shard builds its own identical copy.
-func scaleSource(p scaleParams, hosts int, rateBps int64, seed int64) workload.Source {
+func scaleSource(o openLoop, hosts int, rateBps int64, seed int64) workload.Source {
 	// Calibrate the request rate so the *hottest* server's egress
 	// utilization — not the fabric average — hits the target load:
 	// share_max · λ · Fanout · E[size] · 8 = load · rate. The share
 	// comes from a gapless probe build of the service (ServiceConfig is
 	// immutable once the Service is constructed).
-	share := scaleService(p, hosts, seed, 0).MaxServerShare()
+	share := scaleService(o, hosts, seed, 0).MaxServerShare()
 	mean := workload.RPC.Mean()
-	lam := p.Load * float64(rateBps) / (8 * share * float64(p.Fanout) * mean)
+	lam := o.load * float64(rateBps) / (8 * share * float64(o.fanout) * mean)
 	gap := sim.Time(1e9 / lam)
 	if gap < 1 {
 		gap = 1
 	}
-	rpc := scaleService(p, hosts, seed, gap)
+	rpc := scaleService(o, hosts, seed, gap)
 	bg := workload.NewPoisson(workload.PoissonConfig{
-		Flows:   p.Requests / 20,
+		Flows:   o.requests / 20,
 		MeanGap: gap * 20,
 		Hosts:   hosts,
 		Dist:    workload.CacheFollower,
@@ -104,12 +104,9 @@ func scaleSource(p scaleParams, hosts int, rateBps int64, seed int64) workload.S
 // sender slabs, receiver slabs and demux slots from its shard's part of
 // the slot's arena (arena.go) and pushes them back as flows finish, so a
 // cell allocates O(peak live flows) endpoints however many flows it
-// issues — and none once the slot has run a cell of its size. A slab goes
-// back on its list from inside the endpoint's own completion callback,
-// where its timers are already stopped and nothing touches it again, and
-// is only ever taken off by a later step event. Packets of the flow it
-// carried before miss the demux map (the old flow ID is unregistered),
-// and stale sim.Timer handles are generation-checked.
+// issues. A slab goes back from inside its endpoint's completion callback
+// and is only taken by a later step event; packets of its previous flow
+// miss the demux map and stale sim.Timer handles are generation-checked.
 
 // sndSlab is the sender half of one flow: the endpoint, the flow
 // descriptor and record it points at, and its completion callback bound
@@ -330,149 +327,79 @@ func (w *scaleWalker) spawnReceiver(fl transport.Flow) {
 	host.Register(fl.ID, slot)
 }
 
-// runScale executes one scale-sweep cell. It parallels Run but swaps
-// the materialized schedule + Recorder for per-shard walkers + Streams.
-func runScale(rc RunConfig, p scaleParams) *Result {
-	setupStart := time.Now()
+// The invariant auditor reads the whole fabric from event callbacks and
+// the walkers recycle endpoints under it; it is not wired.
+func (openLoop) audited() bool { return false }
+
+// start pre-walks the schedule once for the flow total and the last
+// arrival (both deterministic functions of the config), then posts every
+// shard's walker at 0 and asks for 100 µs queue samples, which finish
+// folds into the merged stream's histogram: bounded post-run storage.
+func (o openLoop) start(c *cell) (sim.Time, func(*Result)) {
+	rc := c.rc
 	v := rc.Variant
 	if v.Transport != "tcp" && v.Transport != "dctcp" {
 		panic("scale-sweep: only the TCP family is wired for streaming runs, got " + v.Transport)
 	}
 	if v.MaxRetries != 0 {
 		// Completion accounting is a bare atomic decrement; the
-		// abort/completion race dedup of the standard path would need
+		// abort/completion race dedup of the Traffic schedule would need
 		// O(flows) state, so retry-forever is a precondition here.
 		panic("scale-sweep: MaxRetries must be 0 (retry forever)")
 	}
-	shards := rc.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	ar := rc.arena()
-	g := sim.NewGroup(shards, v.linkDelay())
-	s := g.Shard(0)
-
-	ftCfg := topo.FatTreeConfig{
-		K:           p.K,
-		LinkRateBps: 40e9,
-		LinkDelay:   v.linkDelay(),
-		Switch:      v.switchConfig(),
-		SeedSalt:    rc.Seed,
-		Group:       g,
-	}
-	net := topo.FatTree(s, ftCfg)
-	ar.attach(net)
-	hosts := len(net.Hosts)
-
-	// Pre-walk the schedule once to learn the flow total and the last
-	// arrival — both deterministic functions of the config.
+	hosts, rate := len(c.net.Hosts), c.net.LinkRateBps
 	var total int64
 	var last sim.Time
-	{
-		src := scaleSource(p, hosts, ftCfg.LinkRateBps, rc.Seed)
-		for {
-			a, ok := src.Next()
-			if !ok {
-				break
-			}
-			total++
-			last = a.At
+	for src := scaleSource(o, hosts, rate, rc.Seed); ; total++ {
+		a, ok := src.Next()
+		if !ok {
+			break
 		}
+		last = a.At
 	}
-	horizon := rc.Horizon
-	if horizon == 0 {
-		horizon = last + 2*sim.Second
-	}
-	epochW := last / 128
-	if epochW < 50*sim.Microsecond {
-		epochW = 50 * sim.Microsecond
-	}
+	epochW := max(last/128, 50*sim.Microsecond)
 
 	cfg := v.tcpConfig()
-	var remaining atomic.Int64
-	remaining.Store(total)
-
-	streams := make([]*stats.Stream, shards)
-	walkers := make([]*scaleWalker, shards)
-	for sh := 0; sh < shards; sh++ {
+	rem := new(atomic.Int64)
+	rem.Store(total)
+	streams := make([]*stats.Stream, c.g.Shards())
+	for sh := range streams {
 		streams[sh] = stats.NewStream(epochW)
 		w := &scaleWalker{
-			ssim:   g.Shard(sh),
-			g:      g,
-			net:    net,
+			ssim:   c.g.Shard(sh),
+			g:      c.g,
+			net:    c.net,
 			shard:  sh,
-			src:    scaleSource(p, hosts, ftCfg.LinkRateBps, rc.Seed),
+			src:    scaleSource(o, hosts, rate, rc.Seed),
 			cfg:    cfg,
 			grace:  scaleGrace(cfg),
 			stream: streams[sh],
-			rem:    &remaining,
-			mem:    ar.shards[sh],
+			rem:    rem,
+			mem:    c.ar.shards[sh],
 		}
 		w.stepFn = w.step
 		w.next, w.ok = w.src.Next()
-		walkers[sh] = w
 		w.ssim.At(0, w.stepFn)
 	}
+	c.tick = 100 * sim.Microsecond
 
-	// Queue sampling on a fixed 100 µs tick, folded into the merged
-	// stream's histogram after the join: bounded post-run storage.
-	queueSeries := sampleQueues(g, net, 100*sim.Microsecond)
-
-	workers := rc.Workers
-	if workers < 1 {
-		workers = shards
-	}
-	g.SetWorkers(workers)
-	setupWall := time.Since(setupStart)
-	end := g.Run(horizon)
-	net.FinishPausedClocks()
-
-	// Merge per-shard aggregates in shard order. Every field is
-	// integer-derived, so the result is independent of the partition.
-	agg := stats.NewStream(epochW)
-	for _, st := range streams {
-		agg.Merge(st)
-	}
-	for _, q := range queueSeries() {
-		agg.Queue.Record(q)
-	}
-
-	res := &Result{
-		Rec:         stats.NewRecorder(),
-		Ctr:         net.Counters(),
-		PausedFrac:  net.PausedFraction(end),
-		Elapsed:     end,
-		FlowCount:   int(total),
-		Incomplete:  int(remaining.Load()),
-		TrafficLast: last,
-		SetupWall:   setupWall,
-		App:         agg,
-	}
-	res.ShardEvents = make([]uint64, shards)
-	for i := 0; i < shards; i++ {
-		ss := g.Shard(i)
-		res.ShardEvents[i] = ss.Processed
-		res.EventsRun += ss.Processed
-		res.Sched.Add(&ss.Sched)
-	}
-	for _, sw := range net.Switches {
-		for pt := 0; pt < sw.NumPorts(); pt++ {
-			if q := sw.MaxQueueBytes(pt); q > res.MaxQ {
-				res.MaxQ = q
-			}
+	return last + 2*sim.Second, func(res *Result) {
+		// Merge per-shard aggregates in shard order. Every field is
+		// integer-derived, so the result is independent of the partition.
+		agg := stats.NewStream(epochW)
+		for _, st := range streams {
+			agg.Merge(st)
+		}
+		for _, q := range c.queues {
+			agg.Queue.Record(q)
+		}
+		res.Rec, res.App = stats.NewRecorder(), agg
+		res.FlowCount, res.Incomplete, res.TrafficLast = int(total), int(rem.Load()), last
+		if res.Incomplete > 0 {
+			res.Notef("%s seed %d: incomplete=%d of %d flows at horizon %v",
+				rc.label(), rc.Seed, res.Incomplete, total, res.Elapsed)
 		}
 	}
-	if res.Incomplete > 0 {
-		res.Notef("%s seed %d: incomplete=%d of %d flows at horizon %v",
-			rc.label(), rc.Seed, res.Incomplete, total, end)
-	}
-	if rc.Audit {
-		// The auditor reads the whole fabric from event callbacks and the
-		// streaming runner recycles endpoints under it; not wired.
-		res.Notef("-audit is not honoured by %s (streaming runner): it ran unaudited", rc.label())
-	}
-	ar.release(net)
-	return res
 }
 
 // scaleAxes returns the sweep axes, trimmed by AppPoints. The k axis is
@@ -530,15 +457,14 @@ func ScaleSweep(scale Scale) *Report {
 		for _, load := range loads {
 			for _, v := range variants {
 				k, load, v := k, load, v
-				p := scaleParams{K: k, Load: load, Requests: scale.BgFlows, Fanout: 4}
 				rc := RunConfig{
-					Variant: v,
-					Label:   fmt.Sprintf("scale k=%d load=%.1f %s", k, load, v.Name()),
-					// The chaos/fault plan is not wired into the
-					// streaming runner; pin an empty plan so the
-					// session -chaos flag cannot alter this grid.
+					Variant:  v,
+					Label:    fmt.Sprintf("scale k=%d load=%.1f %s", k, load, v.Name()),
+					Topology: fatTree{k},
+					Source:   openLoop{load: load, requests: scale.BgFlows, fanout: 4},
+					// Pin an empty plan so the session -chaos flag
+					// cannot alter this grid.
 					Faults: &chaos.Plan{},
-					Custom: func(rc RunConfig) *Result { return runScale(rc, p) },
 				}
 				sw.add(rc, scale.Seeds, func(rs []*Result) {
 					foldScaleRow(rep, k, load, v, rs)

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"tlt/internal/sim"
 )
 
 // withShards swaps the session shard count for the duration of a test.
@@ -51,40 +53,57 @@ func TestGridReportsDeterministicAcrossShards(t *testing.T) {
 
 // A sharded run must agree with the single-shard run on the non-rendered
 // aggregates too: event totals, scheduler counters, and the per-shard
-// event breakdown must sum consistently.
+// event breakdown must sum consistently — for the leaf-spine Traffic
+// schedule at 4 shards and the streaming fat-tree cell at 2.
 func TestShardedRunAggregates(t *testing.T) {
-	base := RunConfig{
+	leaf := RunConfig{
 		Variant: Variant{Transport: "dctcp", TLT: true},
 		Traffic: trafficFor(tinyScale(), 0.4, 0.05),
 		Seed:    3,
 	}
-	r1c := base
-	r1c.Shards = 1
-	r4c := base
-	r4c.Shards = 4
-	r1, r4 := Run(r1c), Run(r4c)
-	if r1.EventsRun != r4.EventsRun {
-		t.Fatalf("EventsRun %d (shards=1) != %d (shards=4)", r1.EventsRun, r4.EventsRun)
+	stream := RunConfig{
+		Variant:  Variant{Transport: "dctcp", TLT: true},
+		Seed:     1,
+		Topology: fatTree{4},
+		Source:   openLoop{load: 0.6, requests: 300, fanout: 4},
 	}
-	if r1.Elapsed != r4.Elapsed {
-		t.Fatalf("Elapsed %v != %v", r1.Elapsed, r4.Elapsed)
-	}
-	if len(r4.ShardEvents) != 4 {
-		t.Fatalf("ShardEvents has %d entries, want 4", len(r4.ShardEvents))
-	}
-	var sum uint64
-	for _, ev := range r4.ShardEvents {
-		if ev == 0 {
-			t.Fatalf("a shard ran zero events: %v (partitioner left it empty)", r4.ShardEvents)
+	for _, c := range []struct {
+		rc     RunConfig
+		shards int
+	}{{leaf, 4}, {stream, 2}} {
+		one, many := c.rc, c.rc
+		one.Shards, many.Shards = 1, c.shards
+		r1, rn := Run(one), Run(many)
+		if c.rc.Source == nil && r1.EventsRun != rn.EventsRun {
+			t.Fatalf("EventsRun %d (shards=1) != %d (shards=%d)", r1.EventsRun, rn.EventsRun, c.shards)
 		}
-		sum += ev
-	}
-	if sum != r4.EventsRun {
-		t.Fatalf("ShardEvents sum %d != EventsRun %d", sum, r4.EventsRun)
-	}
-	s1, s4 := r1.Sched, r4.Sched
-	if s1.DeadReclaimed != s4.DeadReclaimed {
-		t.Fatalf("sched counters diverge: shards=1 %+v, shards=4 %+v", s1, s4)
+		// Every shard's walker replays the whole schedule and every shard
+		// samples its own queues, so a sharded streaming run adds at most
+		// a step per arrival and a sample per 100 µs tick.
+		extra := uint64(r1.FlowCount) + uint64(r1.Elapsed/(100*sim.Microsecond)) + 1
+		if c.rc.Source != nil && (rn.EventsRun < r1.EventsRun || rn.EventsRun-r1.EventsRun > extra) {
+			t.Fatalf("streaming EventsRun %d (shards=1) against %d (shards=%d): more than %d walker steps and samples apart",
+				r1.EventsRun, rn.EventsRun, c.shards, extra)
+		}
+		if r1.Elapsed != rn.Elapsed {
+			t.Fatalf("Elapsed %v != %v", r1.Elapsed, rn.Elapsed)
+		}
+		if len(rn.ShardEvents) != c.shards || len(r1.ShardEvents) != 1 || r1.ShardEvents[0] != r1.EventsRun {
+			t.Fatalf("ShardEvents %v and %v, want %d entries and 1", rn.ShardEvents, r1.ShardEvents, c.shards)
+		}
+		var sum uint64
+		for _, ev := range rn.ShardEvents {
+			if ev == 0 {
+				t.Fatalf("a shard ran zero events: %v (partitioner left it empty)", rn.ShardEvents)
+			}
+			sum += ev
+		}
+		if sum != rn.EventsRun {
+			t.Fatalf("ShardEvents sum %d != EventsRun %d", sum, rn.EventsRun)
+		}
+		if s1, sn := r1.Sched, rn.Sched; s1.DeadReclaimed != sn.DeadReclaimed {
+			t.Fatalf("sched counters diverge: shards=1 %+v, shards=%d %+v", s1, c.shards, sn)
+		}
 	}
 }
 
