@@ -56,7 +56,7 @@ type shardMem struct {
 	tcp   endpoints[sndSlab, rcvSlab, transport.ByteBoards, *sndSlab, *rcvSlab, *transport.ByteBoards]
 	dcqcn endpoints[dcqcn.Sender, dcqcn.Receiver, transport.PktBoards, *dcqcn.Sender, *dcqcn.Receiver, *transport.PktBoards]
 	hpcc  endpoints[hpcc.Sender, hpcc.Receiver, transport.PktBoards, *hpcc.Sender, *hpcc.Receiver, *transport.PktBoards]
-	slot  freeList[rcvSlot] // the streaming runner's reaped demux slots, tcp's
+	slot  freeList[rcvSlot] // the streaming walker's reaped demux slots, tcp's
 }
 
 func (m *shardMem) families() [3]family { return [3]family{&m.tcp, &m.dcqcn, &m.hpcc} }
@@ -64,9 +64,9 @@ func (m *shardMem) families() [3]family { return [3]family{&m.tcp, &m.dcqcn, &m.
 // endpoints is one transport family's share of a shardMem: its finished
 // senders and receivers, the scoreboard backings its senders share while
 // they run (a scoreboard belongs to a flow in flight, not to an
-// endpoint), and the flows this shard's senders are on loan to. The
-// materialized drivers take at set-up and return at release; the
-// streaming runner pushes and pops tcp's slabs while it runs.
+// endpoint), and the flows this shard's senders are on loan to. Sources
+// that start every flow at set-up take then and return at release; the
+// streaming walker pushes and pops tcp's slabs while it runs.
 type endpoints[S, R, B any, PS sender[S, B], PR receiver[R], PB boardList[B]] struct {
 	snd    freeList[S]
 	rcv    freeList[R]
@@ -76,7 +76,7 @@ type endpoints[S, R, B any, PS sender[S, B], PR receiver[R], PB boardList[B]] st
 }
 
 // sender and receiver are what an endpoint list needs of its endpoints:
-// a family's, or the streaming runner's slabs around tcp's; boardList is
+// a family's, or the streaming walker's slabs around tcp's; boardList is
 // what it needs of the boards.
 type (
 	sender[S, B any] interface {

@@ -1,7 +1,7 @@
-// Package experiments contains one runner per table and figure of the
-// paper's evaluation (§2, §7, Appendix B). Each runner builds the
-// topology, generates the workload, executes the simulation across seeds,
-// and returns a Report with the same rows/series the paper plots.
+// Package experiments contains one generator per table and figure of the
+// paper's evaluation (§2, §7, Appendix B). Each lays out its grid of
+// cells (a topology and a source each), runs them through Run across
+// seeds, and folds a Report with the same rows/series the paper plots.
 package experiments
 
 import (

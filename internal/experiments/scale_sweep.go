@@ -110,8 +110,8 @@ func scaleSource(o openLoop, hosts int, rateBps int64, seed int64) workload.Sour
 
 // sndSlab is the sender half of one flow: the endpoint, the flow
 // descriptor and record it points at, and its completion callback bound
-// once so re-arming a slab allocates nothing. The materialized-schedule
-// drivers use the endpoint alone (lend).
+// once so re-arming a slab allocates nothing. Sources that start every
+// flow at set-up use the endpoint alone (lend).
 type sndSlab struct {
 	tcp.Sender
 	w      *scaleWalker

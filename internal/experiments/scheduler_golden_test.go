@@ -10,16 +10,16 @@ import (
 // exercise the same grids.
 func goldenScale() Scale { return Scale{BgFlows: 30, Seeds: 2, AppPoints: 2} }
 
-// The testbed figures (fig12–14c on the star, the dumbbell) are pinned
-// beside the leaf-spine and fat-tree ones.
 var goldenIDs = []string{"fig5", "chaos-recovery", "failure-recovery", "ablation-buffer", "scale-sweep",
 	"fig12", "fig13", "fig14", "fig14c", "dumbbell"}
 
-// TestSchedulerSwapReportsByteIdentical pins fig5 and chaos-recovery
-// reports to goldens captured with the seed flat-heap scheduler, at both
-// serial and 8-way execution. Any scheduler change that reorders
-// same-instant events — a wheel placement bug, an unstable cascade, a
-// fused link event firing out of turn — shows up here as a byte diff.
+// TestSchedulerSwapReportsByteIdentical pins every goldenIDs report at
+// both serial and 8-way execution: the leaf-spine and fat-tree ones to
+// goldens captured with the seed flat-heap scheduler, the testbed ones to
+// goldens captured before their cells moved onto the one run driver.
+// Any scheduler or driver change that reorders same-instant events — a
+// wheel placement bug, an unstable cascade, a fused link event firing out
+// of turn — shows up here as a byte diff.
 //
 // Regenerate (only when an intentional model change lands) with:
 //
