@@ -14,7 +14,7 @@ PGO := cmd/tltsim/default.pgo
 PGO_META := cmd/tltsim/default.pgo.meta
 PGO_MAX_AGE := 3
 
-.PHONY: all build test bench benchmark ab mutants pgo pgo-check
+.PHONY: all build test benchmark ab mutants pgo pgo-check
 
 all: build
 
@@ -23,9 +23,6 @@ build:
 
 test:
 	$(GO) test ./...
-
-bench:
-	$(GO) test -bench='BenchmarkFig5|BenchmarkChaosRecovery' -benchtime=1x -benchmem -run '^$$' .
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): all four
 # workloads, end-to-end metrics and the per-layer ledger.

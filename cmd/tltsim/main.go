@@ -9,7 +9,6 @@
 //	tltsim -exp fig5 -procs 8        # cap simulation workers
 //	tltsim -exp fig5 -shards 4       # shard each simulation across 4 event loops
 //	tltsim -exp fig5 -shards auto    # one shard per CPU, capped at the leaf count
-//	tltsim -exp all -bench-out BENCH_local.json
 //	tltsim -exp fig5 -audit          # run with the invariant auditor on
 //	tltsim -exp fig9 -chaos 'flap:link=rand,at=200us,down=50us,every=2ms'
 //	tltsim -exp fig5 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
@@ -40,8 +39,6 @@ func main() {
 		format    = flag.String("format", "table", "output format: table, csv, json")
 		procs     = flag.Int("procs", runtime.GOMAXPROCS(0), "max concurrent simulations")
 		shards    = flag.String("shards", "1", "event-loop shards per simulation, or 'auto' = min(NumCPU, 12) (parallel DES; reports stay byte-identical across shard counts)")
-		benchOut  = flag.String("bench-out", "", "write per-experiment bench records (wall clock, events/sec, allocs) to this JSON file")
-		benchRep  = flag.Int("bench-repeat", 1, "run each bench entry this many times and record the median-events/s run")
 		chaosSpec = flag.String("chaos", "", "fault schedule, e.g. 'flap:link=rand,at=200us,down=50us,every=2ms;seed=7'")
 		mmuFlag   = flag.String("mmu", "", "switch buffer policy for all runs: ch (default), bshare, tiny")
 		fcFlag    = flag.String("fc", "", "switch flow control for all runs: pfc, bfc, none ('' keeps each variant's own)")
@@ -93,7 +90,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if err := checkFlags(*format, *procs, *benchRep); err != nil {
+	if err := checkFlags(*format, *procs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -131,20 +128,10 @@ func main() {
 		scale.AppPoints = *points
 	}
 
-	var benchRecs []experiments.BenchRecord
-
-	// render runs one experiment and returns its formatted output; when
-	// -bench-out is set it also measures and appends a bench record.
+	// render runs one experiment and returns its formatted output.
 	render := func(e experiments.Entry) string {
-		var rep *experiments.Report
 		start := time.Now()
-		if *benchOut != "" {
-			var rec experiments.BenchRecord
-			rec, rep = experiments.MeasureEntryN(e, scale, *benchRep)
-			benchRecs = append(benchRecs, rec)
-		} else {
-			rep = experiments.RunEntry(e, scale)
-		}
+		rep := experiments.RunEntry(e, scale)
 		var b strings.Builder
 		switch *format {
 		case "csv":
@@ -165,26 +152,19 @@ func main() {
 	}
 
 	if *exp == "all" {
-		if *benchOut != "" {
-			// Sequential so each entry's allocation delta is attributable.
-			for _, e := range experiments.All {
-				fmt.Print(render(e))
-			}
-		} else {
-			// Run every entry concurrently: all their grids feed cells
-			// into the shared worker pool, so small figures interleave
-			// with large ones instead of queueing behind them. Output is
-			// still printed in registry order.
-			outs := make([]chan string, len(experiments.All))
-			for i, e := range experiments.All {
-				outs[i] = make(chan string, 1)
-				go func(e experiments.Entry, ch chan<- string) {
-					ch <- render(e)
-				}(e, outs[i])
-			}
-			for _, ch := range outs {
-				fmt.Print(<-ch)
-			}
+		// Run every entry concurrently: all their grids feed cells into
+		// the shared worker pool, so small figures interleave with large
+		// ones instead of queueing behind them. Output is still printed
+		// in registry order.
+		outs := make([]chan string, len(experiments.All))
+		for i, e := range experiments.All {
+			outs[i] = make(chan string, 1)
+			go func(e experiments.Entry, ch chan<- string) {
+				ch <- render(e)
+			}(e, outs[i])
+		}
+		for _, ch := range outs {
+			fmt.Print(<-ch)
 		}
 	} else {
 		e, ok := experiments.ByID(*exp)
@@ -194,22 +174,13 @@ func main() {
 		}
 		fmt.Print(render(e))
 	}
-
-	if *benchOut != "" {
-		note := fmt.Sprintf("scale: bg=%d seeds=%d points=%d; procs=%d", scale.BgFlows, scale.Seeds, scale.AppPoints, *procs)
-		if err := experiments.WriteBenchFile(*benchOut, note, benchRecs); err != nil {
-			fmt.Fprintln(os.Stderr, "-bench-out:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d bench records to %s\n", len(benchRecs), *benchOut)
-	}
 }
 
 // checkFlags rejects flag values that cannot be honoured: rendering some
 // other format, or running on some other worker count, than the one asked
 // for would be a silent default. The error names the flag and what it
 // accepts.
-func checkFlags(format string, procs, benchRepeat int) error {
+func checkFlags(format string, procs int) error {
 	switch format {
 	case "table", "csv", "json":
 	default:
@@ -217,9 +188,6 @@ func checkFlags(format string, procs, benchRepeat int) error {
 	}
 	if procs < 1 {
 		return fmt.Errorf("-procs: want a positive integer, got %d", procs)
-	}
-	if benchRepeat < 1 {
-		return fmt.Errorf("-bench-repeat: want a positive integer, got %d", benchRepeat)
 	}
 	return nil
 }

@@ -7,25 +7,24 @@ import (
 
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
-		format      string
-		procs, reps int
-		want        string // "" = accepted; else the flag the error must name
+		format string
+		procs  int
+		want   string // "" = accepted; else the flag the error must name
 	}{
-		{"table", 1, 1, ""},
-		{"csv", 8, 3, ""},
-		{"json", 2, 1, ""},
-		{"xml", 1, 1, "-format"},
-		{"", 1, 1, "-format"},
-		{"table", 0, 1, "-procs"},
-		{"table", -2, 1, "-procs"},
-		{"table", 1, 0, "-bench-repeat"},
+		{"table", 1, ""},
+		{"csv", 8, ""},
+		{"json", 2, ""},
+		{"xml", 1, "-format"},
+		{"", 1, "-format"},
+		{"table", 0, "-procs"},
+		{"table", -2, "-procs"},
 	} {
-		err := checkFlags(c.format, c.procs, c.reps)
+		err := checkFlags(c.format, c.procs)
 		switch {
 		case c.want == "" && err != nil:
-			t.Errorf("checkFlags(%q, %d, %d) = %v, want accepted", c.format, c.procs, c.reps, err)
+			t.Errorf("checkFlags(%q, %d) = %v, want accepted", c.format, c.procs, err)
 		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), c.want+":")):
-			t.Errorf("checkFlags(%q, %d, %d) = %v, want an error naming %s", c.format, c.procs, c.reps, err, c.want)
+			t.Errorf("checkFlags(%q, %d) = %v, want an error naming %s", c.format, c.procs, err, c.want)
 		}
 	}
 }

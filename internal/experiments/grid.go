@@ -99,8 +99,8 @@ func SetPolicies(mmuName, fcName string) {
 	procsMu.Unlock()
 }
 
-// Policies returns the session default MMU and flow-control names.
-func Policies() (mmuName, fcName string) {
+// policies returns the session default MMU and flow-control names.
+func policies() (mmuName, fcName string) {
 	procsMu.Lock()
 	defer procsMu.Unlock()
 	return sessionMMU, sessionFC
@@ -136,7 +136,7 @@ func RunGrid(cells []RunConfig, opts GridOpts) []*Result {
 		sem = newSlots(opts.Procs)
 	}
 	hp, ha := harnessSettings()
-	smmu, sfc := Policies()
+	smmu, sfc := policies()
 	results := make([]*Result, len(cells))
 	var wg sync.WaitGroup
 	for i := range cells {
@@ -290,13 +290,6 @@ func (sw *sweep) exec() {
 		sw.rep.sched.Add(&r.Sched)
 		sw.rep.setupWall += r.SetupWall
 		sw.rep.packets += uint64(r.Ctr.EnqGreen + r.Ctr.EnqRed)
-		for i, ev := range r.ShardEvents {
-			if i < len(sw.rep.shardEvents) {
-				sw.rep.shardEvents[i] += ev
-			} else {
-				sw.rep.shardEvents = append(sw.rep.shardEvents, ev)
-			}
-		}
 	}
 }
 

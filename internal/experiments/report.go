@@ -20,8 +20,8 @@ type Report struct {
 	Rows   [][]string
 	Notes  []string
 
-	// Grid accounting filled in by the executor, for the bench
-	// pipeline; not part of the rendered report.
+	// Grid accounting filled in by the executor, for the benchmark
+	// (bench/); not part of the rendered report.
 	cells  int
 	events uint64
 	sched  sim.SchedStats
@@ -29,10 +29,6 @@ type Report struct {
 	// packets sums switch enqueues, the denominator of events-per-packet.
 	setupWall time.Duration
 	packets   uint64
-	// shardEvents sums each cell's per-shard event counts elementwise,
-	// so a bench record can show how evenly the partitioner spread the
-	// load (length = the grid's largest shard count).
-	shardEvents []uint64
 }
 
 // GridStats returns how many grid cells produced this report and the
@@ -45,10 +41,6 @@ func (r *Report) GridStats() (cells int, events uint64) {
 // grid cell behind this report (dead-timer pops/reclamations, cascades,
 // overflow-heap pressure).
 func (r *Report) SchedStats() sim.SchedStats { return r.sched }
-
-// ShardEvents returns the per-shard event totals across the grid's cells
-// (length = the largest shard count any cell ran with).
-func (r *Report) ShardEvents() []uint64 { return r.shardEvents }
 
 // SetupWall returns the total wall-clock the grid's cells spent in
 // topology/flow construction before their event loops started.
@@ -115,7 +107,7 @@ func (r *Report) String() string {
 
 // Scale controls experiment size. The paper's full scale (10k background
 // flows, 5 seeds) is expensive; Quick preserves the shape at a fraction
-// of the cost and Bench is for go test -bench smoke runs.
+// of the cost.
 type Scale struct {
 	BgFlows int
 	Seeds   int
@@ -129,6 +121,3 @@ func QuickScale() Scale { return Scale{BgFlows: 400, Seeds: 2} }
 
 // FullScale matches the paper's configuration.
 func FullScale() Scale { return Scale{BgFlows: 10000, Seeds: 5} }
-
-// BenchScale is a minimal smoke-scale for go test -bench.
-func BenchScale() Scale { return Scale{BgFlows: 60, Seeds: 1, AppPoints: 2} }

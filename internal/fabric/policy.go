@@ -36,7 +36,7 @@ import (
 // pool state beyond that is available through the bound switch
 // (QueueBytes, BufferUsed, Tx).
 type BufferPolicy interface {
-	// Name returns the policy's registered name (reports, BenchRecord).
+	// Name returns the policy's registered name (reports, -mmu).
 	Name() string
 	// Bind attaches the policy to the switch it governs.
 	Bind(sw *Switch)

@@ -94,7 +94,8 @@ func (t Timer) Pending() bool {
 }
 
 // SchedStats exposes scheduler-internal counters for performance
-// accounting and regression tracking (surfaced via -bench-out).
+// accounting and regression tracking (surfaced as the benchmark's sim.*
+// rows, bench/).
 type SchedStats struct {
 	// DeadReclaimed counts cancelled events, each reclaimed by its Stop.
 	DeadReclaimed uint64
