@@ -52,7 +52,7 @@ func Dumbbell(scale Scale) *Report {
 			}
 			rep.AddRow(v.Name(),
 				meanStdDur(paused),
-				fmt.Sprintf("%.2fGbps", stats.Mean(goodput)),
+				meanGbps(goodput),
 				meanStdDur(fgP99),
 				fmt.Sprintf("%d", timeouts),
 				fmt.Sprintf("%d", drops))

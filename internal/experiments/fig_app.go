@@ -142,7 +142,7 @@ func Fig13(scale Scale) *Report {
 				timeouts += r.Rec.TimeoutsAll()
 			}
 			rep.AddRow(v.Name(), meanStdDur(p99s),
-				fmt.Sprintf("%.2fGbps", stats.Mean(goodputs)), fmt.Sprintf("%d", timeouts))
+				meanGbps(goodputs), fmt.Sprintf("%d", timeouts))
 		})
 	}
 	sw.exec()

@@ -521,6 +521,14 @@ func meanStdDur(xs []float64) string {
 	return stats.FmtDur(m) + "±" + stats.FmtDur(stats.Stddev(xs))
 }
 
+// meanGbps formats the mean of xs in Gbit/s, n/a when nothing was measured.
+func meanGbps(xs []float64) string {
+	if len(xs) == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2fGbps", stats.Mean(xs))
+}
+
 // median returns the middle value.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
