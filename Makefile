@@ -43,6 +43,9 @@ mutants:
 
 # Capture CPU profiles from the three smoke workloads, merge
 # them into the committed default.pgo, and stamp the staleness sidecar.
+# Every capture runs at the default one shard, like the benchmark and a
+# default tltsim run: a sharded capture would weight mailbox code that
+# those runs never execute.
 # Commit both files after running this. (Iterating is fine: the capture
 # runs already benefit from the previous profile; Go PGO is stable
 # under that feedback.)
@@ -54,7 +57,7 @@ pgo:
 		-cpuprofile "$$dir/fig5.pb.gz"; \
 	$(GO) run ./cmd/tltsim -exp fig6 -bg 32 -seeds 1 -procs 1 \
 		-cpuprofile "$$dir/fig6.pb.gz"; \
-	$(GO) run ./cmd/tltsim -exp scale-sweep -bg 25000 -points 1 -seeds 1 -procs 1 -shards 4 \
+	$(GO) run ./cmd/tltsim -exp scale-sweep -bg 25000 -points 1 -seeds 1 -procs 1 \
 		-cpuprofile "$$dir/scale.pb.gz"; \
 	$(GO) tool pprof -proto "$$dir/fig5.pb.gz" "$$dir/fig6.pb.gz" "$$dir/scale.pb.gz" > $(PGO)
 	echo "changes_lines=$$(wc -l < CHANGES.md)" > $(PGO_META)

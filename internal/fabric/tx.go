@@ -94,8 +94,9 @@ type Wire struct {
 	sim   *sim.Sim
 	delay sim.Time
 
-	// group, when set, routes arrivals through the shard group's
-	// mailboxes instead of posting directly: the destination device
+	// group, when set, hands arrivals to the shard group (its mailboxes,
+	// or at one shard its deferred list) instead of posting directly:
+	// the destination device
 	// lives on shard dstShard, and the (id, seq) pair gives every
 	// hand-off a unique key so barrier injection order — and therefore
 	// the destination's event sequence — is independent of how the
@@ -191,10 +192,12 @@ func (w *Wire) arrive(pkt *packet.Packet) {
 }
 
 // Deliver schedules arrival of a fully-serialized packet after the
-// propagation delay (store-and-forward at the next hop). The node is
-// taken from the scheduler pool and the sequence number is assigned here,
-// at hand-off time, which is what keeps same-instant arrival order
-// byte-identical to the seed scheduler.
+// propagation delay (store-and-forward at the next hop). On a plain wire
+// the node is taken from the scheduler pool and the sequence number is
+// assigned here, at hand-off time. A mailboxed wire hands the packet to
+// its group instead, keyed by wire id and per-wire sequence: the
+// destination's sequence number is assigned at the next window barrier,
+// in (arrival, key) order, whatever the shard count.
 func (w *Wire) Deliver(pkt *packet.Packet) {
 	if w.down {
 		w.DownDropped++

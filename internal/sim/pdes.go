@@ -14,10 +14,17 @@
 // shards the model is split across. A single-shard Group therefore
 // fires events in exactly the same order as a 4-shard one, and reports
 // built on either are byte-identical.
+//
+// At one shard there is nothing to exchange: SendKind defers each
+// hand-off straight into shard 0's pooled nodes, kept in (at, key) order
+// (Sim.handOff), and the barrier schedules them in that order
+// (Sim.flushHandOffs), so they take the same seqs the mailboxes give.
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -42,6 +49,7 @@ type Group struct {
 	lookahead Time
 	workers   int
 
+	// Mailboxes, used only with more than one shard.
 	out  [][]xfer // per-source outbox, written only by that shard's worker
 	pend [][]xfer // per-destination scratch reused across barriers
 
@@ -124,6 +132,10 @@ func (g *Group) SetWorkers(n int) {
 // sequence is independent of the partition. SendKind may only be called
 // from code executing on src.
 func (g *Group) SendKind(src, dst int, at Time, key uint64, k EventKind, tgt uint32, arg any) {
+	if len(g.shards) == 1 {
+		g.shards[0].handOff(at, key, k, tgt, arg)
+		return
+	}
 	g.out[src] = append(g.out[src], xfer{at: at, key: key, kind: k, tgt: tgt, arg: arg, dst: int32(dst)})
 }
 
@@ -175,20 +187,7 @@ func (g *Group) Run(horizon Time) Time {
 // injection cannot schedule into a shard's past.
 func (g *Group) inject() {
 	if len(g.shards) == 1 {
-		// Single shard: every hand-off targets shard 0 and the outbox
-		// already holds them in send order, so sort and post in place —
-		// the same sequence the pend copy would produce.
-		p := g.out[0]
-		if len(p) == 0 {
-			return
-		}
-		sortXfers(p)
-		s := g.shards[0]
-		for j := range p {
-			s.PostKind(p[j].at, p[j].kind, p[j].tgt, p[j].arg)
-			p[j].arg = nil // don't pin pooled packets
-		}
-		g.out[0] = p[:0]
+		g.shards[0].flushHandOffs()
 		return
 	}
 	for i := range g.pend {
@@ -207,7 +206,7 @@ func (g *Group) inject() {
 		if len(p) == 0 {
 			continue
 		}
-		sortXfers(p)
+		slices.SortFunc(p, cmpXfer)
 		s := g.shards[d]
 		for j := range p {
 			s.PostKind(p[j].at, p[j].kind, p[j].tgt, p[j].arg)
@@ -216,19 +215,13 @@ func (g *Group) inject() {
 	}
 }
 
-// sortXfers orders hand-offs by (at, key). Keys are unique, so the
-// order is total. Windows carry few hand-offs, so an allocation-free
-// insertion sort beats sort.Slice here.
-func sortXfers(p []xfer) {
-	for i := 1; i < len(p); i++ {
-		x := p[i]
-		j := i - 1
-		for j >= 0 && (p[j].at > x.at || (p[j].at == x.at && p[j].key > x.key)) {
-			p[j+1] = p[j]
-			j--
-		}
-		p[j+1] = x
+// cmpXfer orders hand-offs by (at, key). Keys are unique, so the order
+// is total and an unstable sort is deterministic.
+func cmpXfer(a, b xfer) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
+	return cmp.Compare(a.key, b.key)
 }
 
 // minNext returns the earliest pending event time across all shards.

@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 )
 
 // callKind runs its target, a func(any) registered on the destination
@@ -164,6 +169,152 @@ func TestGroupWorkersDeterministic(t *testing.T) {
 	for _, w := range []int{2, 4, 8} {
 		if got := run(w); !reflect.DeepEqual(seq, got) {
 			t.Fatalf("workers=%d log differs:\nseq: %v\ngot: %v", w, seq, got)
+		}
+	}
+}
+
+// The one-shard rule, pinned directly: a hand-off sent in window k fires
+// after every same-instant event posted in window k and before any posted
+// in window k+1, same-instant hand-offs fire in key order, and a hand-off
+// that is the only pending work still opens a window. A direct post at
+// send time, a flush in send order, a flush after the window bound is
+// taken or one a window late each reorders the log or loses its tail.
+func TestGroupOneShardHandOffOrder(t *testing.T) {
+	const la = Time(100)
+	g := NewGroup(1, la)
+	s := g.Shard(0)
+	var log []string
+	note := func(what string) func() {
+		return func() { log = append(log, fmt.Sprintf("%d %s", s.Now(), what)) }
+	}
+	var hand uint32
+	send := func(at Time, key uint64) { g.SendKind(0, 0, at, key, callKind, hand, key) }
+	hand = s.RegisterTarget(func(v any) {
+		key := v.(uint64)
+		note(fmt.Sprintf("hand-off %d", key))()
+		if key == 1 {
+			send(s.Now()+la, 2) // the last work left: must still fire
+		}
+	})
+	// Window 0 runs [0, 99]: everything posted in it for instants 100
+	// and 150 precedes the hand-offs it sends there.
+	s.Post(0, func() {
+		s.Post(100, func() {
+			note("w0-early")()
+			s.Post(150, note("w1")) // posted in window 1: after hand-off 1
+		})
+		send(100, 9)
+		send(100, 4)
+		send(150, 1)
+		send(100, 6)
+	})
+	s.Post(50, func() {
+		s.Post(100, note("w0-late"))
+		s.Post(150, note("w0-late-150"))
+	})
+	g.Run(1 << 20)
+	want := []string{
+		"100 w0-early", "100 w0-late", "100 hand-off 4", "100 hand-off 6", "100 hand-off 9",
+		"150 w0-late-150", "150 hand-off 1", "150 w1",
+		"250 hand-off 2",
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("one-shard order:\n got %q\nwant %q", log, want)
+	}
+}
+
+// A few thousand hand-offs from 4 source shards, interleaved at equal
+// instants and sent in shuffled key order, are injected into each
+// destination in exact (at, key) order.
+func TestGroupInjectionSortsInterleavedSources(t *testing.T) {
+	const (
+		n      = 4
+		la     = Time(100)
+		perSrc = 1000
+	)
+	type hit struct {
+		at  Time
+		key uint64
+	}
+	g := NewGroup(n, la)
+	logs := make([][]hit, n)
+	ids := make([]uint32, n)
+	for d := range ids {
+		s := g.Shard(d)
+		ids[d] = s.RegisterTarget(func(v any) { logs[d] = append(logs[d], hit{s.Now(), v.(uint64)}) })
+	}
+	rng := rand.New(rand.NewSource(1))
+	sent := 0
+	for src := 0; src < n; src++ {
+		keys := rng.Perm(perSrc)
+		g.Shard(src).Post(0, func() {
+			for _, k := range keys {
+				key := uint64(k)<<2 | uint64(src)
+				dst := int(key>>2) % n
+				g.SendKind(src, dst, la+Time(key%5), key, callKind, ids[dst], key)
+			}
+		})
+		sent += perSrc
+	}
+	g.Run(1 << 20)
+	got := 0
+	for d, l := range logs {
+		got += len(l)
+		if !slices.IsSortedFunc(l, func(a, b hit) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.key, b.key))
+		}) {
+			t.Fatalf("shard %d: hand-offs fired out of (at, key) order", d)
+		}
+		for _, h := range l {
+			if h.at != la+Time(h.key%5) {
+				t.Fatalf("shard %d: key %d fired at %v, sent for %v", d, h.key, h.at, la+Time(h.key%5))
+			}
+		}
+	}
+	if got != sent {
+		t.Fatalf("%d hand-offs fired, %d sent", got, sent)
+	}
+}
+
+// Releasing a group whose hand-offs are still deferred (a stop latched
+// before the barrier that would schedule them) drops them: no payload
+// stays reachable through the group or the released memory.
+func TestGroupReleaseDropsDeferredHandOffs(t *testing.T) {
+	type payload struct {
+		buf  [64]byte
+		next *payload
+	}
+	g := NewGroup(1, 100)
+	s := g.Shard(0)
+	freed := make(chan struct{})
+	func() {
+		p := &payload{}
+		runtime.SetFinalizer(p, func(*payload) { close(freed) })
+		s.PostKind(0, callKind, s.RegisterTarget(func(v any) {
+			g.SendKind(0, 0, 100, 1, callKind, 0, v)
+			g.RequestStop()
+		}), p)
+	}()
+	g.Run(1 << 20)
+	if s.handHead == nil {
+		t.Fatal("hand-off was not left deferred")
+	}
+	var m Mem
+	g.Release(0, &m)
+	if s.handHead != nil || s.handTail != nil {
+		t.Fatal("Release kept the deferred list")
+	}
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(g)
+			runtime.KeepAlive(&m)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if i == 100 {
+			t.Fatal("a deferred hand-off's payload is still reachable after Release")
 		}
 	}
 }

@@ -141,6 +141,10 @@ type Sim struct {
 	live int // scheduled, non-cancelled events
 
 	free *Event
+	// handHead and handTail bound the hand-offs deferred to the next
+	// barrier (handOff): pooled nodes in (at, key) order, linked through
+	// next/prev, each key riding in seq until flushHandOffs schedules it.
+	handHead, handTail *Event
 	// chunks lists every node chunk behind the free list and the queue;
 	// spare holds adopted chunks not needed yet (see Mem).
 	chunks, spare [][]Event
@@ -165,8 +169,9 @@ func (s *Sim) Now() Time { return s.now }
 
 // Mem is the scheduler memory a finished run hands to the next one on
 // the same grid worker slot: a shard's event-node chunks and, under a
-// Group, its mailbox buffers. Everything in it is zeroed. The zero Mem
-// is empty; a Mem is not safe for concurrent use.
+// Group of more than one shard, its mailbox buffers (a one-shard Group
+// defers its hand-offs in pooled nodes, see handOff). Everything in it
+// is zeroed. The zero Mem is empty; a Mem is not safe for concurrent use.
 type Mem struct {
 	chunks    [][]Event
 	out, pend []xfer
@@ -178,8 +183,9 @@ func (s *Sim) Adopt(m *Mem) {
 	s.spare, m.chunks = m.chunks, nil
 }
 
-// Release moves the node chunks s has used to m, zeroed: pending events
-// and the references they carry are dropped, so s must not be used again.
+// Release moves the node chunks s has used to m, zeroed: pending and
+// deferred events and the references they carry are dropped, so s must
+// not be used again.
 // Adopted chunks s never needed are dropped, so what a slot keeps follows
 // its last run, not the most any run ever used.
 func (s *Sim) Release(m *Mem) {
@@ -188,6 +194,7 @@ func (s *Sim) Release(m *Mem) {
 	}
 	m.chunks = append(m.chunks, s.chunks...)
 	s.chunks, s.spare, s.free = nil, nil, nil
+	s.handHead, s.handTail = nil, nil
 }
 
 // alloc takes an event node from the pool, growing it a chunk at a time
@@ -242,6 +249,47 @@ func (s *Sim) schedule(ev *Event, at Time) {
 	s.seq++
 	s.live++
 	s.place(ev)
+}
+
+// handOff defers a typed event to the next flushHandOffs: the node is
+// taken from the pool now and linked into the deferred list in (at, key)
+// order, the key riding in seq until the node is scheduled. The key must
+// be unique among the deferred events at the same instant. Hand-offs
+// come nearly in order (equal-delay wires send in time order), so the
+// walk back from the tail is O(1) amortised.
+func (s *Sim) handOff(at Time, key uint64, k EventKind, tgt uint32, arg any) {
+	ev := s.alloc()
+	ev.at, ev.seq = at, key
+	ev.kind, ev.tgt, ev.arg = k, tgt, arg
+	p := s.handTail
+	for p != nil && (p.at > at || p.at == at && p.seq > key) {
+		p = p.prev
+	}
+	ev.prev = p
+	if p != nil {
+		ev.next, p.next = p.next, ev
+	} else {
+		ev.next, s.handHead = s.handHead, ev
+	}
+	if ev.next != nil {
+		ev.next.prev = ev
+	} else {
+		s.handTail = ev
+	}
+}
+
+// flushHandOffs schedules the deferred events in (at, key) order, so
+// they take seqs after every event already posted and before any posted
+// later: the canonical barrier order of a Group's hand-offs.
+func (s *Sim) flushHandOffs() {
+	ev := s.handHead
+	s.handHead, s.handTail = nil, nil
+	for ev != nil {
+		next := ev.next
+		ev.next, ev.prev = nil, nil
+		s.schedule(ev, ev.at)
+		ev = next
+	}
 }
 
 // Post schedules fn at absolute time at with no cancellation handle.
