@@ -6,13 +6,15 @@
 # scale-sweep smoke — together they cover the wheel drain, the switch
 # datapath with its INT stamping, the TCP and RoCE queue-pair transports
 # and the tick paths that dominate CPU). The sidecar default.pgo.meta records
-# the CHANGES.md line count at generation time; `make pgo-check` (and
-# CI) fail once the profile is more than PGO_MAX_AGE PRs stale.
+# how many PR entries CHANGES.md held at generation time; `make pgo-check`
+# (and CI) fail once the profile is more than PGO_MAX_AGE PRs stale.
 
 GO ?= go
 PGO := cmd/tltsim/default.pgo
 PGO_META := cmd/tltsim/default.pgo.meta
 PGO_MAX_AGE := 3
+# PR entries of CHANGES.md: an entry is several lines, its first begins "PR <n>".
+PGO_ENTRIES := grep -c '^PR [0-9]' CHANGES.md
 
 .PHONY: all build test benchmark ab mutants pgo pgo-check
 
@@ -60,14 +62,14 @@ pgo:
 	$(GO) run ./cmd/tltsim -exp scale-sweep -bg 25000 -points 1 -seeds 1 -procs 1 \
 		-cpuprofile "$$dir/scale.pb.gz"; \
 	$(GO) tool pprof -proto "$$dir/fig5.pb.gz" "$$dir/fig6.pb.gz" "$$dir/scale.pb.gz" > $(PGO)
-	echo "changes_lines=$$(wc -l < CHANGES.md)" > $(PGO_META)
+	echo "changes_entries=$$($(PGO_ENTRIES))" > $(PGO_META)
 	@echo "wrote $(PGO) + $(PGO_META); commit both"
 
 # Fail when the committed profile has fallen more than PGO_MAX_AGE PRs
-# behind CHANGES.md (each PR appends one line there).
+# behind CHANGES.md (each PR appends one entry there).
 pgo-check:
-	@cur=$$(wc -l < CHANGES.md); \
-	gen=$$(sed -n 's/^changes_lines=//p' $(PGO_META) 2>/dev/null); \
+	@cur=$$($(PGO_ENTRIES)); \
+	gen=$$(sed -n 's/^changes_entries=//p' $(PGO_META) 2>/dev/null); \
 	if [ -z "$$gen" ]; then \
 		echo "$(PGO_META) missing or invalid; run 'make pgo' and commit $(PGO) + $(PGO_META)" >&2; \
 		exit 1; \

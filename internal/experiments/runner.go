@@ -349,16 +349,17 @@ func (schedule) start(c *cell) (sim.Time, func(*Result)) {
 	// A flow can finalize from both sides in a sharded run (sender abort
 	// racing a completion in flight), and the two closures run on
 	// different shards, so completion accounting is a per-flow CAS plus
-	// an atomic remaining count. rec.Flows is index-aligned with flows
-	// (startFlows registers records in flow order) and the map is fully
-	// built before the run starts, so the concurrent reads are safe.
+	// an atomic remaining count. Generate numbers the flows densely from
+	// 1, so a flow's slot is its ID-1.
 	var remaining atomic.Int64
 	remaining.Store(int64(len(flows)))
 	doneSlots := make([]atomic.Bool, len(flows))
-	flowIdx := make(map[*stats.FlowRecord]int, len(flows))
 	onDone := func(fr *stats.FlowRecord) {
-		i, ok := flowIdx[fr]
-		if !ok || !doneSlots[i].CompareAndSwap(false, true) {
+		i := int(fr.Flow.ID) - 1
+		if uint(i) >= uint(len(doneSlots)) {
+			panic(fmt.Sprintf("flow ID %d outside [1, %d]", fr.Flow.ID, len(doneSlots)))
+		}
+		if !doneSlots[i].CompareAndSwap(false, true) {
 			return
 		}
 		if remaining.Add(-1) == 0 {
@@ -367,9 +368,6 @@ func (schedule) start(c *cell) (sim.Time, func(*Result)) {
 	}
 	reporters := startFlows(c.ar, c.net, flows, rc.Variant, rec, onDone, c.audit)
 	c.ar.trimEndpoints(len(flows) == 0)
-	for i, fr := range rec.Flows {
-		flowIdx[fr] = i
-	}
 	last := sim.Time(0)
 	if len(flows) > 0 {
 		last = flows[len(flows)-1].Start

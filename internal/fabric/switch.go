@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"tlt/internal/packet"
 	"tlt/internal/sim"
@@ -262,6 +263,10 @@ type Switch struct {
 	// a precomputed projection so the O(hosts) flat array, like the
 	// table itself, exists once per forwarding-equivalence class.
 	route1 []int32
+	// sharedRoutes marks routes and route1 as installed by
+	// SetRouteTableFlatAt, and so possibly shared with other switches
+	// and other cells: SetRoute copies both before its first write.
+	sharedRoutes bool
 
 	// defaultRoute, when non-empty, is the ECMP group used for any
 	// destination with no specific routes entry. Large Clos builders
@@ -402,9 +407,16 @@ func (sw *Switch) NumPorts() int { return len(sw.ports) }
 
 // SetRoute installs the ECMP egress port group for a destination host.
 // Indexes are absolute NodeIDs; on a switch configured with
-// SetRouteTableFlatAt the destination must be at or above the table base.
+// SetRouteTableFlatAt the destination must be at or above the table base,
+// and the first SetRoute after it copies the installed table, so a
+// reroute never writes through to a table other switches share.
 func (sw *Switch) SetRoute(dst packet.NodeID, egress []int) {
 	d := int(dst) - sw.routeBase
+	if sw.sharedRoutes {
+		sw.routes = slices.Clone(sw.routes)
+		sw.route1 = slices.Clone(sw.route1)
+		sw.sharedRoutes = false
+	}
 	for d >= len(sw.routes) {
 		sw.routes = append(sw.routes, nil)
 		sw.route1 = append(sw.route1, -1)
@@ -425,11 +437,13 @@ func (sw *Switch) SetRoute(dst packet.NodeID, egress []int) {
 // nil-prefix padding. Both slices may be shared between switches with
 // identical forwarding behavior (all cores of a fat-tree, all aggregates
 // of one pod), which collapses the dominant O(switches × hosts) FIB cost
-// of big Clos fabrics to one table per equivalence class. Shared tables
-// must not be mutated afterward via SetRoute/reroute.
+// of big Clos fabrics to one table per equivalence class. The switch
+// never writes to either slice: a later SetRoute (a reroute) first takes
+// a private copy.
 func (sw *Switch) SetRouteTableFlatAt(base packet.NodeID, table [][]int, flat []int32) {
 	sw.routes, sw.routeBase = table, int(base)
 	sw.route1 = flat
+	sw.sharedRoutes = true
 }
 
 // FlatRoutes computes the unicast projection of a routing table: the

@@ -1,19 +1,21 @@
 package stats
 
-import "math/rand"
+import "tlt/internal/sim"
 
 // Reservoir performs uniform reservoir sampling so CDFs over tens of
-// millions of per-packet samples stay memory-bounded.
+// millions of per-packet samples stay memory-bounded. Its generator is
+// drawn only once the reservoir overflows, so one that never fills
+// builds no math/rand source.
 type Reservoir struct {
 	cap  int
 	seen int64
 	xs   []float64
-	rng  *rand.Rand
+	rng  *sim.RNG
 }
 
 // NewReservoir returns a reservoir holding at most capacity samples.
 func NewReservoir(capacity int, seed int64) *Reservoir {
-	return &Reservoir{cap: capacity, rng: rand.New(rand.NewSource(seed))}
+	return &Reservoir{cap: capacity, rng: sim.NewRNG(seed)}
 }
 
 // Add offers a sample.

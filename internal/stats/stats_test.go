@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -154,6 +156,26 @@ func TestReservoirSampling(t *testing.T) {
 	m := Mean(r.Samples())
 	if m < n*0.45 || m > n*0.55 {
 		t.Fatalf("reservoir mean %.0f not near %d", m, n/2)
+	}
+}
+
+// TestReservoirDrawsMathRand pins the samples a full reservoir keeps:
+// the same replacement draws as a math/rand source of the same seed, so
+// Fig. 1's and Fig. 16's CDFs do not move with the generator type.
+func TestReservoirDrawsMathRand(t *testing.T) {
+	const capacity, n = 64, 5000
+	r := NewReservoir(capacity, 9)
+	ref, want := rand.New(rand.NewSource(9)), make([]float64, 0, capacity)
+	for i := 0; i < n; i++ {
+		r.Add(float64(i))
+		if len(want) < capacity {
+			want = append(want, float64(i))
+		} else if j := ref.Int63n(int64(i + 1)); j < capacity {
+			want[j] = float64(i)
+		}
+	}
+	if !reflect.DeepEqual(r.Samples(), want) {
+		t.Fatalf("reservoir kept %v, want %v", r.Samples(), want)
 	}
 }
 

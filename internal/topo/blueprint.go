@@ -13,9 +13,9 @@ import (
 // these parts are computed once per shape and reused; everything
 // mutable (switches, hosts, wires, RNG streams, packet pools) is still
 // built per cell. Shared tables are safe across concurrently-running
-// cells because the fat-tree installs no reroute (see FatTree's doc
-// comment) and the leaf-spine reroute never touches the entries shared
-// here — sharing anything reroute mutates would corrupt neighbors.
+// cells because a switch never writes to an installed table: the
+// leaf-spine reroute's first fabric.Switch.SetRoute takes a private copy
+// of the ToR's table, so one cell's reconvergence never reaches another.
 
 // ftBlueprint is the reusable skeleton of a k-ary fat-tree.
 type ftBlueprint struct {
@@ -46,19 +46,21 @@ type lsKey struct {
 	sharded                   bool
 }
 
-// lsBlueprint is the reusable skeleton of a leaf-spine fabric. ToR
-// tables are NOT here: reroute rewrites their uplink entries per cell.
+// lsBlueprint is the reusable skeleton of a leaf-spine fabric.
 type lsBlueprint struct {
 	torShard, spineShard []int
 	uplinks              []int
-	// hostPort[p] is the singleton egress group {p}, reused by every
-	// ToR's local-host entries (reroute never touches those).
-	hostPort [][]int
 	// spineTbl maps destination host → down port; spines are untouched
 	// by reroute, so one table serves every spine of every cell.
 	// spineFlat is its shared FlatRoutes projection.
 	spineTbl  [][]int
 	spineFlat []int32
+	// torTbl[t] maps destination host → ToR t's egress group (its local
+	// hosts' down ports, the uplink group for the rest), torFlat[t] its
+	// FlatRoutes projection. A reroute copies a ToR's table before its
+	// first write (fabric.Switch.SetRoute), so these stay as built.
+	torTbl  [][][]int
+	torFlat [][]int32
 }
 
 var (
@@ -182,9 +184,10 @@ func leafSpineBlueprint(spines, tors, hostsPerTor, shards int, sharded bool) *ls
 	for c := range bp.uplinks {
 		bp.uplinks[c] = hostsPerTor + c
 	}
-	bp.hostPort = make([][]int, hostsPerTor)
-	for p := range bp.hostPort {
-		bp.hostPort[p] = []int{p}
+	// ToR down-port groups: one singleton per local host.
+	hostPort := make([][]int, hostsPerTor)
+	for p := range hostPort {
+		hostPort[p] = []int{p}
 	}
 	// Spine down-port groups: one singleton per ToR.
 	torPort := make([][]int, tors)
@@ -196,6 +199,19 @@ func leafSpineBlueprint(spines, tors, hostsPerTor, shards int, sharded bool) *ls
 		bp.spineTbl[h] = torPort[h/hostsPerTor]
 	}
 	bp.spineFlat = fabric.FlatRoutes(bp.spineTbl)
+	bp.torTbl = make([][][]int, tors)
+	bp.torFlat = make([][]int32, tors)
+	for t := range bp.torTbl {
+		tbl := make([][]int, numHosts)
+		for h := range tbl {
+			if h/hostsPerTor == t {
+				tbl[h] = hostPort[h%hostsPerTor]
+			} else {
+				tbl[h] = bp.uplinks
+			}
+		}
+		bp.torTbl[t], bp.torFlat[t] = tbl, fabric.FlatRoutes(tbl)
+	}
 	lsCache[key] = bp
 	return bp
 }

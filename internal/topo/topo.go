@@ -309,20 +309,12 @@ func LeafSpine(s *sim.Sim, cfg LeafSpineConfig) *Network {
 		}
 	}
 
-	// Routing. ToR tables are per-cell (reroute rewrites their uplink
-	// entries in place), but their entry slices — the local-host
-	// singletons and the uplink group — and the whole spine table come
-	// from the blueprint: reroute never mutates those, so every cell
-	// shares them.
-	uplinks := bp.uplinks
+	// Routing. Every table comes from the blueprint, shared by every
+	// cell of this shape: one per ToR, one for all spines. A reroute
+	// copies a ToR's table before its first write (SetRoute), so one
+	// cell's reconvergence never reaches another's.
 	for t, tor := range tors {
-		for h := 0; h < numHosts; h++ {
-			if h/cfg.HostsPerTor == t {
-				tor.SetRoute(packet.NodeID(h), bp.hostPort[h%cfg.HostsPerTor])
-			} else {
-				tor.SetRoute(packet.NodeID(h), uplinks)
-			}
-		}
+		tor.SetRouteTableFlatAt(0, bp.torTbl[t], bp.torFlat[t])
 	}
 	for _, sp := range spines {
 		sp.SetRouteTableFlatAt(0, bp.spineTbl, bp.spineFlat)
@@ -341,7 +333,7 @@ func LeafSpine(s *sim.Sim, cfg LeafSpineConfig) *Network {
 			}
 		}
 		if len(live) == 0 {
-			live = uplinks
+			live = bp.uplinks
 		}
 		return live
 	}

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"tlt/internal/fabric"
@@ -184,4 +186,73 @@ func TestPausedFraction(t *testing.T) {
 	if frac < want*0.99 || frac > want*1.01 {
 		t.Fatalf("paused fraction = %f, want %f", frac, want)
 	}
+}
+
+// TestLeafSpineRerouteStaysInItsCell checks the tables every leaf-spine
+// of one shape shares through the blueprint: a reroute on one network
+// copies its ToR's table before writing, so it neither reaches a second
+// network of the same shape nor the blueprint. The two networks run
+// concurrently, as grid cells do, so a write-through is also a data race
+// under -race.
+//
+// Mutation-checked: fails when SetRoute skips the copy.
+func TestLeafSpineRerouteStaysInItsCell(t *testing.T) {
+	const deadSpine = 1
+	cfg := DefaultLeafSpine(10 * sim.Microsecond)
+	bp := leafSpineBlueprint(cfg.Spines, cfg.Tors, cfg.HostsPerTor, 1, false)
+	wantTbl, wantFlat := cloneTables(bp.torTbl), cloneTables(bp.torFlat)
+	rerouted, other := defaultLS(sim.New()), defaultLS(sim.New())
+
+	// 64 flows from ToR 0 to ToR 11, on each network; the result is
+	// the bytes each spine carried.
+	spineBytes := func(n *Network) []int64 {
+		c := &capture{}
+		for f := 1; f <= 64; f++ {
+			n.Hosts[95].Register(packet.FlowID(f), c)
+			n.Hosts[0].Send(&packet.Packet{Flow: packet.FlowID(f), Dst: 95, Type: packet.Data, Len: 100})
+		}
+		n.Sim.RunAll()
+		if len(c.got) != 64 {
+			t.Errorf("delivered %d of 64", len(c.got))
+		}
+		var bytes []int64
+		for _, sw := range n.Switches[cfg.Tors:] {
+			var b int64
+			for p := 0; p < sw.NumPorts(); p++ {
+				b += sw.Tx(p).TxBytes
+			}
+			bytes = append(bytes, b)
+		}
+		return bytes
+	}
+	var got [2][]int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rerouted.SetSwitchFailed(cfg.Tors+deadSpine, true)
+		rerouted.Reroute()
+		got[0] = spineBytes(rerouted)
+	}()
+	got[1] = spineBytes(other)
+	<-done
+
+	if got[0][deadSpine] != 0 {
+		t.Errorf("rerouted network sent %d bytes through its dead spine", got[0][deadSpine])
+	}
+	for c, b := range got[1] {
+		if b == 0 {
+			t.Errorf("the other network's spine %d carried nothing (per-spine bytes %v): the reroute reached it", c, got[1])
+		}
+	}
+	if !reflect.DeepEqual(bp.torTbl, wantTbl) || !reflect.DeepEqual(bp.torFlat, wantFlat) {
+		t.Error("a reroute wrote through to the blueprint's ToR tables")
+	}
+}
+
+func cloneTables[E any](tbls [][]E) [][]E {
+	out := make([][]E, len(tbls))
+	for i, tbl := range tbls {
+		out[i] = slices.Clone(tbl)
+	}
+	return out
 }
